@@ -2,9 +2,9 @@
 // the Spark system... we expect that implementing our algorithm in Spark
 // would improve performance by reducing read I/O."
 //
-// We add an in-memory intermediate tier to the DFS (single unreplicated
-// copy, memory-bandwidth writes — fault tolerance by lineage, like RDDs) and
-// run the identical pipeline both ways.
+// The spin engine keeps intermediates on the DFS's in-memory tier (single
+// unreplicated copy, memory-bandwidth writes — fault tolerance by lineage,
+// like RDDs); we run the identical pipeline on both engines.
 #include "harness.hpp"
 
 using namespace mri;
@@ -31,9 +31,9 @@ int main(int argc, char** argv) {
     const MrRun disk = run_mapreduce(setup, nodes, hadoop, 1, nullptr, ni == 0);
     if (ni == 0) MRI_CHECK_MSG(disk.residual < 1e-5, "accuracy check failed");
 
-    core::InversionOptions spark;
-    spark.in_memory_intermediates = true;
-    const MrRun mem = run_mapreduce(setup, nodes, spark, 1, nullptr, false);
+    core::InversionOptions spin;
+    spin.engine = core::EngineKind::kSpin;
+    const MrRun mem = run_mapreduce(setup, nodes, spin, 1, nullptr, false);
 
     const double s2 = scale * scale;
     const auto disk_gb = [&](const IoStats& io) {

@@ -40,7 +40,7 @@ struct SweepFixture {
   dfs::Dfs fs;
   ThreadPool pool;
   mr::JobRunner runner;
-  mr::Pipeline pipeline;
+  mr::JobGraph pipeline;
   std::vector<std::string> control_files;
 };
 

@@ -17,7 +17,7 @@
 // --engine spin selects the SPIN-style in-memory engine: intermediates live
 // in per-node block caches (--cache-mb per node), consumers read resident
 // inputs at memory bandwidth, and node kills recover by lineage
-// recomputation. --spark is the deprecated spelling of --engine spin.
+// recomputation.
 //
 // --kernel-backend selects the process-wide GEMM/TRSM implementation every
 // dense kernel dispatches through (default: simd when the CPU has AVX2+FMA,
@@ -71,6 +71,8 @@
 // the residual blows up; with it on every corruption is detected and
 // repaired (replica copy, EC decode, or lineage recompute) and the inverse
 // stays at machine epsilon. The report's "integrity" section has the counts.
+//
+// Any other --option is refused (a typo must not run as if it were absent).
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -402,7 +404,7 @@ int run_serve(const mri::CliOptions& cli) {
       static_cast<int>(cli.get_int("tenant-queue-limit", 0));
   options.inversion.nb = cli.get_int("nb", 0);
   if (options.inversion.nb <= 0) options.inversion.nb = 256;
-  if (cli.get_string("engine", "") == "spin" || cli.get_bool("spark", false)) {
+  if (cli.get_string("engine", "") == "spin") {
     options.inversion.engine = core::EngineKind::kSpin;
   }
   options.inversion.cache_capacity_bytes =
@@ -410,7 +412,7 @@ int run_serve(const mri::CliOptions& cli) {
   options.admission.memory_budget_bytes_per_tenant =
       static_cast<std::uint64_t>(cli.get_int("memory-budget-mb", 0)) << 20;
   MRI_REQUIRE(!cli.has("memory-budget-mb") ||
-                  options.inversion.spin(),
+                  options.inversion.engine == core::EngineKind::kSpin,
               "--memory-budget-mb bounds tenants' in-memory intermediates, "
               "which only the spin engine keeps; add --engine spin or drop "
               "the budget");
@@ -483,6 +485,16 @@ int run_serve(const mri::CliOptions& cli) {
 int main(int argc, char** argv) {
   using namespace mri;
   CliOptions cli(argc, argv);
+  // --help is listed so it still falls through to the usage message below.
+  cli.reject_unknown(
+      {"bitrot-rate", "cache-mb", "chaos-horizon", "chaos-mtbf", "chaos-seed",
+       "corrupt-block", "ec", "engine", "generate", "help", "hot-cache-mb",
+       "input", "kernel-backend", "kill-node", "max-concurrent",
+       "memory-budget-mb", "multiply-strategy", "nb", "nodes", "output",
+       "overlap", "oversub", "queue-depth", "rack-aware", "racks",
+       "replication", "report-out", "scrub-interval", "serve", "solve",
+       "storage-policy", "tenant-queue-limit", "topology", "trace-out",
+       "verify-checksums"});
   const int nodes = static_cast<int>(cli.get_int("nodes", 8));
   const std::string engine = cli.get_string("engine", "auto");
   const std::string output = cli.get_string("output", "");
@@ -513,19 +525,11 @@ int main(int argc, char** argv) {
               "--overlap schedules the final stage on the MapReduce DAG "
               "executor, which --engine scalapack never runs; drop --overlap "
               "or use --engine mapreduce (or auto)");
-  MRI_REQUIRE(!(cli.has("spark") && engine == "scalapack"),
-              "--spark keeps MapReduce intermediates in memory, which "
-              "--engine scalapack never writes; drop --spark or use "
-              "--engine spin");
-  MRI_REQUIRE(!(cli.has("spark") && engine == "spin"),
-              "--spark is the deprecated spelling of --engine spin; drop "
-              "--spark (you already selected the spin engine)");
   MRI_REQUIRE(!(cli.has("cache-mb") && engine == "scalapack"),
               "--cache-mb sizes the spin engine's per-node block cache, "
               "which --engine scalapack never uses; drop --cache-mb or use "
               "--engine spin");
-  MRI_REQUIRE(!cli.has("cache-mb") || engine == "spin" ||
-                  cli.get_bool("spark", false),
+  MRI_REQUIRE(!cli.has("cache-mb") || engine == "spin",
               "--cache-mb sizes the spin engine's per-node block cache; add "
               "--engine spin (Hadoop-style runs keep intermediates on "
               "disk, not in a cache)");
@@ -615,12 +619,6 @@ int main(int argc, char** argv) {
 
   core::InversionOptions options;
   options.nb = cli.get_int("nb", std::max<Index>(32, a.rows() / 8));
-  if (cli.get_bool("spark", false)) {
-    std::printf("note: --spark is deprecated; use --engine spin (same "
-                "in-memory engine, now with a block cache and lineage "
-                "recovery)\n");
-    options.engine = core::EngineKind::kSpin;
-  }
   options.cache_capacity_bytes =
       static_cast<std::uint64_t>(cli.get_int("cache-mb", 256)) << 20;
   options.overlap_final_stage = cli.get_bool("overlap", false);
@@ -667,7 +665,7 @@ int main(int argc, char** argv) {
     master_spans = std::move(r.master_spans);
     multiply_plan = r.multiply_plan;
     std::printf("engine: %s (%d jobs)\n",
-                options.spin() ? "spin" : "mapreduce", report.jobs);
+                engine == "spin" ? "spin" : "mapreduce", report.jobs);
     std::printf("multiply strategy: %s (%d round(s) of %d segment(s), "
                 "replication %d, peak task footprint %s)\n",
                 core::multiply_strategy_name(options.multiply.strategy),
@@ -685,7 +683,7 @@ int main(int argc, char** argv) {
     engine_active = r.engine_active;
     engine_stats = std::move(r.engine_stats);
     std::printf("engine: %s (%d jobs)\n",
-                options.spin() ? "spin" : "mapreduce", report.jobs);
+                engine == "spin" ? "spin" : "mapreduce", report.jobs);
     if (engine_active) {
       std::printf("spin engine: %llu cache hit(s), %llu eviction(s) (%s "
                   "spilled), %d partition(s) recomputed in %d wave(s)\n",

@@ -1,5 +1,6 @@
 #include "common/cli.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/error.hpp"
@@ -27,6 +28,14 @@ CliOptions::CliOptions(int argc, const char* const* argv) {
 
 bool CliOptions::has(const std::string& name) const {
   return values_.count(name) > 0;
+}
+
+void CliOptions::reject_unknown(const std::vector<std::string>& known) const {
+  for (const auto& option : values_) {
+    MRI_REQUIRE(
+        std::find(known.begin(), known.end(), option.first) != known.end(),
+        "unknown option --" << option.first);
+  }
 }
 
 std::string CliOptions::get_string(const std::string& name,

@@ -1,7 +1,8 @@
 // Tiny command-line option parser for examples and benchmark harnesses.
 //
-// Supports "--name value" and "--name=value" and boolean "--flag". Unknown
-// options throw so typos in experiment scripts are caught immediately.
+// Supports "--name value" and "--name=value" and boolean "--flag". A tool
+// that lists its options with reject_unknown() refuses anything else, so a
+// typo in an experiment script fails instead of being silently ignored.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +17,9 @@ class CliOptions {
   CliOptions(int argc, const char* const* argv);
 
   bool has(const std::string& name) const;
+
+  /// Throws InvalidArgument naming the first given option not in `known`.
+  void reject_unknown(const std::vector<std::string>& known) const;
 
   std::string get_string(const std::string& name,
                          const std::string& fallback) const;

@@ -123,11 +123,11 @@ class ParseMapper : public mr::Mapper {
 
 }  // namespace
 
-Index import_text_matrix(mr::Pipeline* pipeline, dfs::Dfs* fs,
+Index import_text_matrix(mr::JobGraph* graph, dfs::Dfs* fs,
                          const std::string& text_path,
                          const std::string& bin_path,
                          std::vector<std::string> control_files) {
-  MRI_REQUIRE(pipeline != nullptr && fs != nullptr, "null pipeline/fs");
+  MRI_REQUIRE(graph != nullptr && fs != nullptr, "null graph/fs");
   const std::string out_dir = dfs::parent(dfs::normalize(bin_path)) + "/IMPORT";
   if (fs->exists(out_dir)) fs->remove(out_dir, /*recursive=*/true);
   const int m0 = static_cast<int>(control_files.size());
@@ -140,7 +140,7 @@ Index import_text_matrix(mr::Pipeline* pipeline, dfs::Dfs* fs,
     spec.mapper_factory = [text_path, out_dir] {
       return std::make_unique<CountMapper>(text_path, out_dir);
     };
-    pipeline->run(spec);
+    graph->wait(graph->submit(std::move(spec)));
   }
   auto offsets = std::make_shared<std::vector<Index>>();
   Index total_rows = 0;
@@ -158,7 +158,7 @@ Index import_text_matrix(mr::Pipeline* pipeline, dfs::Dfs* fs,
     spec.mapper_factory = [text_path, out_dir, offsets] {
       return std::make_unique<ParseMapper>(text_path, out_dir, offsets);
     };
-    pipeline->run(spec);
+    graph->wait(graph->submit(std::move(spec)));
   }
 
   // Assemble the binary input file the partition job expects (master-side;
@@ -180,7 +180,7 @@ Index import_text_matrix(mr::Pipeline* pipeline, dfs::Dfs* fs,
   MRI_REQUIRE(!first, "text matrix is empty: " + text_path);
   if (fs->exists(bin_path)) fs->remove(bin_path);
   write_matrix(*fs, bin_path, full, &master_io);
-  pipeline->add_master_work(master_io);
+  graph->add_master_work(master_io);
   fs->remove(out_dir, /*recursive=*/true);
   MRI_REQUIRE(total_rows == full.cols(),
               "text matrix is not square: " << total_rows << " rows, "

@@ -9,7 +9,7 @@
 #include <string>
 
 #include "core/tile_set.hpp"
-#include "mapreduce/pipeline.hpp"
+#include "mapreduce/job_graph.hpp"
 
 namespace mri::core {
 
@@ -17,7 +17,7 @@ namespace mri::core {
 /// binary row-band tiles under `out_dir`, returning the TileSet and writing
 /// the assembled binary matrix to `bin_path` suitable for invert_dfs().
 /// Returns the matrix order.
-Index import_text_matrix(mr::Pipeline* pipeline, dfs::Dfs* fs,
+Index import_text_matrix(mr::JobGraph* graph, dfs::Dfs* fs,
                          const std::string& text_path,
                          const std::string& bin_path,
                          std::vector<std::string> control_files);

@@ -24,51 +24,60 @@ MapReduceInverter::MapReduceInverter(const Cluster* cluster, dfs::Dfs* fs,
               "MapReduceInverter needs a cluster, a DFS and a thread pool");
 }
 
-MapReduceInverter::Result MapReduceInverter::invert(
-    const Matrix& a, const InversionOptions& options) {
-  MRI_REQUIRE(a.square(), "invert expects a square matrix, got "
+// One run on a graph this inverter owns. Members construct in order: the
+// spin engine (RAII scope) registers itself with the DFS (tier listener)
+// and the chaos engine (lineage kill handler) for exactly this run, the
+// runner executes on it, and on destruction the graph drains its worker
+// before the engine restores both.
+struct MapReduceInverter::OwnedGraph {
+  OwnedGraph(const MapReduceInverter& inv, const InversionOptions& options)
+      : spin(options.engine == EngineKind::kSpin
+                 ? std::make_unique<engine::SpinEngine>(
+                       inv.fs_, inv.chaos_, &inv.cluster_->cost_model(),
+                       inv.metrics_, options.cache_capacity_bytes)
+                 : nullptr),
+        runner(inv.cluster_, inv.fs_, inv.pool_, inv.failures_, inv.metrics_,
+               inv.chaos_, spin.get()),
+        graph(&runner) {}
+
+  std::unique_ptr<engine::SpinEngine> spin;
+  mr::JobRunner runner;
+  mr::JobGraph graph;
+};
+
+std::string MapReduceInverter::ingest(const Matrix& a,
+                                      const InversionOptions& options) {
+  MRI_REQUIRE(a.square(), "inversion expects a square matrix, got "
                               << a.rows() << "x" << a.cols());
   const std::string input_path = dfs::join(options.work_dir, "a.bin");
   if (fs_->exists(input_path)) fs_->remove(input_path);
   write_matrix(*fs_, input_path, a);
-  return invert_dfs(input_path, options);
+  return input_path;
+}
+
+MapReduceInverter::Result MapReduceInverter::invert(
+    const Matrix& a, const InversionOptions& options) {
+  return invert_dfs(ingest(a, options), options);
 }
 
 MapReduceInverter::Result MapReduceInverter::invert_dfs(
     const std::string& input_path, const InversionOptions& options) {
-  // RAII engine scope: the spin engine registers itself with the DFS (tier
-  // listener) and the chaos engine (lineage kill handler) for exactly this
-  // inversion, and restores both on destruction.
-  std::unique_ptr<engine::SpinEngine> spin;
-  if (options.spin()) {
-    spin = std::make_unique<engine::SpinEngine>(fs_, chaos_,
-                                                &cluster_->cost_model(),
-                                                metrics_,
-                                                options.cache_capacity_bytes);
-  }
-  mr::JobRunner runner(cluster_, fs_, pool_, failures_, metrics_, chaos_,
-                       spin.get());
-  mr::Pipeline pipeline(&runner);
-  Result result = invert_with(pipeline, input_path, options);
-  if (spin != nullptr) {
+  OwnedGraph run(*this, options);
+  Result result = invert_with(run.graph, input_path, options);
+  if (run.spin != nullptr) {
     result.engine_active = true;
-    result.engine_stats = spin->stats();
+    result.engine_stats = run.spin->stats();
   }
   return result;
 }
 
 MapReduceInverter::Result MapReduceInverter::invert_on(
-    mr::Pipeline& pipeline, const Matrix& a, const InversionOptions& options) {
-  MRI_REQUIRE(a.square(), "invert expects a square matrix, got "
-                              << a.rows() << "x" << a.cols());
-  const std::string input_path = dfs::join(options.work_dir, "a.bin");
-  if (fs_->exists(input_path)) fs_->remove(input_path);
-  write_matrix(*fs_, input_path, a);
-  return invert_with(pipeline, input_path, options);
+    mr::JobGraph& graph, const Matrix& a, const InversionOptions& options) {
+  return invert_with(graph, ingest(a, options), options);
 }
 
 MapReduceInverter::Result MapReduceInverter::invert_with(
-    mr::Pipeline& pipeline, const std::string& input_path,
+    mr::JobGraph& graph, const std::string& input_path,
     const InversionOptions& options) {
   const MatrixShape shape = read_matrix_shape(*fs_, input_path);
   MRI_REQUIRE(shape.rows == shape.cols, "input matrix is not square");
@@ -96,13 +105,12 @@ MapReduceInverter::Result MapReduceInverter::invert_with(
       make_partition_geometry(n, options.nb, m0, options.work_dir);
   geom.intermediate_tier = options.intermediate_tier();
   const mr::JobHandle partition =
-      pipeline.submit(make_partition_job(geom, input_path, control_files));
-  pipeline.wait(partition);
+      graph.submit(make_partition_job(geom, input_path, control_files));
+  graph.wait(partition);
 
   // Step 3: the LU pipeline (Algorithm 2), chained onto the partition job.
   const double penalty = cluster_->cost_model().column_stride_penalty;
-  LuPipeline lu(&pipeline, fs_, options, m0, penalty, control_files,
-                partition);
+  LuPipeline lu(&graph, fs_, options, m0, penalty, control_files, partition);
   LuNodePtr root = lu.factor_partitioned(geom);
 
   // The determinant falls out of the factors: the master reads the leaf U
@@ -112,7 +120,7 @@ MapReduceInverter::Result MapReduceInverter::invert_with(
     const Determinant det = factor_determinant(*fs_, *root, &det_io);
     result.det_log_abs = det.log_abs;
     result.det_sign = det.sign;
-    pipeline.add_master_work(det_io);
+    graph.add_master_work(det_io);
   }
 
   // Step 4: triangular inversion and final product (§5.4).
@@ -130,23 +138,23 @@ MapReduceInverter::Result MapReduceInverter::invert_with(
     // over the last LU job).
     InverseStageJobs stage = make_inverse_stage_jobs(inv_ctx, control_files);
     const mr::JobHandle hl =
-        pipeline.submit(std::move(stage.invert_l), {lu.last_job()});
+        graph.submit(std::move(stage.invert_l), {lu.last_job()});
     const mr::JobHandle hu =
-        pipeline.submit(std::move(stage.invert_u), {lu.last_job()});
-    result.final_job = pipeline.submit(std::move(stage.multiply), {hl, hu});
+        graph.submit(std::move(stage.invert_u), {lu.last_job()});
+    result.final_job = graph.submit(std::move(stage.multiply), {hl, hu});
   } else {
-    result.final_job = pipeline.submit(make_inverse_job(inv_ctx, control_files));
+    result.final_job = graph.submit(make_inverse_job(inv_ctx, control_files));
   }
-  pipeline.wait(result.final_job);
+  graph.wait(result.final_job);
 
   result.inverse = assemble_inverse(*fs_, *inv_ctx);
-  result.report.sim_seconds = pipeline.total_sim_seconds();
-  result.report.master_seconds = pipeline.master_seconds();
-  result.report.io = pipeline.total_io();
-  result.report.jobs = pipeline.job_count();
-  result.report.failures_recovered = pipeline.failures_recovered();
-  result.jobs = pipeline.jobs();
-  result.master_spans = pipeline.master_spans();
+  result.report.sim_seconds = graph.total_sim_seconds();
+  result.report.master_seconds = graph.master_seconds();
+  result.report.io = graph.total_io();
+  result.report.jobs = graph.job_count();
+  result.report.failures_recovered = graph.failures_recovered();
+  result.jobs = graph.jobs();
+  result.master_spans = graph.master_spans();
 
   // Stage split: the final stage is the last job (or the three-job diamond
   // in overlap mode); everything else (partition, LU jobs, master leaf LUs)
@@ -167,7 +175,7 @@ MapReduceInverter::Result MapReduceInverter::invert_with(
     result.lu_stage.io = result.report.io - result.inversion_stage.io;
     result.lu_stage.jobs = result.report.jobs - 3;
   } else {
-    const mr::JobResult& final_job = pipeline.jobs().back();
+    const mr::JobResult& final_job = graph.jobs().back();
     result.inversion_stage.sim_seconds = final_job.sim_seconds;
     result.inversion_stage.io = final_job.io;
     result.inversion_stage.jobs = 1;
@@ -179,18 +187,16 @@ MapReduceInverter::Result MapReduceInverter::invert_with(
 
   const int expected_jobs =
       result.plan.total_jobs + (options.overlap_final_stage ? 2 : 0);
-  MRI_CHECK_MSG(pipeline.job_count() == expected_jobs,
-                "pipeline ran " << pipeline.job_count() << " jobs, plan said "
+  MRI_CHECK_MSG(graph.job_count() == expected_jobs,
+                "pipeline ran " << graph.job_count() << " jobs, plan said "
                                 << expected_jobs);
 
-  if (!options.keep_intermediates) {
-    // Keep the input and control files (reusable); drop everything the
-    // pipeline wrote under the work dir.
-    for (const std::string& name : fs_->list(options.work_dir)) {
-      if (name == "MapInput" || dfs::join(options.work_dir, name) == input_path)
-        continue;
-      fs_->remove(dfs::join(options.work_dir, name), /*recursive=*/true);
-    }
+  // Keep the input and control files (reusable); drop everything the
+  // pipeline wrote under the work dir.
+  for (const std::string& name : fs_->list(options.work_dir)) {
+    if (name == "MapInput" || dfs::join(options.work_dir, name) == input_path)
+      continue;
+    fs_->remove(dfs::join(options.work_dir, name), /*recursive=*/true);
   }
   return result;
 }
@@ -200,26 +206,13 @@ MapReduceInverter::SolveResult MapReduceInverter::solve(
   MRI_REQUIRE(a.rows() == b.rows(), "solve shape mismatch: A has "
                                         << a.rows() << " rows, B has "
                                         << b.rows());
-  MRI_REQUIRE(a.square(), "solve expects a square A, got " << a.rows() << "x"
-                                                           << a.cols());
-  const std::string input_path = dfs::join(options.work_dir, "a.bin");
-  if (fs_->exists(input_path)) fs_->remove(input_path);
-  write_matrix(*fs_, input_path, a);
+  const std::string input_path = ingest(a, options);
 
-  // One pipeline for the whole solve: the multiply is submitted against the
+  // One graph for the whole solve: the multiply is submitted against the
   // inversion's final job, so every job lives on the same cluster timeline
   // (no manual clock shifting) and can lease slots from the shared pool.
-  std::unique_ptr<engine::SpinEngine> spin;
-  if (options.spin()) {
-    spin = std::make_unique<engine::SpinEngine>(fs_, chaos_,
-                                                &cluster_->cost_model(),
-                                                metrics_,
-                                                options.cache_capacity_bytes);
-  }
-  mr::JobRunner runner(cluster_, fs_, pool_, failures_, metrics_, chaos_,
-                       spin.get());
-  mr::Pipeline pipeline(&runner);
-  Result inv = invert_with(pipeline, input_path, options);
+  OwnedGraph run(*this, options);
+  Result inv = invert_with(run.graph, input_path, options);
 
   std::vector<std::string> control_files;
   for (int j = 0; j < cluster_->size(); ++j) {
@@ -227,18 +220,18 @@ MapReduceInverter::SolveResult MapReduceInverter::solve(
         dfs::join(options.work_dir, "MapInput/A." + std::to_string(j)));
   }
   SolveResult result;
-  result.x = mapreduce_multiply(&pipeline, fs_, cluster_->size(), inv.inverse,
-                                b, options.work_dir, control_files,
-                                options.multiply, inv.final_job,
-                                &result.multiply_plan);
-  pipeline.run_all();
+  result.x = mapreduce_multiply(&run.graph, fs_, cluster_->size(),
+                                inv.inverse, b, options.work_dir,
+                                control_files, options.multiply,
+                                inv.final_job, &result.multiply_plan);
+  run.graph.run_all();
   result.report = inv.report;
-  result.report.sim_seconds = pipeline.total_sim_seconds();
-  result.report.io = pipeline.total_io();
-  result.report.jobs = pipeline.job_count();
-  result.report.failures_recovered = pipeline.failures_recovered();
-  result.jobs = pipeline.jobs();
-  result.master_spans = pipeline.master_spans();
+  result.report.sim_seconds = run.graph.total_sim_seconds();
+  result.report.io = run.graph.total_io();
+  result.report.jobs = run.graph.job_count();
+  result.report.failures_recovered = run.graph.failures_recovered();
+  result.jobs = run.graph.jobs();
+  result.master_spans = run.graph.master_spans();
   return result;
 }
 

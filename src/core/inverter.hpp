@@ -20,7 +20,7 @@
 #include "common/thread_pool.hpp"
 #include "engine/spin_engine.hpp"
 #include "mapreduce/job.hpp"
-#include "mapreduce/pipeline.hpp"
+#include "mapreduce/job_graph.hpp"
 #include "core/multiply_job.hpp"
 #include "core/options.hpp"
 #include "core/plan.hpp"
@@ -66,13 +66,13 @@ class MapReduceInverter {
     /// mr::build_run_report().
     std::vector<MasterSpan> master_spans;
     /// Handle of the final inversion job — dependency anchor for follow-on
-    /// submissions on the same pipeline (solve() chains its multiply here).
+    /// submissions on the same graph (solve() chains its multiply here).
     mr::JobHandle final_job;
     /// SPIN engine observability: cache, spill, lineage-recovery totals and
     /// trace events. Filled (and engine_active set) only when the run
-    /// selected the spin engine AND this inverter owned the pipeline
-    /// (invert/invert_dfs/solve); callers running invert_with on their own
-    /// pipeline own their own engine.
+    /// selected the spin engine AND this inverter owned the graph
+    /// (invert/invert_dfs); callers running invert_with on their own graph
+    /// own their own engine.
     bool engine_active = false;
     engine::EngineStats engine_stats;
   };
@@ -102,20 +102,28 @@ class MapReduceInverter {
   SolveResult solve(const Matrix& a, const Matrix& b,
                     const InversionOptions& options = {});
 
-  /// Runs the whole inversion pipeline on a caller-owned Pipeline, so the
+  /// Runs the whole inversion pipeline on a caller-owned JobGraph, so the
   /// caller controls the placement context — solve() chains its multiply on
-  /// the same timeline, and the service layer builds the Pipeline with a
+  /// the same timeline, and the service layer builds the graph with a
   /// shared SlotPool, a dispatch-time origin and a fair-share tenant (see
   /// mr::JobGraphOptions) so many requests interleave on one cluster.
-  Result invert_with(mr::Pipeline& pipeline, const std::string& input_path,
+  Result invert_with(mr::JobGraph& graph, const std::string& input_path,
                      const InversionOptions& options);
 
   /// Ingests `a` into the DFS (under options.work_dir) and inverts it on the
-  /// caller's pipeline. Convenience wrapper over invert_with().
-  Result invert_on(mr::Pipeline& pipeline, const Matrix& a,
+  /// caller's graph. Convenience wrapper over invert_with().
+  Result invert_on(mr::JobGraph& graph, const Matrix& a,
                    const InversionOptions& options = {});
 
  private:
+  /// The spin engine (when selected), runner and graph of one run this
+  /// inverter owns; see inverter.cpp.
+  struct OwnedGraph;
+
+  /// Writes square `a` to <work_dir>/a.bin, replacing any earlier input,
+  /// and returns that path.
+  std::string ingest(const Matrix& a, const InversionOptions& options);
+
   const Cluster* cluster_;
   dfs::Dfs* fs_;
   ThreadPool* pool_;

@@ -96,15 +96,13 @@ class LuReducer : public mr::Reducer {
       const Matrix u2t_rows = c.u2_out.read_block(
           task.fs(), cols.begin, cols.end, 0, c.h, &task.io());
       product = matmul(l2_rows, u2t_rows, {.transposed_b = true});
-      task.add_flops(kernels::kernel_cost(kernels::default_backend(),
-                                          rows.count(), c.h, cols.count()));
+      task.add_flops(kernels::kernel_cost(rows.count(), c.h, cols.count()));
     } else {
       const Matrix u2_cols = c.u2_out.read_block(task.fs(), 0, c.h, cols.begin,
                                                  cols.end, &task.io());
       product = matmul(l2_rows, u2_cols);
       task.add_flops(
-          penalized(kernels::kernel_cost(kernels::default_backend(),
-                                         rows.count(), c.h, cols.count()),
+          penalized(kernels::kernel_cost(rows.count(), c.h, cols.count()),
                     c.layout_penalty));
     }
     Matrix b = c.a4.read_block(task.fs(), rows.begin, rows.end, cols.begin,

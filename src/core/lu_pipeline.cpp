@@ -8,18 +8,18 @@
 
 namespace mri::core {
 
-LuPipeline::LuPipeline(mr::Pipeline* pipeline, dfs::Dfs* fs,
+LuPipeline::LuPipeline(mr::JobGraph* graph, dfs::Dfs* fs,
                        InversionOptions opts, int m0, double layout_penalty,
                        std::vector<std::string> control_files,
                        mr::JobHandle after)
-    : pipeline_(pipeline),
+    : graph_(graph),
       fs_(fs),
       opts_(std::move(opts)),
       m0_(m0),
       layout_penalty_(layout_penalty),
       control_files_(std::move(control_files)),
       last_job_(after) {
-  MRI_REQUIRE(pipeline != nullptr && fs != nullptr, "null pipeline/fs");
+  MRI_REQUIRE(graph != nullptr && fs != nullptr, "null graph/fs");
   MRI_REQUIRE(m0 >= 1, "need at least one node");
 }
 
@@ -76,7 +76,7 @@ LuNodePtr LuPipeline::factor_leaf(const TileSet& input, const std::string& dir) 
                     opts_.intermediate_tier());
   node->perm = std::move(lu.perm);
   master_io += lu_cost(node->n);
-  pipeline_->add_master_work(master_io);
+  graph_->add_master_work(master_io);
   return node;
 }
 
@@ -107,9 +107,9 @@ LuNodePtr LuPipeline::run_internal(Index n, Index h, TileSet a2, TileSet a3,
   // partition job): the chain is the data-dependency order. The wait keeps
   // the master's recursion lockstep — B's geometry comes from this job's
   // planned outputs, and the next leaf reads tiles this job wrote.
-  last_job_ = pipeline_->submit(make_lu_job(ctx, control_files_, "lu:" + dir),
-                                {last_job_});
-  pipeline_->wait(last_job_);
+  last_job_ = graph_->submit(make_lu_job(ctx, control_files_, "lu:" + dir),
+                             {last_job_});
+  graph_->wait(last_job_);
 
   // The master "partitions" B by metadata only (§5.2) and recurses.
   LuNodePtr second =
@@ -142,7 +142,7 @@ void LuPipeline::charge_combine_penalty(Index n, Index h) {
   io.bytes_read = elements * sizeof(double);
   io.bytes_written = elements * sizeof(double);
   io.bytes_transferred = io.bytes_read;
-  pipeline_->add_master_work(io);
+  graph_->add_master_work(io);
 }
 
 }  // namespace mri::core

@@ -10,7 +10,7 @@
 #include "core/lu_tree.hpp"
 #include "core/options.hpp"
 #include "core/partition_layout.hpp"
-#include "mapreduce/pipeline.hpp"
+#include "mapreduce/job_graph.hpp"
 
 namespace mri::core {
 
@@ -21,7 +21,7 @@ class LuPipeline {
   /// are submitted as an explicit dependency chain: each one's input window
   /// covers the previous job's OUT tiles, so the chain order is the true
   /// data-dependency order (Algorithm 2 is inherently sequential).
-  LuPipeline(mr::Pipeline* pipeline, dfs::Dfs* fs, InversionOptions opts,
+  LuPipeline(mr::JobGraph* graph, dfs::Dfs* fs, InversionOptions opts,
              int m0, double layout_penalty,
              std::vector<std::string> control_files,
              mr::JobHandle after = {});
@@ -47,7 +47,7 @@ class LuPipeline {
                          const std::string& dir);
   void charge_combine_penalty(Index n, Index h);
 
-  mr::Pipeline* pipeline_;
+  mr::JobGraph* graph_;
   dfs::Dfs* fs_;
   InversionOptions opts_;
   int m0_;

@@ -40,9 +40,8 @@ class MultiplyReducer : public mr::Reducer {
         c.b.read_block(task.fs(), 0, c.b.rows(), cols.begin, cols.end,
                        &task.io());
     const Matrix block = matmul(a_rows, b_cols);
-    task.add_flops(kernels::kernel_cost(kernels::default_backend(),
-                                        rows.count(), c.a.cols(),
-                                        cols.count()));
+    task.add_flops(
+        kernels::kernel_cost(rows.count(), c.a.cols(), cols.count()));
     write_matrix(task.fs(), dfs::join(c.dir, "MUL/C." + std::to_string(t)),
                  block, &task.io(), c.tier);
   }
@@ -88,9 +87,8 @@ class MultiRoundReducer : public mr::Reducer {
       const Matrix b_blk = c.b.read_block(task.fs(), seg.begin, seg.end,
                                           cols.begin, cols.end, &task.io());
       matmul_into(a_blk, b_blk, &acc, kernels::GemmMode::kAccumulate);
-      task.add_flops(kernels::kernel_cost(kernels::default_backend(),
-                                          rows.count(), seg.count(),
-                                          cols.count()));
+      task.add_flops(
+          kernels::kernel_cost(rows.count(), seg.count(), cols.count()));
     }
 
     const bool last = round_ == c.rounds - 1;

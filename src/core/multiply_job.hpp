@@ -21,7 +21,7 @@
 
 #include "core/options.hpp"
 #include "core/tile_set.hpp"
-#include "mapreduce/pipeline.hpp"
+#include "mapreduce/job_graph.hpp"
 #include "matrix/layout.hpp"
 
 namespace mri::core {
@@ -74,14 +74,14 @@ mr::JobSpec make_multiply_round_job(MultiplyJobContextPtr ctx, int round,
                                     std::vector<std::string> control_files,
                                     std::string job_name);
 
-/// Convenience facade: runs C = A·B on the cluster behind `pipeline`, with
+/// Convenience facade: runs C = A·B on the cluster behind `graph`, with
 /// `a` and `b` ingested from memory, and returns C. The schedule — one
 /// block-wrap job or a chain of multi-round jobs — comes from `strategy`.
 /// `after` (optional) makes the first job depend on an earlier submission —
 /// e.g. solve() chains its multiply onto the inversion's final job.
 /// `plan_out` (optional) receives the executed schedule. (Callers composing
 /// with existing DFS data should build job specs directly from TileSets.)
-Matrix mapreduce_multiply(mr::Pipeline* pipeline, dfs::Dfs* fs, int m0,
+Matrix mapreduce_multiply(mr::JobGraph* graph, dfs::Dfs* fs, int m0,
                           const Matrix& a, const Matrix& b,
                           const std::string& work_dir,
                           std::vector<std::string> control_files,

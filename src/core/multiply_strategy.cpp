@@ -77,11 +77,11 @@ class WrapStrategy : public MultiplyStrategy {
     return p;
   }
 
-  mr::JobHandle submit(mr::Pipeline* pipeline, MultiplyJobContextPtr ctx,
+  mr::JobHandle submit(mr::JobGraph* graph, MultiplyJobContextPtr ctx,
                        const std::vector<std::string>& control_files,
                        mr::JobHandle after) const override {
-    return pipeline->submit(make_multiply_job(ctx, control_files, "multiply"),
-                            {after});
+    return graph->submit(make_multiply_job(ctx, control_files, "multiply"),
+                         {after});
   }
 };
 
@@ -173,12 +173,12 @@ class MultiRoundStrategy : public MultiplyStrategy {
     return p;
   }
 
-  mr::JobHandle submit(mr::Pipeline* pipeline, MultiplyJobContextPtr ctx,
+  mr::JobHandle submit(mr::JobGraph* graph, MultiplyJobContextPtr ctx,
                        const std::vector<std::string>& control_files,
                        mr::JobHandle after) const override {
     mr::JobHandle h = after;
     for (int round = 0; round < ctx->rounds; ++round) {
-      h = pipeline->submit(
+      h = graph->submit(
           make_multiply_round_job(ctx, round, control_files,
                                   "multiply-r" + std::to_string(round)),
           {h});
@@ -220,13 +220,13 @@ std::unique_ptr<MultiplyStrategy> make_multiply_strategy(
   return std::make_unique<WrapStrategy>();
 }
 
-Matrix mapreduce_multiply(mr::Pipeline* pipeline, dfs::Dfs* fs, int m0,
+Matrix mapreduce_multiply(mr::JobGraph* graph, dfs::Dfs* fs, int m0,
                           const Matrix& a, const Matrix& b,
                           const std::string& work_dir,
                           std::vector<std::string> control_files,
                           const MultiplyStrategyOptions& strategy,
                           mr::JobHandle after, MultiplyPlan* plan_out) {
-  MRI_REQUIRE(pipeline != nullptr && fs != nullptr, "null pipeline/fs");
+  MRI_REQUIRE(graph != nullptr && fs != nullptr, "null graph/fs");
   const std::unique_ptr<MultiplyStrategy> impl =
       make_multiply_strategy(strategy.strategy);
 
@@ -245,7 +245,7 @@ Matrix mapreduce_multiply(mr::Pipeline* pipeline, dfs::Dfs* fs, int m0,
     const std::string path = dfs::join(work_dir, out_dir);
     if (fs->exists(path)) fs->remove(path, /*recursive=*/true);
   }
-  pipeline->wait(impl->submit(pipeline, ctx, control_files, after));
+  graph->wait(impl->submit(graph, ctx, control_files, after));
   return ctx->c_out.read_all(*fs);
 }
 

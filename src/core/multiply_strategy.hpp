@@ -46,7 +46,7 @@ class MultiplyStrategy {
 
   /// Submits the strategy's job(s) — chained in order, the first depending
   /// on `after` — and returns the handle of the last one.
-  virtual mr::JobHandle submit(mr::Pipeline* pipeline, MultiplyJobContextPtr ctx,
+  virtual mr::JobHandle submit(mr::JobGraph* graph, MultiplyJobContextPtr ctx,
                                const std::vector<std::string>& control_files,
                                mr::JobHandle after) const = 0;
 };

@@ -72,19 +72,10 @@ struct InversionOptions {
   /// BlockCache capacity per node for the kSpin engine; 0 = unlimited.
   std::uint64_t cache_capacity_bytes = 256ull << 20;
 
-  /// Deprecated spelling of `engine = kSpin` (the old `--spark` sketch):
-  /// kept so existing callers keep compiling; spin() folds it in.
-  bool in_memory_intermediates = false;
-
-  /// True when the SPIN-style in-memory engine is selected (via `engine`
-  /// or the legacy in_memory_intermediates flag).
-  bool spin() const {
-    return engine == EngineKind::kSpin || in_memory_intermediates;
-  }
-
   /// Tier for intermediate files, derived from the engine selection.
   dfs::StorageTier intermediate_tier() const {
-    return spin() ? dfs::StorageTier::kMemory : dfs::StorageTier::kDisk;
+    return engine == EngineKind::kSpin ? dfs::StorageTier::kMemory
+                                       : dfs::StorageTier::kDisk;
   }
 
   /// Run the final §5.4 stage as three overlap-eligible jobs on the DAG
@@ -102,11 +93,10 @@ struct InversionOptions {
   /// space-saving scheme (see MultiplyStrategyKind).
   MultiplyStrategyOptions multiply;
 
-  /// DFS working directory (the paper's "Root").
+  /// DFS working directory (the paper's "Root"). The inverter removes
+  /// every intermediate it wrote here once the run completes; the input
+  /// and the MapInput control files stay.
   std::string work_dir = "/Root";
-
-  /// Keep intermediate files after the run (useful for tests/inspection).
-  bool keep_intermediates = false;
 };
 
 }  // namespace mri::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <optional>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "dfs/ec/rs_codec.hpp"
@@ -14,6 +15,10 @@ namespace mri::dfs {
 
 namespace {
 thread_local TransferLog* t_transfer_log = nullptr;
+
+// Basename prefix of hot-block cache candidates: the transposed-U factors
+// (ut.bin) every later LU and inversion job re-reads.
+constexpr std::string_view kHotFilePrefix = "ut";
 }  // namespace
 
 TransferLog* current_transfer_log() { return t_transfer_log; }
@@ -232,7 +237,7 @@ void Dfs::commit(const std::string& path, std::vector<std::byte> buffer,
   // re-read factors. The full-block payloads are retained namenode-side.
   const bool hot_candidate =
       config_.hot_cache_bytes > 0 && tier == StorageTier::kDisk &&
-      basename(path).rfind(config_.hot_file_prefix, 0) == 0;
+      basename(path).starts_with(kHotFilePrefix);
   std::vector<BlockData> full_blocks;
   std::vector<BlockId> full_block_ids;
   // Write-path checksumming (HDFS computes block checksums client-side on
@@ -1233,8 +1238,8 @@ void Dfs::inject_read_error(int node, int count) {
 void Dfs::bind_chaos(ChaosEngine* chaos, double network_bandwidth,
                      const CostModel* cost_model) {
   MRI_REQUIRE(chaos != nullptr, "bind_chaos() needs a chaos engine");
-  chaos->set_kill_handler(ChaosEngine::TimedKillHandler(
-      [this](int node, double at) { return kill_datanode(node, at); }));
+  chaos->set_kill_handler(
+      [this](int node, double at) { return kill_datanode(node, at); });
   chaos->set_read_error_handler([this](int node) { inject_read_error(node); });
   chaos->set_corrupt_handler([this](int node, double at, std::uint64_t salt) {
     corrupt_block(node, at, salt);

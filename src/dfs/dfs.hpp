@@ -84,14 +84,13 @@ struct DfsConfig {
   EcParams ec;
   /// Namenode hot-block cache capacity in bytes; 0 disables the cache (the
   /// default — cache-off runs are bit-identical to pre-cache builds). Files
-  /// whose basename starts with hot_file_prefix are cache candidates;
-  /// residency is a greedy sweep over candidate paths in sorted order, so
-  /// it is independent of commit interleaving. Resident files are served
-  /// from the namenode's copy: reads cost the same as a remote read but
-  /// survive lost cells/replicas and never pay the degraded-decode path —
-  /// built for the repeatedly re-read transposed-U factors.
+  /// whose basename starts with "ut" (the repeatedly re-read transposed-U
+  /// factors) are cache candidates; residency is a greedy sweep over
+  /// candidate paths in sorted order, so it is independent of commit
+  /// interleaving. Resident files are served from the namenode's copy:
+  /// reads cost the same as a remote read but survive lost cells/replicas
+  /// and never pay the degraded-decode path.
   std::uint64_t hot_cache_bytes = 0;
-  std::string hot_file_prefix = "ut";
   /// End-to-end data integrity: compute per-cell CRC32C checksums on the
   /// write path (charged as checksum CPU), verify them on every read, and
   /// read-repair copies that fail verification. Off by default — an off run

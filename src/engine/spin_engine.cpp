@@ -19,8 +19,8 @@ SpinEngine::SpinEngine(dfs::Dfs* fs, ChaosEngine* chaos,
   MRI_REQUIRE(model_ != nullptr, "SpinEngine needs a cost model");
   fs_->set_tier_listener(this);
   if (chaos_ != nullptr) {
-    chaos_->set_kill_handler(ChaosEngine::TimedKillHandler(
-        [this](int node, double at) { return on_kill(node, at); }));
+    chaos_->set_kill_handler(
+        [this](int node, double at) { return on_kill(node, at); });
   }
 }
 
@@ -30,8 +30,8 @@ SpinEngine::~SpinEngine() {
     // Put back the plain replication-based handler Dfs::bind_chaos installs
     // so later kills (after this inversion) keep HDFS semantics.
     dfs::Dfs* fs = fs_;
-    chaos_->set_kill_handler(ChaosEngine::TimedKillHandler(
-        [fs](int node, double at) { return fs->kill_datanode(node, at); }));
+    chaos_->set_kill_handler(
+        [fs](int node, double at) { return fs->kill_datanode(node, at); });
   }
 }
 

@@ -110,10 +110,8 @@ KernelCounters counters_snapshot() {
   return c;
 }
 
-IoStats kernel_cost(Backend /*variant*/, std::int64_t r, std::int64_t k,
-                    std::int64_t c) {
-  // Every current variant executes the classic 2·r·k·c flops; the variant
-  // parameter records kernel identity without perturbing the model.
+IoStats kernel_cost(std::int64_t r, std::int64_t k, std::int64_t c) {
+  // Every backend executes the classic 2·r·k·c flops.
   IoStats io;
   io.mults = static_cast<std::uint64_t>(r) * static_cast<std::uint64_t>(k) *
              static_cast<std::uint64_t>(c);

@@ -124,13 +124,9 @@ struct KernelContext {
                                        double* b, std::int64_t ldb) const;
 };
 
-/// Modelled flop cost of a dense (r x k) · (k x c) multiply executed by
-/// kernel `variant`. Identical for every variant — tiling and vectorization
-/// change speed, not arithmetic — so simulated reports stay bit-identical
-/// across backend selections; the parameter exists so call sites record
-/// which kernel the cost models (and future variants with different
-/// arithmetic, e.g. Strassen, can diverge).
-IoStats kernel_cost(Backend variant, std::int64_t r, std::int64_t k,
-                    std::int64_t c);
+/// Modelled flop cost of a dense (r x k) · (k x c) multiply. The same for
+/// every backend — tiling and vectorization change speed, not arithmetic —
+/// so simulated reports stay bit-identical across backend selections.
+IoStats kernel_cost(std::int64_t r, std::int64_t k, std::int64_t c);
 
 }  // namespace mri::kernels

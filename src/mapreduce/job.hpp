@@ -100,8 +100,8 @@ struct JobResult {
   /// Attempts dispatched inside (or outside) their task's home rack.
   int rack_local_attempts = 0;
   int cross_rack_attempts = 0;
-  /// Run-relative start of this job on its pipeline's timeline (stamped by
-  /// Pipeline::run; 0 for a job run outside a pipeline).
+  /// Run-relative start of this job on its JobGraph's timeline (stamped by
+  /// JobGraph::wait; 0 for a job run outside a graph).
   double start_seconds = 0.0;
 };
 

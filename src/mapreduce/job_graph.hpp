@@ -17,7 +17,7 @@
 //     finish times); the master frontier advances only when the driver
 //     wait()s for a job or charges add_master_work(). A strictly sequential
 //     submit+wait pattern therefore leases an idle cluster at a start equal
-//     to the old running sum, reproducing the pre-DAG Pipeline numbers
+//     to the old running sum, reproducing the pre-DAG serial numbers
 //     bit-for-bit (same schedule_phase heap states, same additions in the
 //     same order).
 //

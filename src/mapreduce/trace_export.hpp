@@ -16,11 +16,11 @@
 namespace mri::mr {
 
 /// Run-relative phase traces for a sequence of jobs (one PhaseTrace per
-/// non-empty phase). Jobs must carry the start_seconds stamped by Pipeline.
+/// non-empty phase). Jobs must carry the start_seconds stamped by JobGraph.
 std::vector<PhaseTrace> phase_traces(const std::vector<JobResult>& jobs);
 
 /// Builds and aggregates the full run report. `metrics` (DFS-side totals and
-/// named counters) may be null. `master_spans` (Pipeline::master_spans())
+/// named counters) may be null. `master_spans` (JobGraph::master_spans())
 /// adds the master's serial-work lane; omit it for job-only reports.
 /// `chaos` (optional) fills report.recovery — job-side fields summed from
 /// the JobResults, DFS/service-side fields from the engine's RecoveryStats —

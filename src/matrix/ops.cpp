@@ -78,7 +78,10 @@ Matrix transpose(const Matrix& a) {
 
 double max_abs(const Matrix& a) {
   double m = 0.0;
-  for (double v : a.data()) m = std::max(m, std::abs(v));
+  for (double v : a.data()) {
+    if (std::isnan(v)) return v;  // std::max would drop it
+    m = std::max(m, std::abs(v));
+  }
   return m;
 }
 
@@ -87,8 +90,11 @@ double max_abs_diff(const Matrix& a, const Matrix& b) {
   double m = 0.0;
   auto ad = a.data();
   auto bd = b.data();
-  for (std::size_t i = 0; i < ad.size(); ++i)
-    m = std::max(m, std::abs(ad[i] - bd[i]));
+  for (std::size_t i = 0; i < ad.size(); ++i) {
+    const double d = ad[i] - bd[i];
+    if (std::isnan(d)) return d;  // std::max would drop it
+    m = std::max(m, std::abs(d));
+  }
   return m;
 }
 

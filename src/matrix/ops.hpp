@@ -1,12 +1,10 @@
 // Dense matrix operations over the kernel engine.
 //
-// Multiplication goes through ONE entry point, matmul(), which dispatches
-// into src/linalg/kernels by enum-selected backend (naive | tiled | simd |
-// threaded; see kernels/kernel.hpp for what each means). The historical
-// free functions — multiply(), multiply_naive_ijk(), multiply_transposed_b(),
-// multiply_accumulate() — survive as thin deprecated wrappers that pin the
-// backend matching their old loop order, so the §6.3 ablation keeps its
-// cache-hostile baseline.
+// Multiplication goes through ONE entry point, matmul() (or matmul_into()
+// for an existing accumulator), which dispatches into src/linalg/kernels by
+// enum-selected backend (naive | tiled | simd | threaded; see
+// kernels/kernel.hpp for what each means). Backend::kNaive keeps the §6.3
+// ablation's cache-hostile ijk baseline.
 //
 // Different backends may round differently (summation order), so results
 // are NOT bitwise identical across backends; each backend is individually
@@ -15,7 +13,6 @@
 
 #include "linalg/kernels/kernel.hpp"
 #include "matrix/matrix.hpp"
-#include "sim/io_stats.hpp"
 
 namespace mri {
 
@@ -39,30 +36,6 @@ void matmul_into(const Matrix& a, const Matrix& b, Matrix* c,
                  kernels::GemmMode mode = kernels::GemmMode::kAccumulate,
                  const MatmulOptions& opts = {});
 
-/// C = A · B (ikj order, row-streaming).
-[[deprecated("use matmul()")]]
-inline Matrix multiply(const Matrix& a, const Matrix& b) {
-  return matmul(a, b);
-}
-
-/// C = A · B with the naive ijk dot-product order (column walks over B).
-[[deprecated("use matmul() with Backend::kNaive")]]
-inline Matrix multiply_naive_ijk(const Matrix& a, const Matrix& b) {
-  return matmul(a, b, {.backend = kernels::Backend::kNaive});
-}
-
-/// C = A · Bᵀ where bt holds Bᵀ row-major (so rows of bt are columns of B).
-[[deprecated("use matmul() with MatmulOptions::transposed_b")]]
-inline Matrix multiply_transposed_b(const Matrix& a, const Matrix& bt) {
-  return matmul(a, bt, {.transposed_b = true});
-}
-
-/// C += A · B into an existing accumulator (shapes must match).
-[[deprecated("use matmul_into()")]]
-inline void multiply_accumulate(const Matrix& a, const Matrix& b, Matrix* c) {
-  matmul_into(a, b, c);
-}
-
 /// Returns A + B / A - B.
 Matrix add(const Matrix& a, const Matrix& b);
 Matrix subtract(const Matrix& a, const Matrix& b);
@@ -72,22 +45,18 @@ void subtract_in_place(Matrix* a, const Matrix& b);
 
 Matrix transpose(const Matrix& a);
 
-/// max_ij |A_ij|.
+/// max_ij |A_ij|; NaN when any entry is NaN.
 double max_abs(const Matrix& a);
 
-/// max_ij |A_ij - B_ij| (shapes must match).
+/// max_ij |A_ij - B_ij| (shapes must match); NaN when any difference is
+/// NaN, so a poisoned matrix fails every `< bound` check.
 double max_abs_diff(const Matrix& a, const Matrix& b);
 
-/// The paper's §7.2 correctness metric: max element of |I - A·A⁻¹|.
+/// The paper's §7.2 correctness metric: max element of |I - A·A⁻¹| (NaN
+/// when the product has a NaN entry).
 double inversion_residual(const Matrix& a, const Matrix& a_inv);
 
 /// Frobenius norm.
 double frobenius_norm(const Matrix& a);
-
-/// Flop cost of a dense (r x k) · (k x c) multiply, for IoStats accounting.
-[[deprecated("use kernels::kernel_cost(variant, r, k, c)")]]
-inline IoStats multiply_cost(Index r, Index k, Index c) {
-  return kernels::kernel_cost(kernels::Backend::kTiled, r, k, c);
-}
 
 }  // namespace mri

@@ -7,7 +7,7 @@
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "dfs/path.hpp"
-#include "mapreduce/pipeline.hpp"
+#include "mapreduce/job_graph.hpp"
 #include "mapreduce/runtime.hpp"
 #include "mapreduce/trace_export.hpp"
 #include "matrix/generate.hpp"
@@ -109,7 +109,7 @@ ServiceResult InversionService::run(std::vector<InversionRequest> requests) {
   // the memory tier at once — estimate 3 matrices of n² doubles. The charge
   // is held from admission until the request leaves the system.
   auto memory_footprint = [&](const InversionRequest& r) -> std::uint64_t {
-    if (!options_.inversion.spin() ||
+    if (options_.inversion.engine != core::EngineKind::kSpin ||
         options_.admission.memory_budget_bytes_per_tenant == 0) {
       return 0;
     }
@@ -177,14 +177,14 @@ ServiceResult InversionService::run(std::vector<InversionRequest> requests) {
     // the failure story, so keep the teardown quiet.
     graph_options.abandoned_error_handler =
         [](const std::string&, std::exception_ptr) {};
-    mr::Pipeline pipeline(&runner, std::move(graph_options));
+    mr::JobGraph graph(&runner, std::move(graph_options));
 
     if (!is_retry) stat.dispatch = now;
     try {
       const Matrix a = random_matrix(r.order, r.seed);
       core::MapReduceInverter::Result result =
-          inverter.invert_on(pipeline, a, opts);
-      const double finish = pipeline.total_sim_seconds();
+          inverter.invert_on(graph, a, opts);
+      const double finish = graph.total_sim_seconds();
 
       stat.finish = finish;
       for (const mr::JobResult& job : result.jobs) {
@@ -212,7 +212,7 @@ ServiceResult InversionService::run(std::vector<InversionRequest> requests) {
       ++attempt[id];
       const double ready = now + backoff_for(attempt[id]);
       bool can_retry = !permanent && attempt[id] <= retry.max_retries;
-      if (can_retry && retry.respect_deadline && r.deadline_seconds > 0.0 &&
+      if (can_retry && r.deadline_seconds > 0.0 &&
           ready > r.arrival_seconds + r.deadline_seconds) {
         can_retry = false;
       }

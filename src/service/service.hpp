@@ -50,16 +50,13 @@ namespace mri::service {
 /// (the request was admitted once); they compete for execution slots like
 /// any queued request. A request is abandoned as unrecoverable when its
 /// retries are exhausted, its data loss is permanent (UnrecoverableBlock),
-/// or the next attempt could not start before its deadline.
+/// or the backoff would push the next attempt past arrival + deadline
+/// (requests without a deadline never abort early).
 struct RetryPolicy {
   int max_retries = 2;
   double backoff_seconds = 60.0;
   double backoff_multiplier = 2.0;
   double max_backoff_seconds = 900.0;
-  /// Abandon instead of retrying when the backoff would push the next
-  /// attempt past arrival + deadline (requests without a deadline never
-  /// abort early).
-  bool respect_deadline = true;
 };
 
 /// Backoff before retry attempt `attempts_done` (1 = first retry) under

@@ -9,14 +9,22 @@
 
 namespace mri {
 
+namespace {
+
+// Speed multiplier of a node sample_faults() degrades instead of killing.
+constexpr double kDegradeFactor = 0.25;
+
+// Sampling starts at node 1: node 0 hosts the jobtracker/namenode.
+constexpr int kFirstSampledNode = 1;
+
+}  // namespace
+
 ChaosEngine::ChaosEngine(ChaosOptions options) : options_(options) {
   MRI_REQUIRE(options_.mtbf_seconds >= 0.0, "MTBF must be >= 0");
   MRI_REQUIRE(options_.horizon_seconds >= 0.0, "chaos horizon must be >= 0");
   MRI_REQUIRE(options_.degrade_fraction >= 0.0 &&
                   options_.degrade_fraction <= 1.0,
               "degrade fraction must be in [0, 1]");
-  MRI_REQUIRE(options_.degrade_factor > 0.0 && options_.degrade_factor <= 1.0,
-              "degrade factor must be in (0, 1]");
   MRI_REQUIRE(options_.bitrot_rate >= 0.0, "bitrot rate must be >= 0");
 }
 
@@ -39,8 +47,7 @@ void ChaosEngine::sample_faults(int num_nodes) {
               "sample_faults() needs horizon_seconds > 0");
   MRI_REQUIRE(num_nodes >= 1, "sample_faults() needs at least one node");
   std::lock_guard<std::mutex> lock(mu_);
-  const int first = options_.spare_master ? 1 : 0;
-  for (int node = first; node < num_nodes; ++node) {
+  for (int node = kFirstSampledNode; node < num_nodes; ++node) {
     // One independent stream per node so the schedule does not depend on
     // the number of nodes sampled before this one.
     Xoshiro256 rng(options_.seed ^
@@ -56,7 +63,7 @@ void ChaosEngine::sample_faults(int num_nodes) {
       ev.node = node;
       if (rng.next_double() < options_.degrade_fraction) {
         ev.kind = ChaosEventKind::kDegradeNode;
-        ev.factor = options_.degrade_factor;
+        ev.factor = kDegradeFactor;
         events_.push_back(Scheduled{ev, false});
       } else {
         ev.kind = ChaosEventKind::kKillNode;
@@ -75,8 +82,7 @@ void ChaosEngine::sample_bitrot(int num_nodes) {
   MRI_REQUIRE(num_nodes >= 1, "sample_bitrot() needs at least one node");
   std::lock_guard<std::mutex> lock(mu_);
   const double mean_interval = 1.0 / options_.bitrot_rate;
-  const int first = options_.spare_master ? 1 : 0;
-  for (int node = first; node < num_nodes; ++node) {
+  for (int node = kFirstSampledNode; node < num_nodes; ++node) {
     // Per-node stream, mixed with a different constant than sample_faults()
     // so bit-rot and kill/degrade schedules stay independent.
     Xoshiro256 rng(options_.seed ^
@@ -148,17 +154,6 @@ double ChaosEngine::speed_factor(int node, double t) const {
 
 void ChaosEngine::set_kill_handler(KillHandler handler) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (handler) {
-    kill_handler_ = [h = std::move(handler)](int node, double) {
-      return h(node);
-    };
-  } else {
-    kill_handler_ = nullptr;
-  }
-}
-
-void ChaosEngine::set_kill_handler(TimedKillHandler handler) {
-  std::lock_guard<std::mutex> lock(mu_);
   kill_handler_ = std::move(handler);
 }
 
@@ -191,7 +186,7 @@ void ChaosEngine::advance_to(double t) {
     std::size_t index;
   };
   std::vector<Due> due;
-  TimedKillHandler kill;
+  KillHandler kill;
   ReadErrorHandler read_error;
   CorruptHandler corrupt;
   ScrubHandler scrub;

@@ -67,17 +67,16 @@ struct ChaosEvent {
 struct ChaosOptions {
   std::uint64_t seed = 0;
   /// Per-node mean time between failures for sample_faults(); 0 disables
-  /// sampling (explicit events only).
+  /// sampling (explicit events only). Sampling never picks node 0: it hosts
+  /// the jobtracker/namenode, and killing it would end the run, not
+  /// stretch it.
   double mtbf_seconds = 0.0;
   /// Faults are sampled in [0, horizon_seconds).
   double horizon_seconds = 0.0;
-  /// Fraction of sampled faults that degrade the node instead of killing
-  /// it (a straggler, the §7.2 heterogeneity story, not a death).
+  /// Fraction of sampled faults that degrade the node to a quarter of its
+  /// speed instead of killing it (a straggler, the §7.2 heterogeneity
+  /// story, not a death).
   double degrade_fraction = 0.0;
-  double degrade_factor = 0.25;
-  /// Node 0 hosts the jobtracker/namenode; killing it would end the run,
-  /// not stretch it, so sampling spares it by default.
-  bool spare_master = true;
   /// Background silent bit-rot rate for sample_bitrot(): expected
   /// kCorruptBlock events per node per simulated second. 0 disables
   /// sampling (explicit --corrupt-block events only).
@@ -196,14 +195,12 @@ class ChaosEngine {
   /// none). Multiplies the cluster's static per-node speed factor.
   double speed_factor(int node, double t) const;
 
-  /// Handler invoked when a kill event is applied (the DFS side: mark the
-  /// datanode dead, re-replicate, report totals). Installed by
-  /// Dfs::bind_chaos(); the Dfs must outlive the engine's last advance_to().
-  using KillHandler = std::function<NodeKillOutcome(int node)>;
-  /// Kill handler that also receives the event's simulated time — the SPIN
-  /// engine needs `at` to stamp when recomputed partitions become readable
-  /// again. An untimed KillHandler is wrapped into this form internally.
-  using TimedKillHandler = std::function<NodeKillOutcome(int node, double at)>;
+  /// Handler invoked when a kill event is applied at simulated time `at`
+  /// (the DFS side: mark the datanode dead, re-replicate, report totals;
+  /// the SPIN engine also needs `at` to stamp when recomputed partitions
+  /// become readable again). Installed by Dfs::bind_chaos(); the Dfs must
+  /// outlive the engine's last advance_to().
+  using KillHandler = std::function<NodeKillOutcome(int node, double at)>;
   /// Handler for kBlockReadError events (arms one failing read on a node).
   using ReadErrorHandler = std::function<void(int node)>;
   /// Handler for kCorruptBlock events: silently corrupts one block copy on
@@ -217,7 +214,6 @@ class ChaosEngine {
   /// driver (batch runtime and service loop alike).
   using ScrubHandler = std::function<void(double t)>;
   void set_kill_handler(KillHandler handler);
-  void set_kill_handler(TimedKillHandler handler);
   void set_read_error_handler(ReadErrorHandler handler);
   void set_corrupt_handler(CorruptHandler handler);
   void set_scrub_handler(ScrubHandler handler);
@@ -258,7 +254,7 @@ class ChaosEngine {
   mutable std::mutex mu_;
   ChaosOptions options_;
   std::vector<Scheduled> events_;  // insertion order; applied in (at, order)
-  TimedKillHandler kill_handler_;
+  KillHandler kill_handler_;
   ReadErrorHandler read_error_handler_;
   CorruptHandler corrupt_handler_;
   ScrubHandler scrub_handler_;

@@ -142,6 +142,21 @@ TEST(Cli, BadValuesThrow) {
   EXPECT_THROW(cli.get_bool("n", false), InvalidArgument);
 }
 
+TEST(Cli, RejectUnknownNamesTheFlag) {
+  // A near-miss spelling must not run as if the option were absent.
+  const char* argv[] = {"prog", "--nodes", "4", "--verify-checksum", "on"};
+  CliOptions cli(5, argv);
+  EXPECT_NO_THROW(cli.reject_unknown({"nodes", "verify-checksum"}));
+  try {
+    cli.reject_unknown({"nodes", "verify-checksums"});
+    FAIL() << "--verify-checksum was accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("--verify-checksum"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // ---- units ------------------------------------------------------------------
 
 TEST(Units, FormatGb) {

@@ -31,7 +31,7 @@ struct Fixture {
   dfs::Dfs fs;
   ThreadPool pool;
   mr::JobRunner runner;
-  mr::Pipeline pipeline;
+  mr::JobGraph pipeline;
   std::vector<std::string> control_files;
 };
 

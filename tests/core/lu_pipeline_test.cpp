@@ -33,7 +33,8 @@ struct LuFixture {
     }
     const PartitionGeometry geom =
         make_partition_geometry(a.rows(), opts.nb, cluster.size(), "/Root");
-    pipeline.run(make_partition_job(geom, "/Root/a.bin", controls));
+    pipeline.wait(
+        pipeline.submit(make_partition_job(geom, "/Root/a.bin", controls)));
     LuPipeline lu(&pipeline, &fs, opts, cluster.size(),
                   cluster.cost_model().column_stride_penalty, controls);
     return lu.factor_partitioned(geom);
@@ -44,7 +45,7 @@ struct LuFixture {
   dfs::Dfs fs;
   ThreadPool pool;
   mr::JobRunner runner;
-  mr::Pipeline pipeline;
+  mr::JobGraph pipeline;
 };
 
 void expect_factors(const dfs::Dfs& fs, const LuNode& node, const Matrix& a,

@@ -1,5 +1,6 @@
 // The §8 extension: in-memory intermediates ("implementing our technique on
-// Spark... would improve performance by reducing read I/O").
+// Spark... would improve performance by reducing read I/O"), driven through
+// MapReduceInverter with the spin engine selected.
 #include <gtest/gtest.h>
 
 #include "core/inverter.hpp"
@@ -31,7 +32,7 @@ TEST(SparkMode, SameInverse) {
   const Matrix a = random_matrix(48, /*seed=*/1);
   InversionOptions opts;
   opts.nb = 12;
-  opts.in_memory_intermediates = true;
+  opts.engine = EngineKind::kSpin;
   Fixture fx(4);
   const auto result = fx.run(a, opts);
   EXPECT_LT(inversion_residual(a, result.inverse), 1e-8);
@@ -46,11 +47,11 @@ TEST(SparkMode, MovesIntermediateWritesToMemory) {
   Fixture disk(4);
   const auto on_disk = disk.run(a, opts);
 
-  opts.in_memory_intermediates = true;
+  opts.engine = EngineKind::kSpin;
   Fixture memory(4);
   const auto in_memory = memory.run(a, opts);
 
-  // Disk mode: no memory-tier writes. Spark mode: all intermediates are
+  // Disk mode: no memory-tier writes. Spin engine: all intermediates are
   // memory-tier; the only disk writes left are the final inverse blocks.
   EXPECT_EQ(on_disk.report.io.bytes_written_memory, 0u);
   EXPECT_GT(in_memory.report.io.bytes_written_memory, 0u);
@@ -71,7 +72,7 @@ TEST(SparkMode, FasterThanDiskMode) {
 
   Fixture disk(8);
   const auto on_disk = disk.run(a, opts);
-  opts.in_memory_intermediates = true;
+  opts.engine = EngineKind::kSpin;
   Fixture memory(8);
   const auto in_memory = memory.run(a, opts);
 
@@ -84,7 +85,7 @@ TEST(SparkMode, ComposesWithOtherOptions) {
   const Matrix a = random_matrix(40, /*seed=*/4);
   InversionOptions opts;
   opts.nb = 10;
-  opts.in_memory_intermediates = true;
+  opts.engine = EngineKind::kSpin;
   opts.block_wrap = false;
   opts.transposed_u = false;
   Fixture fx(3);

@@ -1,5 +1,5 @@
 // The DAG job executor: submit/wait/run_all semantics, the shared slot
-// pool, sequential-equals-pipeline equivalence, determinism under
+// pool, sequential-equals-chain equivalence, determinism under
 // concurrency, and the default floor-mod partitioner.
 #include <gtest/gtest.h>
 
@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "mapreduce/pipeline.hpp"
+#include "mapreduce/job_graph.hpp"
 #include "mapreduce/runtime.hpp"
 #include "mapreduce/shuffle.hpp"
 #include "mapreduce/trace_export.hpp"
@@ -140,21 +140,22 @@ JobSpec count_job(std::string name, std::vector<std::string> inputs,
 // ---- sequential equivalence -------------------------------------------------
 
 TEST(JobGraph, SequentialChainIsBitIdenticalToRun) {
-  // The same three jobs (plus master work between them) through the old
-  // synchronous API and through an explicit dependency chain must produce
-  // byte-identical accounting — makespan, per-job starts, the run report.
+  // The same three jobs (plus master work between them) run one at a time
+  // without dependencies (wait(submit(spec))) and through an explicit
+  // dependency chain must produce byte-identical accounting — makespan,
+  // per-job starts, the run report.
   const auto drive_run = [](GraphFixture& fx) {
-    Pipeline p(&fx.runner);
-    p.run(count_job("count", fx.inputs(4), "/out1"));
+    JobGraph p(&fx.runner);
+    p.wait(p.submit(count_job("count", fx.inputs(4), "/out1")));
     IoStats master;
     master.mults = 1'000'000'000;
     p.add_master_work(master);
-    p.run(flops_job("flops-a", fx.inputs(2)));
-    p.run(flops_job("flops-b", fx.inputs(3)));
+    p.wait(p.submit(flops_job("flops-a", fx.inputs(2))));
+    p.wait(p.submit(flops_job("flops-b", fx.inputs(3))));
     return p.jobs();
   };
   const auto drive_dag = [](GraphFixture& fx) {
-    Pipeline p(&fx.runner);
+    JobGraph p(&fx.runner);
     const JobHandle a = p.submit(count_job("count", fx.inputs(4), "/out1"));
     p.wait(a);
     IoStats master;
@@ -185,7 +186,7 @@ TEST(JobGraph, SequentialChainIsBitIdenticalToRun) {
 
 TEST(JobGraph, SequentialMakespanIsSumOfJobs) {
   GraphFixture fx(4);
-  Pipeline p(&fx.runner);
+  JobGraph p(&fx.runner);
   const JobHandle a = p.submit(flops_job("a", fx.inputs(4)));
   p.wait(a);
   const JobHandle b = p.submit(flops_job("b", fx.inputs(4)), {a});
@@ -198,7 +199,7 @@ TEST(JobGraph, SequentialMakespanIsSumOfJobs) {
 
 TEST(JobGraph, StartSecondsAreMonotone) {
   GraphFixture fx(2);
-  Pipeline p(&fx.runner);
+  JobGraph p(&fx.runner);
   JobHandle prev;
   for (int i = 0; i < 4; ++i) {
     prev = p.submit(flops_job("chain-" + std::to_string(i), fx.inputs(2)),
@@ -219,7 +220,7 @@ TEST(JobGraph, IndependentJobsOverlapOnTheSlotPool) {
   // Two 2-task jobs on a 4-slot cluster: concurrently eligible, they lease
   // disjoint slots and the makespan is one job's time, not two.
   GraphFixture fx(4);
-  Pipeline p(&fx.runner);
+  JobGraph p(&fx.runner);
   const JobHandle a = p.submit(flops_job("a", fx.inputs(2)));
   const JobHandle b = p.submit(flops_job("b", fx.inputs(2)));
   p.run_all();
@@ -235,7 +236,7 @@ TEST(JobGraph, ContendedJobsQueueOnBusySlots) {
   // nothing to lease, so the second job's tasks wait for the first's slots
   // and the makespan equals the serial sum.
   GraphFixture fx(2);
-  Pipeline p(&fx.runner);
+  JobGraph p(&fx.runner);
   p.submit(flops_job("a", fx.inputs(2)));
   p.submit(flops_job("b", fx.inputs(2)));
   p.run_all();
@@ -247,7 +248,7 @@ TEST(JobGraph, ConcurrentRunsAreDeterministic) {
   // per-job results, identical run-report JSON — regardless of the real
   // (wall-clock) interleaving of the worker thread.
   const auto drive = [](GraphFixture& fx) {
-    Pipeline p(&fx.runner);
+    JobGraph p(&fx.runner);
     const JobHandle a = p.submit(count_job("count-a", fx.inputs(3), "/outa"));
     const JobHandle b = p.submit(count_job("count-b", fx.inputs(4), "/outb"));
     const JobHandle c = p.submit(flops_job("fan-in", fx.inputs(2)), {a, b});
@@ -272,7 +273,7 @@ TEST(JobGraph, ConcurrentRunsAreDeterministic) {
 TEST(JobGraph, DiamondDependenciesScheduleCorrectly) {
   // a -> {b, c} -> d. b and c overlap after a; d waits for both.
   GraphFixture fx(4);
-  Pipeline p(&fx.runner);
+  JobGraph p(&fx.runner);
   const JobHandle a = p.submit(flops_job("a", fx.inputs(2)));
   const JobHandle b = p.submit(flops_job("b", fx.inputs(2)), {a});
   const JobHandle c = p.submit(flops_job("c", fx.inputs(2)), {a});
@@ -301,7 +302,7 @@ TEST(JobGraph, DiamondDependenciesScheduleCorrectly) {
 
 TEST(JobGraph, MasterWorkRecordsSpansOnTheTimeline) {
   GraphFixture fx(2);
-  Pipeline p(&fx.runner);
+  JobGraph p(&fx.runner);
   const JobHandle a = p.submit(flops_job("a", fx.inputs(2)));
   p.wait(a);
   IoStats master;
@@ -326,7 +327,7 @@ TEST(JobGraph, MasterWorkRecordsSpansOnTheTimeline) {
 
 TEST(JobGraph, WaitRethrowsTaskErrors) {
   GraphFixture fx(2);
-  Pipeline p(&fx.runner);
+  JobGraph p(&fx.runner);
   JobSpec broken;
   broken.name = "broken";
   broken.input_files = fx.inputs(1);
@@ -346,7 +347,7 @@ TEST(JobGraph, InvalidHandleDepsAreIgnored) {
   // A default-constructed handle means "no dependency" — the LU driver
   // passes one for the first job in its chain.
   GraphFixture fx(2);
-  Pipeline p(&fx.runner);
+  JobGraph p(&fx.runner);
   const JobHandle h = p.submit(flops_job("a", fx.inputs(2)), {JobHandle{}});
   EXPECT_EQ(p.wait(h).start_seconds, 0.0);
 }
@@ -379,8 +380,8 @@ TEST(JobGraph, NegativeKeysFlowThroughDefaultPartitioner) {
   spec.num_reduce_tasks = 3;
   spec.mapper_factory = [] { return std::make_unique<NegMapper>(); };
   spec.reducer_factory = [] { return std::make_unique<EchoReducer>(); };
-  Pipeline p(&fx.runner);
-  p.run(std::move(spec));
+  JobGraph p(&fx.runner);
+  p.wait(p.submit(std::move(spec)));
   EXPECT_EQ(fx.fs.read_text("/neg/key.-2"), "4");
 }
 

@@ -1,10 +1,10 @@
 // The MapReduce runtime exercised as a general-purpose system: a word-count
-// style job, shuffle semantics, scheduling/failure simulation, pipelines.
+// style job, shuffle semantics, scheduling/failure simulation, job chains.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "mapreduce/pipeline.hpp"
+#include "mapreduce/job_graph.hpp"
 #include "mapreduce/runtime.hpp"
 #include "mapreduce/scheduler.hpp"
 #include "mapreduce/shuffle.hpp"
@@ -441,13 +441,13 @@ TEST(Runtime, EmptyInputListRejected) {
   EXPECT_THROW(fx.runner.run(spec), InvalidArgument);
 }
 
-// ---- pipeline -----------------------------------------------------------------
+// ---- job chains -------------------------------------------------------------
 
-TEST(Pipeline, AccumulatesAcrossJobs) {
+TEST(JobGraph, AccumulatesAcrossJobs) {
   RuntimeFixture fx(2);
   fx.fs.write_text("/in/0", "one two");
-  Pipeline pipeline(&fx.runner);
-  pipeline.run(word_count_spec({"/in/0"}));
+  JobGraph pipeline(&fx.runner);
+  pipeline.wait(pipeline.submit(word_count_spec({"/in/0"})));
   fx.fs.write_text("/in/1", "three");
   JobSpec second = word_count_spec({"/in/1"});
   second.name = "wordcount2";
@@ -462,7 +462,7 @@ TEST(Pipeline, AccumulatesAcrossJobs) {
     };
     return std::make_unique<R>();
   };
-  pipeline.run(second);
+  pipeline.wait(pipeline.submit(second));
 
   IoStats master;
   master.mults = 1'000'000;
@@ -482,13 +482,14 @@ TEST(Pipeline, AccumulatesAcrossJobs) {
 
 // ---- trace export -----------------------------------------------------------
 
-TEST(TraceExport, RunReportFromPipelineJobs) {
+TEST(TraceExport, RunReportFromGraphJobs) {
   RuntimeFixture fx(4);
   for (int i = 0; i < 4; ++i)
     { const std::string n = std::to_string(i); fx.fs.write_text("/in/" + n, "w" + n); }
   fx.failures.add_rule(FailureRule{"wordcount", 1, 0, true});
-  Pipeline pipeline(&fx.runner);
-  pipeline.run(word_count_spec({"/in/0", "/in/1", "/in/2", "/in/3"}));
+  JobGraph pipeline(&fx.runner);
+  pipeline.wait(
+      pipeline.submit(word_count_spec({"/in/0", "/in/1", "/in/2", "/in/3"})));
 
   const RunReport report =
       build_run_report(pipeline.jobs(), fx.cluster, &fx.metrics);

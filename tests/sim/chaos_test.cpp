@@ -86,7 +86,7 @@ TEST(ChaosEngine, EarliestKillOfANodeWins) {
   EXPECT_DOUBLE_EQ(engine.kill_time(1), 20.0);
 
   int kills = 0;
-  engine.set_kill_handler([&](int) {
+  engine.set_kill_handler([&](int, double) {
     ++kills;
     return NodeKillOutcome{};
   });
@@ -100,8 +100,10 @@ TEST(ChaosEngine, AdvanceAppliesEachEventExactlyOnceAndNeverRewinds) {
   engine.add_event({ChaosEventKind::kKillNode, 10.0, 1, 1.0});
   engine.add_event({ChaosEventKind::kKillNode, 30.0, 2, 1.0});
   std::vector<int> killed;
-  engine.set_kill_handler([&](int node) {
+  std::vector<double> killed_at;
+  engine.set_kill_handler([&](int node, double at) {
     killed.push_back(node);
+    killed_at.push_back(at);
     return NodeKillOutcome{};
   });
   engine.advance_to(5.0);
@@ -113,13 +115,15 @@ TEST(ChaosEngine, AdvanceAppliesEachEventExactlyOnceAndNeverRewinds) {
   EXPECT_EQ(killed, (std::vector<int>{1}));
   engine.advance_to(1e9);
   EXPECT_EQ(killed, (std::vector<int>{1, 2}));
+  // The handler sees each event's own time, not the advance target.
+  EXPECT_EQ(killed_at, (std::vector<double>{10.0, 30.0}));
   EXPECT_EQ(engine.stats().nodes_killed, 2);
 }
 
 TEST(ChaosEngine, ReReplicationSecondsUseTheBandwidth) {
   ChaosEngine engine;
   engine.add_event({ChaosEventKind::kKillNode, 1.0, 1, 1.0});
-  engine.set_kill_handler([](int) {
+  engine.set_kill_handler([](int, double) {
     NodeKillOutcome outcome;
     outcome.re_replicated_bytes = 100;
     outcome.re_replicated_blocks = 2;
