@@ -5,8 +5,9 @@
 //
 // Run with --benchmark_format=json for machine-readable per-backend
 // GFLOP/s: items_processed counts n³ multiply-adds, so items_per_second is
-// directly comparable across backends (the kernels-smoke CI job asserts the
-// selected non-naive backend reaches >= 3x naive on the 1024² GEMM).
+// directly comparable across backends (CI asserts the selected non-naive
+// backend reaches >= 3x naive on the 1024² GEMM, and the Eq. 4 column slice
+// >= 0.3x the SIMD GEMM).
 #include <benchmark/benchmark.h>
 
 #include "dfs/dfs.hpp"
@@ -90,6 +91,32 @@ void BM_InvertLower(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * n * n / 6);
 }
 BENCHMARK(BM_InvertLower)->Arg(64)->Arg(128)->Arg(256);
+
+// One §5.4 mapper's Eq. 4 slice: every 4th column of L⁻¹ from column 0.
+// items_processed is the Σ(n − k)²/2 multiply-adds of those columns, so
+// items_per_second compares directly with BM_Gemm's (CI asserts >= 0.3x
+// the SIMD GEMM at 1024 from the same run).
+void BM_InvertLowerColumns(benchmark::State& state) {
+  const Index n = state.range(0);
+  // Off-diagonal entries in ±1/n keep L⁻¹ in the normal range at any order,
+  // so no overflow or denormal arithmetic is timed.
+  Matrix l = random_matrix(n, n, 7, -1.0 / static_cast<double>(n),
+                           1.0 / static_cast<double>(n));
+  for (Index i = 0; i < n; ++i) {
+    l(i, i) = 1.0;
+    for (Index j = i + 1; j < n; ++j) l(i, j) = 0.0;
+  }
+  std::vector<Index> ids;
+  std::int64_t items = 0;
+  for (Index k = 0; k < n; k += 4) {
+    ids.push_back(k);
+    items += (n - k) * (n - k) / 2;
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(invert_lower_columns(l, ids));
+  state.SetItemsProcessed(state.iterations() * items);
+}
+BENCHMARK(BM_InvertLowerColumns)
+    ->Arg(1024)->Arg(2048)->Unit(benchmark::kMillisecond);
 
 void BM_SolveLower(benchmark::State& state) {
   const Index n = state.range(0);

@@ -4,6 +4,7 @@
 
 #include "core/assemble.hpp"
 #include "dfs/path.hpp"
+#include "linalg/kernels/kernel.hpp"
 #include "linalg/triangular.hpp"
 #include "matrix/dfs_io.hpp"
 #include "matrix/layout.hpp"
@@ -19,6 +20,52 @@ std::vector<Index> interleaved_ids(Index n, int workers, int s) {
 
 RowRange file_group(int count, int groups, int g) {
   return stripe(count, groups, g);
+}
+
+Matrix triangular_product(Index n, const std::vector<InverseSlice>& u_slices,
+                          const std::vector<InverseSlice>& l_slices) {
+  constexpr Index kDepth = 128;  // inner-dimension block of one GEMM
+  Index rows = 0, cols = 0;
+  for (const InverseSlice& u : u_slices) {
+    MRI_REQUIRE(u.data.rows() == static_cast<Index>(u.ids.size()) &&
+                    u.data.cols() == n &&
+                    std::is_sorted(u.ids.begin(), u.ids.end()),
+                "U⁻¹ slice needs one ascending id per row of " << n);
+    rows += u.data.rows();
+  }
+  for (const InverseSlice& l : l_slices) {
+    MRI_REQUIRE(l.data.cols() == static_cast<Index>(l.ids.size()) &&
+                    l.data.rows() == n &&
+                    std::is_sorted(l.ids.begin(), l.ids.end()),
+                "L⁻¹ slice needs one ascending id per column of " << n);
+    cols += l.data.cols();
+  }
+  // How many of a slice's ids fall below `bound` (a prefix: ids ascend).
+  const auto below = [](const std::vector<Index>& ids, Index bound) {
+    return static_cast<Index>(
+        std::lower_bound(ids.begin(), ids.end(), bound) - ids.begin());
+  };
+  Matrix product(rows, cols);
+  kernels::KernelContext kernel;
+  Index row0 = 0;
+  for (const InverseSlice& u : u_slices) {
+    Index col0 = 0;
+    for (const InverseSlice& l : l_slices) {
+      for (Index p0 = 0; p0 < n; p0 += kDepth) {
+        const Index p1 = std::min(p0 + kDepth, n);
+        const Index r = below(u.ids, p1);
+        const Index k = below(l.ids, p1);
+        if (r == 0 || k == 0) continue;
+        kernel.gemm(kernels::GemmMode::kAccumulate, r, k, p1 - p0,
+                    u.data.data().data() + p0, n,
+                    l.data.data().data() + p0 * l.data.cols(), l.data.cols(),
+                    product.data().data() + row0 * cols + col0, cols);
+      }
+      col0 += l.data.cols();
+    }
+    row0 += u.data.rows();
+  }
+  return product;
 }
 
 namespace {
@@ -182,8 +229,7 @@ class InverseReducer : public mr::Reducer {
     const int t = task.task_index();
 
     // Which U⁻¹ rows this reducer owns, and which L files it reads.
-    std::vector<Index> row_ids;
-    std::vector<Matrix> u_parts;
+    std::vector<InverseSlice> u_slices;
     RowRange l_files;
     if (c.opts.block_wrap) {
       // §6.2 grid cell: a group of U files x a group of L files.
@@ -192,12 +238,13 @@ class InverseReducer : public mr::Reducer {
       l_files = file_group(c.l_workers, c.l_groups, t % c.l_groups);
       if (u_files.count() == 0 || l_files.count() == 0) return;
       for (Index f = u_files.begin; f < u_files.end; ++f) {
-        const auto ids = interleaved_ids(c.n, c.u_workers, static_cast<int>(f));
+        auto ids = interleaved_ids(c.n, c.u_workers, static_cast<int>(f));
         if (ids.empty()) continue;
-        u_parts.push_back(read_matrix(
-            task.fs(), dfs::join(c.dir, "INV/U." + std::to_string(f)),
-            &task.io()));
-        row_ids.insert(row_ids.end(), ids.begin(), ids.end());
+        u_slices.push_back(
+            {std::move(ids),
+             read_matrix(task.fs(),
+                         dfs::join(c.dir, "INV/U." + std::to_string(f)),
+                         &task.io())});
       }
     } else {
       // Naive baseline: all m0 reducers compute row bands of the product;
@@ -213,41 +260,33 @@ class InverseReducer : public mr::Reducer {
       const Matrix whole = read_matrix(
           task.fs(), dfs::join(c.dir, "INV/U." + std::to_string(file)),
           &task.io());
-      u_parts.push_back(whole.block(r.begin, r.end, 0, c.n));
-      row_ids.assign(ids.begin() + r.begin, ids.begin() + r.end);
+      u_slices.push_back({std::vector<Index>(ids.begin() + r.begin,
+                                             ids.begin() + r.end),
+                          whole.block(r.begin, r.end, 0, c.n)});
       l_files = RowRange{0, static_cast<Index>(c.l_workers)};
     }
 
-    Matrix u_rows(static_cast<Index>(row_ids.size()), c.n);
-    {
-      Index at = 0;
-      for (const Matrix& part : u_parts) {
-        u_rows.set_block(at, 0, part);
-        at += part.rows();
-      }
-    }
-
-    // Stack the L⁻¹ columns of this cell's L files.
-    std::vector<Index> col_ids;
-    std::vector<Matrix> l_parts;
+    // The L⁻¹ columns of this cell's L files.
+    std::vector<InverseSlice> l_slices;
     for (Index f = l_files.begin; f < l_files.end; ++f) {
-      const auto ids = interleaved_ids(c.n, c.l_workers, static_cast<int>(f));
+      auto ids = interleaved_ids(c.n, c.l_workers, static_cast<int>(f));
       if (ids.empty()) continue;
-      l_parts.push_back(read_matrix(
-          task.fs(), dfs::join(c.dir, "INV/L." + std::to_string(f)),
-          &task.io()));
-      col_ids.insert(col_ids.end(), ids.begin(), ids.end());
-    }
-    Matrix l_cols(c.n, static_cast<Index>(col_ids.size()));
-    {
-      Index at = 0;
-      for (const Matrix& part : l_parts) {
-        l_cols.set_block(0, at, part);
-        at += part.cols();
-      }
+      l_slices.push_back(
+          {std::move(ids),
+           read_matrix(task.fs(),
+                       dfs::join(c.dir, "INV/L." + std::to_string(f)),
+                       &task.io())});
     }
 
-    Matrix product = matmul(u_rows, l_cols);
+    std::vector<Index> row_ids, col_ids;
+    for (const InverseSlice& s : u_slices) {
+      row_ids.insert(row_ids.end(), s.ids.begin(), s.ids.end());
+    }
+    for (const InverseSlice& s : l_slices) {
+      col_ids.insert(col_ids.end(), s.ids.begin(), s.ids.end());
+    }
+
+    const Matrix product = triangular_product(c.n, u_slices, l_slices);
     // Exact work of the triangular product: row r of U⁻¹ has nonzeros at
     // columns >= r, column k of L⁻¹ at rows >= k, so the inner product for
     // (r, k) runs over n - max(r, k) terms (this is the paper's (1/3)n³

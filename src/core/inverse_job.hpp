@@ -65,6 +65,23 @@ std::vector<Index> interleaved_ids(Index n, int workers, int s);
 /// Contiguous file-index group g of `groups` over `count` files.
 RowRange file_group(int count, int groups, int g);
 
+/// Rows of U⁻¹ or columns of L⁻¹ as a reducer reads them from one INV/
+/// file: `ids` ascend and name the rows (U) or columns (L) of `data`.
+struct InverseSlice {
+  std::vector<Index> ids;
+  Matrix data;
+};
+
+/// One reducer cell of A⁻¹ = U⁻¹·L⁻¹ (before the column permutation): the
+/// rows of `u_slices` stacked in order, times the columns of `l_slices`
+/// stacked in order, for factors of order n. Row r of U⁻¹ is zero left of
+/// column r and column k of L⁻¹ is zero above row k, so each inner block
+/// [p0, p1) of the product only meets the ids below p1 — a prefix of every
+/// slice. Accumulates one GEMM per slice pair and block over those
+/// prefixes: ~1/3 of the dense product's flops, as the simulator charges.
+Matrix triangular_product(Index n, const std::vector<InverseSlice>& u_slices,
+                          const std::vector<InverseSlice>& l_slices);
+
 /// Driver-side assembly of the final inverse from the reducers' indexed
 /// blocks (verification path; charges no task I/O).
 Matrix assemble_inverse(const dfs::Dfs& fs, const InverseJobContext& ctx);

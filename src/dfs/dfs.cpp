@@ -610,14 +610,14 @@ void Dfs::Reader::seek(std::uint64_t offset) {
   position_ = offset;
 }
 
-BlockData Dfs::read_replica(const BlockLocation& loc, const std::string& path,
-                            int* source) const {
+BlockData Dfs::read_replica(const BlockLocation& loc, std::size_t index,
+                            const std::string& path, int* source) const {
   if (source != nullptr) *source = -1;
   if (loc.replicas.empty()) {
     // Every replica died with its datanode (namenode repair keeps the block
     // registered precisely so this read fails fast and loudly).
     throw UnrecoverableBlock(
-        "block " + std::to_string(loc.id) + " of " + path +
+        "block " + std::to_string(index) + " of " + path +
         ": all replicas lost to dead datanodes; the data is unrecoverable");
   }
   // Under a rack-aware topology HDFS reads the closest replica: node-local
@@ -656,12 +656,12 @@ BlockData Dfs::read_replica(const BlockLocation& loc, const std::string& path,
   }
   if (chosen < 0) {
     if (failed_over > 0) {
-      throw DfsError("read of block " + std::to_string(loc.id) + " of " +
+      throw DfsError("read of block " + std::to_string(index) + " of " +
                      path + " failed on every live replica (injected read "
                      "errors); transient — retry the read");
     }
     throw UnrecoverableBlock(
-        "block " + std::to_string(loc.id) + " of " + path +
+        "block " + std::to_string(index) + " of " + path +
         ": all replicas lost to dead datanodes; the data is unrecoverable");
   }
   if (failed_over > 0 && metrics_ != nullptr) {
@@ -690,11 +690,11 @@ BlockData Dfs::read_replica(const BlockLocation& loc, const std::string& path,
   return datanodes_[static_cast<std::size_t>(chosen)]->get(loc.id);
 }
 
-BlockData Dfs::read_stripe(const BlockLocation& loc, const std::string& path,
-                           IoStats* account) const {
+BlockData Dfs::read_stripe(const BlockLocation& loc, std::size_t index,
+                           const std::string& path, IoStats* account) const {
   const int cells = loc.ec_k + loc.ec_m;
   MRI_CHECK_MSG(static_cast<int>(loc.replicas.size()) == cells,
-                "EC block " << loc.id << " of " << path << " has "
+                "EC block " << index << " of " << path << " has "
                             << loc.replicas.size() << " cell slots, expected "
                             << cells);
   const auto cell_len = static_cast<std::size_t>(loc.cell_bytes());
@@ -734,7 +734,7 @@ BlockData Dfs::read_stripe(const BlockLocation& loc, const std::string& path,
     // Fewer than k clean cells remain: there is no clean source to decode
     // from, and verification refuses to serve bytes it knows are bad.
     throw UnrecoverableBlock(
-        "EC block " + std::to_string(loc.id) + " of " + path + ": " +
+        "EC block " + std::to_string(index) + " of " + path + ": " +
         std::to_string(corrupt_cells.size()) +
         " stripe cells failed checksum verification and only " +
         std::to_string(live) + " clean cells remain but decoding needs " +
@@ -742,14 +742,14 @@ BlockData Dfs::read_stripe(const BlockLocation& loc, const std::string& path,
   }
   if (live < loc.ec_k) {
     if (failed_over > 0) {
-      throw DfsError("read of EC block " + std::to_string(loc.id) + " of " +
+      throw DfsError("read of EC block " + std::to_string(index) + " of " +
                      path + " has only " + std::to_string(live) + " of " +
                      std::to_string(loc.ec_k) +
                      " required cells after injected read errors; transient "
                      "— retry the read");
     }
     throw UnrecoverableBlock(
-        "EC block " + std::to_string(loc.id) + " of " + path + ": only " +
+        "EC block " + std::to_string(index) + " of " + path + ": only " +
         std::to_string(live) + " of " + std::to_string(cells) +
         " stripe cells survive but decoding needs " +
         std::to_string(loc.ec_k) + "; the data is unrecoverable");
@@ -918,15 +918,16 @@ Dfs::Reader Dfs::open(const std::string& path, IoStats* account) const {
                     it->second.size, account, metrics_, racked_topology());
     }
   }
-  for (const auto& loc : blocks) {
+  for (std::size_t index = 0; index < blocks.size(); ++index) {
+    const BlockLocation& loc = blocks[index];
     if (loc.is_ec()) {
-      data.push_back(read_stripe(loc, path, account));
+      data.push_back(read_stripe(loc, index, path, account));
       sources.push_back(-1);  // transfers recorded per cell at open time
       size += loc.length;
       continue;
     }
     int src = -1;
-    data.push_back(read_replica(loc, path, &src));
+    data.push_back(read_replica(loc, index, path, &src));
     sources.push_back(src);
     // A memory-tier block on the reader's own node streams at memory
     // bandwidth (the cache hit the SPIN engine exists to create); remote

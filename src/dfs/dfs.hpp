@@ -401,9 +401,12 @@ class Dfs {
   /// read-error budget is exhausted, trying closest replicas first under a
   /// rack-aware topology. Throws UnrecoverableBlock when every replica is
   /// dead, DfsError when only injected-error copies remain. `source` (may
-  /// be null) receives the chosen datanode.
-  BlockData read_replica(const BlockLocation& loc, const std::string& path,
-                         int* source) const;
+  /// be null) receives the chosen datanode. Errors name `path` and `index`,
+  /// the block's position within the file: block ids follow the commit
+  /// order of concurrent writers, so naming one would make a same-seed
+  /// failure message differ run to run.
+  BlockData read_replica(const BlockLocation& loc, std::size_t index,
+                         const std::string& path, int* source) const;
 
   /// Reads one erasure-coded stripe: fetches the first k available cells
   /// (data cells first — a fully healthy stripe is a plain concatenation),
@@ -412,8 +415,9 @@ class Dfs {
   /// reassembled block payload. An armed read error on a cell's node marks
   /// that cell unavailable for this read (failover, like the replicated
   /// path). Throws UnrecoverableBlock when fewer than k cells survive.
-  BlockData read_stripe(const BlockLocation& loc, const std::string& path,
-                        IoStats* account) const;
+  /// Errors name `path` and `index`, as read_replica's do.
+  BlockData read_stripe(const BlockLocation& loc, std::size_t index,
+                        const std::string& path, IoStats* account) const;
 
   /// Re-runs the greedy residency sweep; call with hot_mu_ held.
   void recompute_hot_residents_locked() const;

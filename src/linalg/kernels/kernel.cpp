@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <vector>
 
 #include "common/error.hpp"
 #include "linalg/kernels/detail.hpp"
@@ -270,10 +271,39 @@ void KernelContext::trsm_lower_left(bool unit_diag, std::int64_t m,
   if (m <= 0 || n <= 0) return;
   ScopedKernelTimer timer;
   g_trsm_calls.fetch_add(1, std::memory_order_relaxed);
-  g_flops.fetch_add(static_cast<std::uint64_t>(m) *
-                        static_cast<std::uint64_t>(m) *
-                        static_cast<std::uint64_t>(n),
-                    std::memory_order_relaxed);
+
+  // Staircase: column j of X is zero above the first nonzero row of column
+  // j of B, so those rows need no work. first[j] is that row (m when the
+  // column is all zero); width[r] is one past the last column with a nonzero
+  // in rows < r, so every column from width[r] on is still zero above row r.
+  // When first rows ascend with the column index (Eq. 4's identity columns)
+  // the prefix [0, width[r]) is exactly the columns that can be nonzero; for
+  // a dense B it is all n columns from row 0 on.
+  const auto un = static_cast<std::size_t>(n);
+  std::vector<std::int64_t> first(un, m);
+  std::size_t unresolved = un;
+  for (std::int64_t i = 0; i < m && unresolved > 0; ++i) {
+    const double* bi = b + i * ldb;
+    for (std::size_t j = 0; j < un; ++j) {
+      if (first[j] == m && bi[j] != 0.0) {
+        first[j] = i;
+        --unresolved;
+      }
+    }
+  }
+  std::vector<std::int64_t> width(static_cast<std::size_t>(m) + 1, 0);
+  std::uint64_t flops = 0;
+  for (std::size_t j = 0; j < un; ++j) {
+    if (first[j] == m) continue;
+    const auto rows = static_cast<std::uint64_t>(m - first[j]);
+    flops += rows * rows;
+    auto& w = width[static_cast<std::size_t>(first[j]) + 1];
+    w = std::max(w, static_cast<std::int64_t>(j) + 1);
+  }
+  for (std::size_t r = 1; r < width.size(); ++r) {
+    width[r] = std::max(width[r], width[r - 1]);
+  }
+  g_flops.fetch_add(flops, std::memory_order_relaxed);
 
   const Backend resolved = detail::resolve(backend);
   // Naive keeps the historical unblocked substitution (the ablation
@@ -283,23 +313,25 @@ void KernelContext::trsm_lower_left(bool unit_diag, std::int64_t m,
   for (std::int64_t d0 = 0; d0 < m; d0 += nb) {
     const std::int64_t d1 = std::min<std::int64_t>(d0 + nb, m);
     for (std::int64_t i = d0; i < d1; ++i) {
+      const std::int64_t cols = width[static_cast<std::size_t>(i) + 1];
       double* bi = b + i * ldb;
       const double* li = l + i * ldl;
       for (std::int64_t p = d0; p < i; ++p) {
         const double lip = li[p];
         if (lip == 0.0) continue;  // triangular operands are half zeros
         const double* bp = b + p * ldb;
-        for (std::int64_t j = 0; j < n; ++j) bi[j] -= lip * bp[j];
+        for (std::int64_t j = 0; j < cols; ++j) bi[j] -= lip * bp[j];
       }
       if (!unit_diag) {
         const double inv_d = 1.0 / li[i];
-        for (std::int64_t j = 0; j < n; ++j) bi[j] *= inv_d;
+        for (std::int64_t j = 0; j < cols; ++j) bi[j] *= inv_d;
       }
     }
-    if (d1 < m) {
-      detail::dispatch_gemm(resolved, threads, GemmMode::kSubtract, m - d1, n,
-                            d1 - d0, l + d1 * ldl + d0, ldl, b + d0 * ldb, ldb,
-                            b + d1 * ldb, ldb);
+    const std::int64_t cols = width[static_cast<std::size_t>(d1)];
+    if (d1 < m && cols > 0) {
+      detail::dispatch_gemm(resolved, threads, GemmMode::kSubtract, m - d1,
+                            cols, d1 - d0, l + d1 * ldl + d0, ldl,
+                            b + d0 * ldb, ldb, b + d1 * ldb, ldb);
     }
   }
 }

@@ -59,8 +59,8 @@ Backend default_backend();
 void set_default_backend(Backend backend);
 
 /// Process-global kernel activity counters (monotone; snapshot two and
-/// subtract for a per-run delta). `flops` is the modelled 2·m·n·k / m·n·k
-/// count, identical across backends; `seconds` is wall-clock spent inside
+/// subtract for a per-run delta). `flops` is the modelled 2·m·n·k GEMM /
+/// Σ_j (m − first_j)² TRSM count, identical across backends; `seconds` is wall-clock spent inside
 /// kernel calls and is NOT deterministic — keep it out of simulated reports.
 struct KernelCounters {
   std::uint64_t gemm_calls = 0;
@@ -110,7 +110,11 @@ struct KernelContext {
 
   /// In-place left solve L · X = B: b (m x n) becomes X, with l (m x m)
   /// lower triangular (`unit_diag` skips the diagonal division). Blocked:
-  /// small diagonal-block substitutions plus GEMM trailing updates.
+  /// small diagonal-block substitutions plus GEMM trailing updates. Both
+  /// skip the rows above each column's first nonzero row in B, where X
+  /// stays exactly zero (the staircase: with first rows ascending across
+  /// the columns, e.g. identity columns for Eq. 4, every skipped entry is a
+  /// zero). Counts Σ_j (m − first_j)² flops, m²·n for a dense B.
   void trsm_lower_left(bool unit_diag, std::int64_t m, std::int64_t n,
                        const double* l, std::int64_t ldl, double* b,
                        std::int64_t ldb) const;

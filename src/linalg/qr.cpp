@@ -62,7 +62,7 @@ Matrix qr_invert(const Matrix& a) {
                            std::to_string(i));
     }
   }
-  return matmul(invert_upper_direct(qr.r), transpose(qr.q));
+  return matmul(invert_upper_via_transpose(qr.r), transpose(qr.q));
 }
 
 std::int64_t qr_pipeline_steps(Index n) { return n; }

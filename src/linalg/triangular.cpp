@@ -1,5 +1,7 @@
 #include "linalg/triangular.hpp"
 
+#include <numeric>
+
 #include "linalg/kernels/kernel.hpp"
 #include "matrix/ops.hpp"
 
@@ -15,71 +17,35 @@ void check_lower(const Matrix& l) {
   }
 }
 
-void check_upper(const Matrix& u) {
-  MRI_REQUIRE(u.square(), "expected a square upper-triangular matrix");
-  for (Index i = 0; i < u.rows(); ++i) {
-    MRI_REQUIRE(u(i, i) != 0.0,
-                "triangular matrix is singular at diagonal " << i);
-  }
-}
-
 }  // namespace
 
 Matrix invert_lower(const Matrix& l) {
-  check_lower(l);
-  const Index n = l.rows();
-  Matrix inv(n, n);
-  // Eq. 4, column by column.
-  for (Index j = 0; j < n; ++j) {
-    inv(j, j) = 1.0 / l(j, j);
-    for (Index i = j + 1; i < n; ++i) {
-      double sum = 0.0;
-      const double* li = l.row(i).data();
-      for (Index k = j; k < i; ++k) sum += li[k] * inv(k, j);
-      inv(i, j) = -sum / l(i, i);
-    }
-  }
-  return inv;
+  std::vector<Index> all(static_cast<std::size_t>(l.rows()));
+  std::iota(all.begin(), all.end(), Index{0});
+  return invert_lower_columns(l, all);
 }
 
 Matrix invert_upper_via_transpose(const Matrix& u) {
   return transpose(invert_lower(transpose(u)));
 }
 
-Matrix invert_upper_direct(const Matrix& u) {
-  check_upper(u);
-  const Index n = u.rows();
-  Matrix inv(n, n);
-  for (Index j = 0; j < n; ++j) {
-    inv(j, j) = 1.0 / u(j, j);
-    for (Index i = j - 1; i >= 0; --i) {
-      double sum = 0.0;
-      const double* ui = u.row(i).data();
-      for (Index k = i + 1; k <= j; ++k) sum += ui[k] * inv(k, j);
-      inv(i, j) = -sum / u(i, i);
-    }
-  }
-  return inv;
-}
-
 Matrix invert_lower_columns(const Matrix& l, const std::vector<Index>& columns) {
   check_lower(l);
   const Index n = l.rows();
-  Matrix out(n, static_cast<Index>(columns.size()));
-  std::vector<double> col(static_cast<std::size_t>(n));
-  for (std::size_t c = 0; c < columns.size(); ++c) {
-    const Index j = columns[c];
+  const auto k = static_cast<Index>(columns.size());
+  // Eq. 4 as the left solve L·X = E, column c of E being the unit vector
+  // e_{columns[c]}: column c of X is column columns[c] of L⁻¹. The kernel
+  // TRSM never touches the rows above columns[c] (they stay exactly zero),
+  // so ascending ids cost Σ (n − id)² flops, the Eq. 4 count.
+  Matrix out(n, k);
+  for (Index c = 0; c < k; ++c) {
+    const Index j = columns[static_cast<std::size_t>(c)];
     MRI_REQUIRE(j >= 0 && j < n, "column index " << j << " out of order " << n);
-    std::fill(col.begin(), col.end(), 0.0);
-    col[static_cast<std::size_t>(j)] = 1.0 / l(j, j);
-    for (Index i = j + 1; i < n; ++i) {
-      double sum = 0.0;
-      const double* li = l.row(i).data();
-      for (Index k = j; k < i; ++k) sum += li[k] * col[static_cast<std::size_t>(k)];
-      col[static_cast<std::size_t>(i)] = -sum / l(i, i);
-    }
-    for (Index i = 0; i < n; ++i) out(i, static_cast<Index>(c)) = col[static_cast<std::size_t>(i)];
+    out(j, c) = 1.0;
   }
+  kernels::KernelContext ctx;
+  ctx.trsm_lower_left(/*unit_diag=*/false, n, k, l.data().data(), l.cols(),
+                      out.data().data(), k);
   return out;
 }
 
@@ -93,24 +59,6 @@ Matrix solve_lower(const Matrix& l, const Matrix& b) {
   kernels::KernelContext ctx;
   ctx.trsm_lower_left(/*unit_diag=*/false, l.rows(), b.cols(),
                       l.data().data(), l.cols(), x.data().data(), x.cols());
-  return x;
-}
-
-Matrix solve_upper_right(const Matrix& u, const Matrix& b) {
-  check_upper(u);
-  MRI_REQUIRE(u.rows() == b.cols(), "solve_upper_right shape mismatch: "
-                                        << u.rows() << " vs " << b.cols());
-  const Index n = u.rows(), rows = b.rows();
-  Matrix x = b;
-  // Row i of X solves x_i · U = b_i: left-to-right substitution.
-  for (Index i = 0; i < rows; ++i) {
-    double* xi = x.row(i).data();
-    for (Index j = 0; j < n; ++j) {
-      double sum = xi[j];
-      for (Index k = 0; k < j; ++k) sum -= xi[k] * u(k, j);
-      xi[j] = sum / u(j, j);
-    }
-  }
   return x;
 }
 

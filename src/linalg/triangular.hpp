@@ -4,6 +4,7 @@
 // Column independence is the property the paper's final MapReduce job
 // exploits: invert_lower_columns() computes an arbitrary subset of columns of
 // L⁻¹, which is exactly what one mapper does for its interleaved column set.
+// The inversions and solves here all run on the kernel engine's blocked TRSM.
 #pragma once
 
 #include <vector>
@@ -13,7 +14,8 @@
 
 namespace mri {
 
-/// L⁻¹ for a lower-triangular L (diagonal may be non-unit). Eq. 4.
+/// L⁻¹ for a lower-triangular L (diagonal may be non-unit): Eq. 4 over all
+/// columns.
 Matrix invert_lower(const Matrix& l);
 
 /// U⁻¹ for an upper-triangular U, computed the way the paper's
@@ -21,23 +23,19 @@ Matrix invert_lower(const Matrix& l);
 /// and transpose the result.
 Matrix invert_upper_via_transpose(const Matrix& u);
 
-/// U⁻¹ computed directly by back substitution (reference for tests).
-Matrix invert_upper_direct(const Matrix& u);
-
 /// Selected columns of L⁻¹ (Eq. 4 per column). Returns an l.rows() x
-/// columns.size() matrix whose k-th column is column columns[k] of L⁻¹.
+/// columns.size() matrix whose k-th column is column columns[k] of L⁻¹,
+/// exactly zero above row columns[k]. Costs Σ (n − columns[k])² flops when
+/// the ids ascend, as the §5.4 interleaved sets do.
 Matrix invert_lower_columns(const Matrix& l, const std::vector<Index>& columns);
 
 /// Solves L·X = B for X (forward substitution; columns of X independent).
 /// L must be lower-triangular with nonzero diagonal.
 Matrix solve_lower(const Matrix& l, const Matrix& b);
 
-/// Solves X·U = B for X (each row of X independent — the L2' computation of
-/// Eq. 6). U must be upper-triangular with nonzero diagonal.
-Matrix solve_upper_right(const Matrix& u, const Matrix& b);
-
-/// Same solve, but given Uᵀ (lower triangular) — the §6.3 layout: the inner
-/// loop streams rows of Uᵀ instead of striding columns of U.
+/// Solves X·U = B for X given Uᵀ (lower triangular) — the L2' computation
+/// of Eq. 6 in the §6.3 layout: the inner loop streams rows of Uᵀ instead
+/// of striding columns of U.
 Matrix solve_upper_right_from_transpose(const Matrix& ut, const Matrix& b);
 
 /// Flop cost of inverting an n-order triangular matrix (~n³/6 each op).

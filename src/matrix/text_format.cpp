@@ -1,5 +1,6 @@
 #include "matrix/text_format.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
@@ -47,6 +48,12 @@ Matrix matrix_from_text(std::string_view text) {
                                   << std::string(p, std::min<std::size_t>(
                                                         16, end - p)));
       MRI_REQUIRE(after <= end, "number ran past end of line");
+      // strtod accepts nan, inf and overflowing literals such as 1e999; a
+      // matrix holding one has no usable inverse.
+      MRI_REQUIRE(std::isfinite(v), "non-finite matrix entry '"
+                                        << std::string_view(p, after - p)
+                                        << "' at row "
+                                        << rows << ", column " << line_cols);
       values.push_back(v);
       ++line_cols;
       p = after;

@@ -14,7 +14,9 @@ namespace mri {
 /// Renders with enough digits to round-trip doubles exactly (%.17g).
 std::string matrix_to_text(const Matrix& m);
 
-/// Parses; all rows must have equal length. Blank lines are ignored.
+/// Parses; all rows must have equal length. Blank lines are ignored. Throws
+/// InvalidArgument naming the (0-based) row and column of any non-finite
+/// entry — `nan`, `inf` or an overflowing literal such as `1e999`.
 Matrix matrix_from_text(std::string_view text);
 
 }  // namespace mri

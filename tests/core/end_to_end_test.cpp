@@ -108,7 +108,8 @@ INSTANTIATE_TEST_SUITE_P(
         SweepParam{40, 16, 6, true, true, true},   // m0 not a power of two
         SweepParam{64, 16, 16, true, true, true},  // m0 > stripes per side
         SweepParam{50, 64, 4, true, true, true},   // n < nb: depth 0
-        SweepParam{31, 7, 5, true, true, true}));  // everything odd
+        SweepParam{31, 7, 5, true, true, true},    // everything odd
+        SweepParam{150, 40, 5, true, true, true})); // > one product block
 
 INSTANTIATE_TEST_SUITE_P(
     Optimizations, EndToEndSweep,
@@ -116,7 +117,8 @@ INSTANTIATE_TEST_SUITE_P(
         SweepParam{48, 12, 4, false, true, true},   // combine penalty path
         SweepParam{48, 12, 4, true, false, true},   // no block wrap
         SweepParam{48, 12, 4, true, true, false},   // untransposed U
-        SweepParam{48, 12, 4, false, false, false}  // everything off
+        SweepParam{48, 12, 4, false, false, false},  // everything off
+        SweepParam{150, 40, 6, true, false, true}    // row bands, n > 128
         ));
 
 TEST(EndToEnd, OverlapFinalStageMatchesSequential) {

@@ -205,6 +205,40 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple<Index, Index, bool>(129, 31, false),
                       std::make_tuple<Index, Index, bool>(100, 1, true)));
 
+TEST(Trsm, LowerLeftStaircaseRhs) {
+  // Column j of B is zero above row first[j]: ascending runs (the Eq. 4
+  // shape), a descent, a column that starts inside a later diagonal block
+  // and an all-zero column. X must match the reference and stay exactly
+  // zero above each first row, on every backend.
+  const Index m = 130;
+  const std::vector<Index> first = {0, 0, 5, 63, 64, 65, 2, 100, 129, 130, 7};
+  const auto n = static_cast<Index>(first.size());
+  Matrix l = random_matrix(m, m, /*seed=*/21, -1, 1);
+  for (Index i = 0; i < m; ++i) l(i, i) = 2.0 + static_cast<double>(i % 3);
+  Matrix b = random_matrix(m, n, /*seed=*/22, -1, 1);
+  for (Index j = 0; j < n; ++j) {
+    for (Index i = 0; i < first[static_cast<std::size_t>(j)]; ++i) b(i, j) = 0.0;
+  }
+  for (const bool unit_diag : {false, true}) {
+    const Matrix ref = trsm_lower_reference(unit_diag, l, b);
+    for (const Backend backend : kAllBackends) {
+      Matrix x = b;
+      KernelContext ctx;
+      ctx.backend = backend;
+      ctx.trsm_lower_left(unit_diag, m, n, l.data().data(), l.cols(),
+                          x.data().data(), x.cols());
+      EXPECT_LT(max_abs_diff(x, ref), 1e-9 * static_cast<double>(m + 1))
+          << backend_name(backend) << " unit=" << unit_diag;
+      for (Index j = 0; j < n; ++j) {
+        for (Index i = 0; i < first[static_cast<std::size_t>(j)]; ++i) {
+          ASSERT_EQ(x(i, j), 0.0) << backend_name(backend) << " (" << i
+                                  << ", " << j << ")";
+        }
+      }
+    }
+  }
+}
+
 TEST(Trsm, UpperRightFromTransposeSolves) {
   // X · U = B with ut = Uᵀ: check A·X reconstructs B for every backend, on
   // a blocked-path size (> one 64-wide diagonal block) and a tiny one.
@@ -241,10 +275,21 @@ TEST(KernelCounters, CountCallsAndFlops) {
   Matrix x = random_matrix(5, 4, 4, -1, 1);
   KernelContext ctx;
   ctx.trsm_lower_left(false, 5, 4, l.data().data(), 5, x.data().data(), 4);
+  // Staircase right-hand side: column j is zero above row first_j = 0, 2,
+  // 4, 5, so the solve counts Σ_j (5 − first_j)² = 25 + 9 + 1 + 0 flops
+  // (the dense call above counts 5²·4, the same sum with every first_j 0).
+  Matrix stair(5, 4);
+  const Index first[] = {0, 2, 4, 5};
+  for (Index j = 0; j < 4; ++j) {
+    for (Index i = first[j]; i < 5; ++i) {
+      stair(i, j) = 1.0 + static_cast<double>(i + j);
+    }
+  }
+  ctx.trsm_lower_left(false, 5, 4, l.data().data(), 5, stair.data().data(), 4);
   const KernelCounters delta = counters_snapshot() - before;
   EXPECT_EQ(delta.gemm_calls, 1u);  // TRSM-internal GEMMs are not re-counted
-  EXPECT_EQ(delta.trsm_calls, 1u);
-  EXPECT_EQ(delta.flops, 2ull * 8 * 10 * 6 + 5ull * 5 * 4);
+  EXPECT_EQ(delta.trsm_calls, 2u);
+  EXPECT_EQ(delta.flops, 2ull * 8 * 10 * 6 + 5ull * 5 * 4 + (25 + 9 + 1));
   EXPECT_GE(delta.seconds, 0.0);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "matrix/generate.hpp"
 #include "matrix/ops.hpp"
 
@@ -39,6 +41,24 @@ TEST(TextFormat, RaggedRowsThrow) {
 
 TEST(TextFormat, GarbageThrows) {
   EXPECT_THROW(matrix_from_text("1 banana\n"), InvalidArgument);
+}
+
+TEST(TextFormat, NonFiniteEntriesThrowWithPosition) {
+  // strtod parses all three; each must be refused, naming where it sits.
+  for (const char* bad : {"nan", "-inf", "1e999"}) {
+    const std::string text = std::string("1 2 3\n4 5 ") + bad + "\n";
+    try {
+      matrix_from_text(text);
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("row 1, column 2"), std::string::npos) << what;
+      EXPECT_NE(what.find(bad), std::string::npos) << what;
+    }
+  }
+  EXPECT_THROW(matrix_from_text("INF 0\n0 1\n"), InvalidArgument);
+  // Underflow is finite: 1e-999 parses (to zero) and is kept.
+  EXPECT_EQ(matrix_from_text("1e-999 1\n")(0, 0), 0.0);
 }
 
 TEST(TextFormat, ScientificNotation) {
