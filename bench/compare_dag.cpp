@@ -8,9 +8,6 @@
 // pool, so the makespan drops below the serial sum of the job times.
 //
 // Emits a machine-readable comparison (default BENCH_pr2.json; --out PATH).
-#include <fstream>
-#include <sstream>
-
 #include "harness.hpp"
 
 using namespace mri;
@@ -61,20 +58,24 @@ int main(int argc, char** argv) {
   std::printf("overlap makespan below serial sum: %s\n",
               dag_s < serial_sum ? "yes" : "NO (unexpected)");
 
-  std::ostringstream json;
-  json.precision(17);
-  json << "{\"config\":{\"matrix\":\"M1\",\"order\":" << setup.n
-       << ",\"nb\":" << setup.nb << ",\"scale\":" << scale
-       << ",\"nodes\":" << nodes << "},\"sequential_seconds\":" << seq_s
-       << ",\"dag_seconds\":" << dag_s
-       << ",\"serial_sum_seconds\":" << serial_sum
-       << ",\"sequential_jobs\":" << seq.result.report.jobs
-       << ",\"dag_jobs\":" << dag.result.report.jobs
-       << ",\"speedup_vs_sequential\":" << seq_s / dag_s
-       << ",\"speedup_vs_serial_sum\":" << serial_sum / dag_s << "}";
-  std::ofstream f(out);
-  MRI_REQUIRE(f.good(), "cannot open output file: " << out);
-  f << json.str() << '\n';
+  JsonWriter json(17);
+  json.begin_object()
+      .begin_object("config")
+      .field("matrix", "M1")
+      .field("order", setup.n)
+      .field("nb", setup.nb)
+      .field("scale", scale)
+      .field("nodes", nodes)
+      .end_object()
+      .field("sequential_seconds", seq_s)
+      .field("dag_seconds", dag_s)
+      .field("serial_sum_seconds", serial_sum)
+      .field("sequential_jobs", seq.result.report.jobs)
+      .field("dag_jobs", dag.result.report.jobs)
+      .field("speedup_vs_sequential", seq_s / dag_s)
+      .field("speedup_vs_serial_sum", serial_sum / dag_s)
+      .end_object();
+  write_json_file(out, json.str());
   std::printf("comparison written to %s\n", out.c_str());
 
   return dag_s < serial_sum ? 0 : 1;

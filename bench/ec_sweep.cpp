@@ -25,14 +25,10 @@
 //
 // Emits BENCH_pr8.json (--out PATH). --probe runs the same scenarios on a
 // small matrix for the CI smoke step.
-#include <cmath>
-#include <cstring>
-#include <fstream>
-#include <sstream>
+#include <algorithm>
 #include <vector>
 
 #include "harness.hpp"
-#include "sim/chaos.hpp"
 
 using namespace mri;
 using namespace mri::bench;
@@ -46,107 +42,20 @@ struct PolicySpec {
   int m = 0;
 };
 
-struct EcRun {
-  bool completed = false;
-  std::string error;
-  double sim_seconds = 0.0;
-  double paper_hours = 0.0;
-  double residual = 0.0;
-  std::uint64_t logical_bytes = 0;
-  std::uint64_t physical_bytes = 0;
-  std::uint64_t write_redundancy_bytes = 0;  // pipelined replica/cell bytes
-  std::uint64_t parity_bytes = 0;
-  std::uint64_t degraded_reads = 0;
-  std::uint64_t hot_cache_hits = 0;
-  RecoveryStats stats;
-  std::vector<mr::JobResult> jobs;
-  std::string report_json;
-};
-
-/// One inversion on a fresh cluster/DFS under the given storage policy.
-EcRun run_policy(const ScaledSetup& s, int nodes, const PolicySpec& spec,
-                 std::uint64_t matrix_seed,
-                 const std::vector<ChaosEvent>& events, bool verify,
-                 std::uint64_t hot_cache_bytes = 0) {
-  MetricsRegistry metrics;
-  Cluster cluster(nodes, s.model);
-  dfs::DfsConfig dfs_config;
-  dfs_config.storage_policy = spec.policy;
+/// The world for one policy: replication-3 or an RS(k,m) DFS, optionally
+/// with a namenode hot-block cache and a kill schedule.
+WorldSpec policy_world(const PolicySpec& spec,
+                       const std::vector<ChaosEvent>& events,
+                       std::uint64_t hot_cache_bytes = 0) {
+  WorldSpec world;
+  world.dfs.storage_policy = spec.policy;
   if (spec.policy == dfs::StoragePolicy::kErasureCoded) {
-    dfs_config.ec.k = spec.k;
-    dfs_config.ec.m = spec.m;
+    world.dfs.ec.k = spec.k;
+    world.dfs.ec.m = spec.m;
   }
-  dfs_config.hot_cache_bytes = hot_cache_bytes;
-  dfs::Dfs fs(nodes, dfs_config, &metrics);
-  ThreadPool pool(4);
-
-  ChaosEngine chaos;
-  for (const ChaosEvent& event : events) chaos.add_event(event);
-  fs.bind_chaos(&chaos, s.model.network_bandwidth, &s.model);
-
-  core::MapReduceInverter inverter(&cluster, &fs, &pool, nullptr, &metrics,
-                                   &chaos);
-  core::InversionOptions opts;
-  opts.nb = s.nb;
-  const Matrix a = random_matrix(s.n, matrix_seed);
-
-  EcRun run;
-  try {
-    core::MapReduceInverter::Result result = inverter.invert(a, opts);
-    run.completed = true;
-    run.sim_seconds = result.report.sim_seconds;
-    run.paper_hours = to_paper_seconds(run.sim_seconds, s.scale) / 3600.0;
-    run.residual = verify ? inversion_residual(a, result.inverse) : 0.0;
-    run.jobs = result.jobs;
-    const RunReport report = mr::build_run_report(
-        result.jobs, cluster, &metrics, result.master_spans, &chaos, nullptr,
-        &fs);
-    run.logical_bytes = report.storage.logical_bytes;
-    run.physical_bytes = report.storage.physical_bytes;
-    run.write_redundancy_bytes = report.dfs_io.bytes_replicated;
-    run.parity_bytes = report.storage.parity_bytes;
-    run.degraded_reads = report.storage.degraded_reads;
-    run.hot_cache_hits = report.storage.hot_cache_hits;
-    run.report_json = run_report_json(report);
-  } catch (const std::exception& e) {
-    run.error = e.what();
-  }
-  run.stats = chaos.stats();
-  return run;
-}
-
-/// Same reduce-window kill-time picker as fault_sweep: the dead node holds
-/// completed map outputs, so recovery pays a recompute wave on top of the
-/// storage repair this bench is about.
-double pick_kill_time(const EcRun& clean, double fraction) {
-  const double target = fraction * clean.sim_seconds;
-  double best = -1.0;
-  double best_distance = 0.0;
-  for (const mr::JobResult& job : clean.jobs) {
-    if (job.reduce_phase_seconds <= 0.0) continue;
-    const double launch = job.sim_seconds - job.map_phase_seconds -
-                          job.reduce_phase_seconds - job.recovery_seconds;
-    const double reduce_start =
-        job.start_seconds + launch + job.map_phase_seconds;
-    const double at = reduce_start + 0.25 * job.reduce_phase_seconds;
-    const double distance = std::abs(at - target);
-    if (best < 0.0 || distance < best_distance) {
-      best = at;
-      best_distance = distance;
-    }
-  }
-  MRI_REQUIRE(best >= 0.0, "clean run has no job with a reduce phase");
-  return best;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (c == '\n') { out += "\\n"; continue; }
-    out += c;
-  }
-  return out;
+  world.dfs.hot_cache_bytes = hot_cache_bytes;
+  world.chaos.events = events;
+  return world;
 }
 
 }  // namespace
@@ -165,11 +74,7 @@ int main(int argc, char** argv) {
                "traffic, recovery",
                "§7.4's storage layer");
 
-  const ScaledSetup setup = scaled_setup(probe ? kM5 : kM4, scale);
-  std::printf("%s at 1/%.0f scale: order %lld, nb %lld, %d nodes%s\n\n",
-              probe ? "M5" : "M4", scale, static_cast<long long>(setup.n),
-              static_cast<long long>(setup.nb), nodes,
-              probe ? " (probe mode)" : "");
+  const ScaledSetup setup = sweep_setup(probe, scale, nodes);
 
   const std::vector<PolicySpec> policies = {
       {"replicate-3", dfs::StoragePolicy::kReplicate, 0, 0},
@@ -180,8 +85,8 @@ int main(int argc, char** argv) {
 
   struct PolicyPoint {
     PolicySpec spec;
-    EcRun clean;
-    EcRun killed;
+    MrRun clean;
+    MrRun killed;
     double kill_at = 0.0;
     double stretch = 0.0;
   };
@@ -189,20 +94,22 @@ int main(int argc, char** argv) {
 
   std::printf("%-12s %14s %14s %12s %12s %10s\n", "policy", "logical",
               "physical", "overhead", "write-redun", "residual");
+  bool clean_residuals_ok = true;
   for (const PolicySpec& spec : policies) {
     PolicyPoint p;
     p.spec = spec;
-    p.clean = run_policy(setup, nodes, spec, seed, {}, true);
-    MRI_REQUIRE(p.clean.completed,
-                spec.name << " clean run failed: " << p.clean.error);
+    p.clean = run_mapreduce(setup, nodes, {}, seed, nullptr, true,
+                            policy_world(spec, {}));
+    const StorageReport& storage = p.clean.run_report.storage;
     std::printf("%-12s %14llu %14llu %11.2fx %12llu %10.2e\n", spec.name,
-                static_cast<unsigned long long>(p.clean.logical_bytes),
-                static_cast<unsigned long long>(p.clean.physical_bytes),
-                static_cast<double>(p.clean.physical_bytes) /
-                    static_cast<double>(p.clean.logical_bytes),
+                static_cast<unsigned long long>(storage.logical_bytes),
+                static_cast<unsigned long long>(storage.physical_bytes),
+                static_cast<double>(storage.physical_bytes) /
+                    static_cast<double>(storage.logical_bytes),
                 static_cast<unsigned long long>(
-                    p.clean.write_redundancy_bytes),
+                    p.clean.run_report.dfs_io.bytes_replicated),
                 p.clean.residual);
+    if (p.clean.residual >= residual_bound) clean_residuals_ok = false;
     points.push_back(std::move(p));
   }
 
@@ -210,22 +117,21 @@ int main(int argc, char** argv) {
   const PolicyPoint& repl = points[0];
   const PolicyPoint& rs63 = points[2];
   const double storage_ratio =
-      static_cast<double>(repl.clean.physical_bytes) /
-      static_cast<double>(rs63.clean.physical_bytes);
+      static_cast<double>(repl.clean.run_report.storage.physical_bytes) /
+      static_cast<double>(rs63.clean.run_report.storage.physical_bytes);
   const double write_ratio =
-      static_cast<double>(repl.clean.write_redundancy_bytes) /
-      static_cast<double>(rs63.clean.write_redundancy_bytes);
+      static_cast<double>(repl.clean.run_report.dfs_io.bytes_replicated) /
+      static_cast<double>(rs63.clean.run_report.dfs_io.bytes_replicated);
   std::printf("\nrs-6-3 vs replicate-3: %.2fx less physical storage, %.2fx "
               "fewer pipelined write bytes\n",
               storage_ratio, write_ratio);
   const bool storage_ok = storage_ratio >= 1.8;
   const bool write_ok = write_ratio >= 1.3;
-  const bool logical_consistent = [&] {
-    for (const PolicyPoint& p : points) {
-      if (p.clean.logical_bytes != repl.clean.logical_bytes) return false;
-    }
-    return true;
-  }();
+  const bool logical_consistent =
+      std::all_of(points.begin(), points.end(), [&](const PolicyPoint& p) {
+        return p.clean.run_report.storage.logical_bytes ==
+               repl.clean.run_report.storage.logical_bytes;
+      });
 
   // ---- single-kill recovery, side by side ---------------------------------
   std::printf("\nsingle kill (node %d, ~40%% in):\n", nodes - 1);
@@ -234,33 +140,39 @@ int main(int argc, char** argv) {
     p.kill_at = pick_kill_time(p.clean, 0.4);
     const std::vector<ChaosEvent> events = {
         {ChaosEventKind::kKillNode, p.kill_at, nodes - 1, 1.0}};
-    p.killed = run_policy(setup, nodes, p.spec, seed, events, true);
+    p.killed = run_mapreduce(setup, nodes, {}, seed, nullptr, true,
+                             policy_world(p.spec, events));
     if (!p.killed.completed) {
       std::printf("  %-12s did not recover: %s\n", p.spec.name,
                   p.killed.error.substr(0, 60).c_str());
       kills_ok = false;
       continue;
     }
-    p.stretch = p.killed.paper_hours / p.clean.paper_hours;
+    p.stretch = p.killed.paper_hours() / p.clean.paper_hours();
     std::printf("  %-12s %.2fx stretch, %.4f s repair (%llu B re-replicated, "
                 "%d cell(s) reconstructed), residual %.2e\n",
                 p.spec.name, p.stretch,
-                p.killed.stats.re_replication_seconds,
+                p.killed.chaos_stats.re_replication_seconds,
                 static_cast<unsigned long long>(
-                    p.killed.stats.re_replicated_bytes),
-                p.killed.stats.ec_cells_reconstructed, p.killed.residual);
+                    p.killed.chaos_stats.re_replicated_bytes),
+                p.killed.chaos_stats.ec_cells_reconstructed,
+                p.killed.residual);
     if (p.killed.residual >= residual_bound) kills_ok = false;
     // The repair mechanism must match the policy.
     const bool is_ec = p.spec.policy == dfs::StoragePolicy::kErasureCoded;
-    if (is_ec && p.killed.stats.ec_cells_reconstructed == 0) kills_ok = false;
-    if (!is_ec && p.killed.stats.re_replicated_bytes == 0) kills_ok = false;
+    if (is_ec && p.killed.chaos_stats.ec_cells_reconstructed == 0) {
+      kills_ok = false;
+    }
+    if (!is_ec && p.killed.chaos_stats.re_replicated_bytes == 0) {
+      kills_ok = false;
+    }
   }
 
   // ---- determinism: two same-seed RS(6,3) kill runs -----------------------
   const std::vector<ChaosEvent> det_events = {
       {ChaosEventKind::kKillNode, rs63.kill_at, nodes - 1, 1.0}};
-  const EcRun det =
-      run_policy(setup, nodes, rs63.spec, seed, det_events, true);
+  const MrRun det = run_mapreduce(setup, nodes, {}, seed, nullptr, true,
+                                  policy_world(rs63.spec, det_events));
   const bool deterministic =
       det.completed && det.report_json == rs63.killed.report_json;
   std::printf("\ndeterministic  : %s (same-seed rs-6-3 reports %s)\n",
@@ -268,11 +180,13 @@ int main(int argc, char** argv) {
               deterministic ? "bit-identical" : "DIFFER");
 
   // ---- hot-block cache on the re-read ut.bin factors ----------------------
-  const EcRun hot = run_policy(setup, nodes, rs63.spec, seed, {}, true,
-                               /*hot_cache_bytes=*/64ull << 20);
-  const bool hot_ok = hot.completed && hot.hot_cache_hits > 0;
+  const MrRun hot =
+      run_mapreduce(setup, nodes, {}, seed, nullptr, true,
+                    policy_world(rs63.spec, {}, /*hot_cache_bytes=*/64ull << 20));
+  const std::uint64_t hot_hits = hot.run_report.storage.hot_cache_hits;
+  const bool hot_ok = hot.completed && hot_hits > 0;
   std::printf("hot cache      : %llu hit(s) on cached factors%s\n",
-              static_cast<unsigned long long>(hot.hot_cache_hits),
+              static_cast<unsigned long long>(hot_hits),
               hot_ok ? "" : " (EXPECTED > 0)");
 
   std::printf("\nstorage ratio >= 1.8x   : %s (%.2fx)\n",
@@ -280,64 +194,66 @@ int main(int argc, char** argv) {
   std::printf("write ratio >= 1.3x     : %s (%.2fx)\n",
               write_ok ? "yes" : "NO", write_ratio);
   std::printf("kills recovered         : %s\n", kills_ok ? "yes" : "NO");
+  std::printf("clean residuals < %.0e : %s\n", residual_bound,
+              clean_residuals_ok ? "yes" : "NO");
 
-  std::ostringstream json;
-  json.precision(17);
-  json << "{\"config\":{\"matrix\":\"" << (probe ? "M5" : "M4")
-       << "\",\"order\":" << setup.n << ",\"nb\":" << setup.nb
-       << ",\"nodes\":" << nodes << ",\"scale\":" << scale
-       << ",\"seed\":" << seed << ",\"probe\":" << (probe ? "true" : "false")
-       << "},\"policies\":[";
-  bool first = true;
+  JsonWriter json(17);
+  begin_sweep_json(json, probe, setup, nodes, seed);
+  json.begin_array("policies");
   for (const PolicyPoint& p : points) {
-    if (!first) json << ',';
-    first = false;
-    json << "{\"policy\":\"" << p.spec.name << "\",\"ec_k\":" << p.spec.k
-         << ",\"ec_m\":" << p.spec.m
-         << ",\"clean\":{\"hours\":" << p.clean.paper_hours
-         << ",\"residual\":" << p.clean.residual
-         << ",\"logical_bytes\":" << p.clean.logical_bytes
-         << ",\"physical_bytes\":" << p.clean.physical_bytes
-         << ",\"write_redundancy_bytes\":" << p.clean.write_redundancy_bytes
-         << ",\"parity_bytes\":" << p.clean.parity_bytes
-         << "},\"killed\":{\"completed\":"
-         << (p.killed.completed ? "true" : "false");
+    const StorageReport& storage = p.clean.run_report.storage;
+    json.begin_object()
+        .field("policy", p.spec.name)
+        .field("ec_k", p.spec.k)
+        .field("ec_m", p.spec.m)
+        .begin_object("clean")
+        .field("hours", p.clean.paper_hours())
+        .field("residual", p.clean.residual)
+        .field("logical_bytes", storage.logical_bytes)
+        .field("physical_bytes", storage.physical_bytes)
+        .field("write_redundancy_bytes",
+               p.clean.run_report.dfs_io.bytes_replicated)
+        .field("parity_bytes", storage.parity_bytes)
+        .end_object()
+        .begin_object("killed")
+        .field("completed", p.killed.completed);
     if (p.killed.completed) {
-      json << ",\"hours\":" << p.killed.paper_hours
-           << ",\"stretch\":" << p.stretch
-           << ",\"residual\":" << p.killed.residual
-           << ",\"kill_at_sim_seconds\":" << p.kill_at
-           << ",\"re_replicated_bytes\":" << p.killed.stats.re_replicated_bytes
-           << ",\"ec_cells_reconstructed\":"
-           << p.killed.stats.ec_cells_reconstructed
-           << ",\"ec_reconstructed_bytes\":"
-           << p.killed.stats.ec_reconstructed_bytes
-           << ",\"repair_seconds\":"
-           << p.killed.stats.re_replication_seconds
-           << ",\"degraded_reads\":" << p.killed.degraded_reads;
+      const RecoveryStats& repair = p.killed.chaos_stats;
+      json.field("hours", p.killed.paper_hours())
+          .field("stretch", p.stretch)
+          .field("residual", p.killed.residual)
+          .field("kill_at_sim_seconds", p.kill_at)
+          .field("re_replicated_bytes", repair.re_replicated_bytes)
+          .field("ec_cells_reconstructed", repair.ec_cells_reconstructed)
+          .field("ec_reconstructed_bytes", repair.ec_reconstructed_bytes)
+          .field("repair_seconds", repair.re_replication_seconds)
+          .field("degraded_reads",
+                 p.killed.run_report.storage.degraded_reads);
     } else {
-      json << ",\"error\":\"" << json_escape(p.killed.error.substr(0, 120))
-           << "\"";
+      json.field("error", p.killed.error.substr(0, 120));
     }
-    json << "}}";
+    json.end_object().end_object();
   }
-  json << "],\"headline\":{\"storage_ratio_rs63_vs_repl3\":" << storage_ratio
-       << ",\"write_ratio_rs63_vs_repl3\":" << write_ratio
-       << ",\"storage_ratio_ok\":" << (storage_ok ? "true" : "false")
-       << ",\"write_ratio_ok\":" << (write_ok ? "true" : "false")
-       << "},\"hot_cache\":{\"capacity_bytes\":" << (64ull << 20)
-       << ",\"hits\":" << hot.hot_cache_hits
-       << ",\"completed\":" << (hot.completed ? "true" : "false")
-       << "},\"deterministic\":" << (deterministic ? "true" : "false")
-       << ",\"residual_bound\":" << residual_bound << "}";
-
-  std::ofstream f(out);
-  MRI_REQUIRE(f.good(), "cannot open output file: " << out);
-  f << json.str() << '\n';
+  json.end_array()
+      .begin_object("headline")
+      .field("storage_ratio_rs63_vs_repl3", storage_ratio)
+      .field("write_ratio_rs63_vs_repl3", write_ratio)
+      .field("storage_ratio_ok", storage_ok)
+      .field("write_ratio_ok", write_ok)
+      .end_object()
+      .begin_object("hot_cache")
+      .field("capacity_bytes", 64ull << 20)
+      .field("hits", hot_hits)
+      .field("completed", hot.completed)
+      .end_object()
+      .field("deterministic", deterministic)
+      .field("residual_bound", residual_bound)
+      .end_object();
+  write_json_file(out, json.str());
   std::printf("results written to %s\n", out.c_str());
 
   return storage_ok && write_ok && logical_consistent && kills_ok &&
-                 deterministic && hot_ok
+                 clean_residuals_ok && deterministic && hot_ok
              ? 0
              : 1;
 }

@@ -22,116 +22,10 @@
 //
 // Emits BENCH_pr5.json (--out PATH). --probe runs the same scenarios on a
 // small matrix for the CI smoke step.
-#include <cmath>
-#include <cstring>
-#include <fstream>
-#include <memory>
-#include <sstream>
-
 #include "harness.hpp"
-#include "sim/chaos.hpp"
 
 using namespace mri;
 using namespace mri::bench;
-
-namespace {
-
-struct ChaosRun {
-  bool completed = false;
-  std::string error;              // empty when completed
-  double sim_seconds = 0.0;
-  double paper_hours = 0.0;
-  double residual = 0.0;
-  int tasks_recomputed = 0;
-  int attempts_killed = 0;
-  RecoveryStats stats;            // engine side: kills, re-replication
-  std::vector<mr::JobResult> jobs;
-  std::string report_json;        // run-report JSON (determinism check)
-};
-
-/// One inversion on a fresh cluster/DFS/engine. The engine's applied-event
-/// state is monotonic, so every run builds its own engine; a chaos-free run
-/// is just an empty schedule.
-ChaosRun run_chaos(const ScaledSetup& s, int nodes, std::uint64_t matrix_seed,
-                   const ChaosOptions& chaos_options,
-                   const std::vector<ChaosEvent>& events, bool verify,
-                   int replication = 3) {
-  MetricsRegistry metrics;
-  Cluster cluster(nodes, s.model);
-  dfs::DfsConfig dfs_config;
-  dfs_config.replication = replication;
-  dfs::Dfs fs(nodes, dfs_config, &metrics);
-  ThreadPool pool(4);
-
-  ChaosEngine chaos(chaos_options);
-  for (const ChaosEvent& event : events) chaos.add_event(event);
-  if (chaos_options.mtbf_seconds > 0.0) chaos.sample_faults(nodes);
-  fs.bind_chaos(&chaos, s.model.network_bandwidth);
-
-  core::MapReduceInverter inverter(&cluster, &fs, &pool, nullptr, &metrics,
-                                   &chaos);
-  core::InversionOptions opts;
-  opts.nb = s.nb;
-  const Matrix a = random_matrix(s.n, matrix_seed);
-
-  ChaosRun run;
-  try {
-    core::MapReduceInverter::Result result = inverter.invert(a, opts);
-    run.completed = true;
-    run.sim_seconds = result.report.sim_seconds;
-    run.paper_hours = to_paper_seconds(run.sim_seconds, s.scale) / 3600.0;
-    run.residual = verify ? inversion_residual(a, result.inverse) : 0.0;
-    run.jobs = result.jobs;
-    for (const mr::JobResult& job : run.jobs) {
-      run.tasks_recomputed += job.tasks_recomputed;
-      run.attempts_killed += job.chaos_attempts_killed;
-    }
-    run.report_json = run_report_json(mr::build_run_report(
-        result.jobs, cluster, &metrics, result.master_spans, &chaos));
-  } catch (const std::exception& e) {
-    run.error = e.what();
-  }
-  run.stats = chaos.stats();
-  return run;
-}
-
-/// Picks a kill time inside a reduce window roughly `fraction` of the way
-/// through a clean run: the dead node then holds completed map outputs (a
-/// recompute wave is forced) and the remaining ~1-fraction of the run pays
-/// the shrunken slot pool — together the paper's "restarted when another
-/// mapper finished" stretch.
-double pick_kill_time(const ChaosRun& clean, double fraction) {
-  const double target = fraction * clean.sim_seconds;
-  double best = -1.0;
-  double best_distance = 0.0;
-  for (const mr::JobResult& job : clean.jobs) {
-    if (job.reduce_phase_seconds <= 0.0) continue;
-    const double launch = job.sim_seconds - job.map_phase_seconds -
-                          job.reduce_phase_seconds - job.recovery_seconds;
-    const double reduce_start =
-        job.start_seconds + launch + job.map_phase_seconds;
-    const double at = reduce_start + 0.25 * job.reduce_phase_seconds;
-    const double distance = std::abs(at - target);
-    if (best < 0.0 || distance < best_distance) {
-      best = at;
-      best_distance = distance;
-    }
-  }
-  MRI_REQUIRE(best >= 0.0, "clean run has no job with a reduce phase");
-  return best;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (c == '\n') { out += "\\n"; continue; }
-    out += c;
-  }
-  return out;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   CliOptions cli(argc, argv);
@@ -146,54 +40,50 @@ int main(int argc, char** argv) {
   print_header("§7.4 fault tolerance: node loss, re-replication, recovery",
                "§7.4");
 
-  // Probe: the smallest paper matrix, seconds of real compute — the CI
-  // smoke scenario. Full: M4, the matrix the paper's 5h→8h story is about.
-  const ScaledSetup setup = scaled_setup(probe ? kM5 : kM4, scale);
-  std::printf("%s at 1/%.0f scale: order %lld, nb %lld, %d nodes%s\n\n",
-              probe ? "M5" : "M4", scale, static_cast<long long>(setup.n),
-              static_cast<long long>(setup.nb), nodes,
-              probe ? " (probe mode)" : "");
+  const ScaledSetup setup = sweep_setup(probe, scale, nodes);
 
   // ---- 1. single kill vs. clean baseline ----------------------------------
-  const ChaosRun clean = run_chaos(setup, nodes, seed, {}, {}, true);
-  MRI_REQUIRE(clean.completed, "clean baseline failed: " << clean.error);
+  const MrRun clean = run_mapreduce(setup, nodes, {}, seed);
+  const double clean_seconds = clean.result.report.sim_seconds;
   std::printf("clean run      : %.2f paper-hours, residual %.2e\n",
-              clean.paper_hours, clean.residual);
+              clean.paper_hours(), clean.residual);
 
   // Kill a worker ~40%% of the way through: the recompute wave plus the
   // remaining run on nodes-1 workers lands the stretch near the paper's
   // 8h/5h = 1.6x.
   const int kill_node = nodes - 1;
   const double kill_at = pick_kill_time(clean, 0.4);
-  ChaosOptions kill_options;
-  kill_options.seed = seed;
-  const std::vector<ChaosEvent> kill_events = {
+  WorldSpec kill_world;
+  kill_world.chaos.options.seed = seed;
+  kill_world.chaos.events = {
       {ChaosEventKind::kKillNode, kill_at, kill_node, 1.0}};
-  const ChaosRun killed =
-      run_chaos(setup, nodes, seed, kill_options, kill_events, true);
+  const MrRun killed =
+      run_mapreduce(setup, nodes, {}, seed, nullptr, true, kill_world);
   MRI_REQUIRE(killed.completed,
               "single-kill run did not recover: " << killed.error);
-  const double stretch = killed.paper_hours / clean.paper_hours;
+  const RecoveryReport& recovery = killed.run_report.recovery;
+  const RecoveryStats& repair = killed.chaos_stats;
+  const double stretch = killed.paper_hours() / clean.paper_hours();
   std::printf("node %d killed @ %.4f sim-s: %.2f paper-hours (%.2fx), "
               "residual %.2e\n",
-              kill_node, kill_at, killed.paper_hours, stretch,
+              kill_node, kill_at, killed.paper_hours(), stretch,
               killed.residual);
   std::printf("recovery       : %d task(s) recomputed, %d attempt(s) killed, "
               "%llu bytes re-replicated, %d block(s) lost\n",
-              killed.tasks_recomputed, killed.attempts_killed,
-              static_cast<unsigned long long>(killed.stats.re_replicated_bytes),
-              killed.stats.blocks_lost);
+              recovery.tasks_recomputed, recovery.attempts_killed,
+              static_cast<unsigned long long>(repair.re_replicated_bytes),
+              repair.blocks_lost);
 
   const bool stretch_ok = stretch >= 1.2 && stretch <= 2.5;
   const bool residual_ok =
       clean.residual < residual_bound && killed.residual < residual_bound;
-  const bool recovery_ok = killed.tasks_recomputed > 0 &&
-                           killed.stats.re_replicated_bytes > 0 &&
-                           killed.stats.blocks_lost == 0;
+  const bool recovery_ok = recovery.tasks_recomputed > 0 &&
+                           repair.re_replicated_bytes > 0 &&
+                           repair.blocks_lost == 0;
 
   // ---- 2. determinism: same seed, same schedule, same report --------------
-  const ChaosRun killed2 =
-      run_chaos(setup, nodes, seed, kill_options, kill_events, true);
+  const MrRun killed2 =
+      run_mapreduce(setup, nodes, {}, seed, nullptr, true, kill_world);
   const bool deterministic =
       killed2.completed && killed2.report_json == killed.report_json;
   std::printf("deterministic  : %s (same-seed reports %s)\n",
@@ -209,47 +99,46 @@ int main(int argc, char** argv) {
             : std::vector<double>{8.0, 4.0, 2.0, 1.0};
   struct SweepPoint {
     double mtbf_sim = 0.0;
-    ChaosRun run;
+    MrRun run;
   };
   std::vector<SweepPoint> sweep;
+  bool sweep_residuals_ok = true;
   std::printf("\nMTBF sweep (horizon = clean runtime %.4f sim-s):\n",
-              clean.sim_seconds);
+              clean_seconds);
   for (double multiplier : mtbf_multipliers) {
     SweepPoint point;
-    point.mtbf_sim = multiplier * clean.sim_seconds;
-    ChaosOptions sample;
-    sample.seed = seed;
-    sample.mtbf_seconds = point.mtbf_sim;
-    sample.horizon_seconds = clean.sim_seconds;
-    sample.degrade_fraction = 0.3;
-    point.run = run_chaos(setup, nodes, seed, sample, {}, true);
-    const ChaosRun& r = point.run;
+    point.mtbf_sim = multiplier * clean_seconds;
+    WorldSpec sampled;
+    sampled.chaos.options.seed = seed;
+    sampled.chaos.options.mtbf_seconds = point.mtbf_sim;
+    sampled.chaos.options.horizon_seconds = clean_seconds;
+    sampled.chaos.options.degrade_fraction = 0.3;
+    point.run = run_mapreduce(setup, nodes, {}, seed, nullptr, true, sampled);
+    const MrRun& r = point.run;
+    if (r.completed && r.residual >= residual_bound) sweep_residuals_ok = false;
     if (r.completed) {
       std::printf("  mtbf %4.1fx runtime: %d killed, %d degraded, %d "
                   "recomputed -> %.2f h (%.2fx), residual %.2e\n",
-                  multiplier, r.stats.nodes_killed, r.stats.nodes_degraded,
-                  r.tasks_recomputed, r.paper_hours,
-                  r.paper_hours / clean.paper_hours, r.residual);
+                  multiplier, r.chaos_stats.nodes_killed,
+                  r.chaos_stats.nodes_degraded,
+                  r.run_report.recovery.tasks_recomputed, r.paper_hours(),
+                  r.paper_hours() / clean.paper_hours(), r.residual);
     } else {
       std::printf("  mtbf %4.1fx runtime: %d killed -> did not survive "
                   "(%s)\n",
-                  multiplier, r.stats.nodes_killed,
+                  multiplier, r.chaos_stats.nodes_killed,
                   r.error.substr(0, 60).c_str());
     }
     sweep.push_back(std::move(point));
   }
-  bool sweep_residuals_ok = true;
-  for (const SweepPoint& p : sweep) {
-    if (p.run.completed && p.run.residual >= residual_bound)
-      sweep_residuals_ok = false;
-  }
-
   // ---- 4. all replicas lost must fail fast --------------------------------
   // replication=1: the dead node's blocks have no surviving replica, so the
   // run must surface UnrecoverableBlock instead of hanging or fabricating
   // zeros.
-  const ChaosRun lost = run_chaos(setup, nodes, seed, kill_options,
-                                  kill_events, false, /*replication=*/1);
+  WorldSpec lost_world = kill_world;
+  lost_world.dfs.replication = 1;
+  const MrRun lost =
+      run_mapreduce(setup, nodes, {}, seed, nullptr, false, lost_world);
   const bool failed_fast =
       !lost.completed &&
       lost.error.find("nrecoverable") != std::string::npos;
@@ -263,53 +152,49 @@ int main(int argc, char** argv) {
               residual_ok && sweep_residuals_ok ? "yes" : "NO");
   std::printf("recovery counters > 0   : %s\n", recovery_ok ? "yes" : "NO");
 
-  std::ostringstream json;
-  json.precision(17);
-  json << "{\"config\":{\"matrix\":\"" << (probe ? "M5" : "M4")
-       << "\",\"order\":" << setup.n << ",\"nb\":" << setup.nb
-       << ",\"nodes\":" << nodes << ",\"scale\":" << scale
-       << ",\"seed\":" << seed << ",\"probe\":" << (probe ? "true" : "false")
-       << "},\"single_kill\":{\"clean_hours\":" << clean.paper_hours
-       << ",\"kill_hours\":" << killed.paper_hours
-       << ",\"stretch\":" << stretch << ",\"kill_node\":" << kill_node
-       << ",\"kill_at_sim_seconds\":" << kill_at
-       << ",\"residual_clean\":" << clean.residual
-       << ",\"residual_kill\":" << killed.residual
-       << ",\"tasks_recomputed\":" << killed.tasks_recomputed
-       << ",\"attempts_killed\":" << killed.attempts_killed
-       << ",\"re_replicated_bytes\":" << killed.stats.re_replicated_bytes
-       << ",\"re_replicated_blocks\":" << killed.stats.re_replicated_blocks
-       << ",\"blocks_lost\":" << killed.stats.blocks_lost
-       << ",\"stretch_in_range\":" << (stretch_ok ? "true" : "false")
-       << "},\"sweep\":[";
-  bool first = true;
+  JsonWriter json(17);
+  begin_sweep_json(json, probe, setup, nodes, seed);
+  json.begin_object("single_kill")
+      .field("clean_hours", clean.paper_hours())
+      .field("kill_hours", killed.paper_hours())
+      .field("stretch", stretch)
+      .field("kill_node", kill_node)
+      .field("kill_at_sim_seconds", kill_at)
+      .field("residual_clean", clean.residual)
+      .field("residual_kill", killed.residual)
+      .field("tasks_recomputed", recovery.tasks_recomputed)
+      .field("attempts_killed", recovery.attempts_killed)
+      .field("re_replicated_bytes", repair.re_replicated_bytes)
+      .field("re_replicated_blocks", repair.re_replicated_blocks)
+      .field("blocks_lost", repair.blocks_lost)
+      .field("stretch_in_range", stretch_ok)
+      .end_object()
+      .begin_array("sweep");
   for (const SweepPoint& p : sweep) {
-    if (!first) json << ',';
-    first = false;
-    json << "{\"mtbf_over_runtime\":" << (p.mtbf_sim / clean.sim_seconds)
-         << ",\"completed\":" << (p.run.completed ? "true" : "false")
-         << ",\"nodes_killed\":" << p.run.stats.nodes_killed
-         << ",\"nodes_degraded\":" << p.run.stats.nodes_degraded
-         << ",\"tasks_recomputed\":" << p.run.tasks_recomputed
-         << ",\"re_replicated_bytes\":" << p.run.stats.re_replicated_bytes;
+    json.begin_object()
+        .field("mtbf_over_runtime", p.mtbf_sim / clean_seconds)
+        .field("completed", p.run.completed)
+        .field("nodes_killed", p.run.chaos_stats.nodes_killed)
+        .field("nodes_degraded", p.run.chaos_stats.nodes_degraded)
+        .field("tasks_recomputed", p.run.run_report.recovery.tasks_recomputed)
+        .field("re_replicated_bytes", p.run.chaos_stats.re_replicated_bytes);
     if (p.run.completed) {
-      json << ",\"hours\":" << p.run.paper_hours
-           << ",\"residual\":" << p.run.residual;
+      json.field("hours", p.run.paper_hours()).field("residual", p.run.residual);
     } else {
-      json << ",\"error\":\"" << json_escape(p.run.error.substr(0, 120))
-           << "\"";
+      json.field("error", p.run.error.substr(0, 120));
     }
-    json << "}";
+    json.end_object();
   }
-  json << "],\"unrecoverable\":{\"replication\":1,\"failed_fast\":"
-       << (failed_fast ? "true" : "false") << ",\"error\":\""
-       << json_escape(lost.error.substr(0, 120))
-       << "\"},\"deterministic\":" << (deterministic ? "true" : "false")
-       << ",\"residual_bound\":" << residual_bound << "}";
-
-  std::ofstream f(out);
-  MRI_REQUIRE(f.good(), "cannot open output file: " << out);
-  f << json.str() << '\n';
+  json.end_array()
+      .begin_object("unrecoverable")
+      .field("replication", 1)
+      .field("failed_fast", failed_fast)
+      .field("error", lost.error.substr(0, 120))
+      .end_object()
+      .field("deterministic", deterministic)
+      .field("residual_bound", residual_bound)
+      .end_object();
+  write_json_file(out, json.str());
   std::printf("results written to %s\n", out.c_str());
 
   return stretch_ok && residual_ok && sweep_residuals_ok && recovery_ok &&

@@ -5,12 +5,12 @@
 // Sweeps the replication factor r at fixed m0 and records, per point, the
 // round count, shuffle bytes moved through the pipeline, the peak per-task
 // operand footprint from the MultiplyPlan, and the residual against the
-// block-wrap product. Emits BENCH_pr9.json (see --out); the multiround-sweep
-// CI job validates the schema and asserts the monotone tradeoff:
-// rounds and total bytes fall as r grows while peak task bytes rise.
+// block-wrap product. Emits BENCH_pr9.json (see --out) and exits non-zero
+// unless the tradeoff is monotone — rounds and total bytes fall as r grows
+// while peak task bytes rise — over at least three points, the last of
+// which (r = m0) runs a single round.
 #include "harness.hpp"
 
-#include <cinttypes>
 #include <sstream>
 #include <vector>
 
@@ -116,7 +116,8 @@ int main(int argc, char** argv) {
               format_bytes(wrap_io.bytes_written).c_str(),
               format_bytes(wrap_plan.peak_task_bytes).c_str(), wrap_residual);
 
-  // Headline checks mirrored by the CI validator.
+  // Headline checks; the exit code is their conjunction.
+  const bool sweep_ok = points.size() >= 3 && points.back().plan.rounds == 1;
   bool rounds_monotone = true, bytes_monotone = true, peak_monotone = true;
   bool residuals_ok = wrap_residual < 1e-10;
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -132,46 +133,57 @@ int main(int argc, char** argv) {
         points[i].plan.peak_task_bytes >= points[i - 1].plan.peak_task_bytes;
   }
   std::printf("rounds monotone down: %s, shuffle bytes monotone down: %s, "
-              "peak task bytes monotone up: %s, residuals ok: %s\n",
+              "peak task bytes monotone up: %s, residuals ok: %s, >= 3 "
+              "points ending in one round: %s\n",
               rounds_monotone ? "yes" : "NO", bytes_monotone ? "yes" : "NO",
-              peak_monotone ? "yes" : "NO", residuals_ok ? "yes" : "NO");
+              peak_monotone ? "yes" : "NO", residuals_ok ? "yes" : "NO",
+              sweep_ok ? "yes" : "NO");
 
-  std::ostringstream json;
-  json << "{\"bench\":\"multiround_sweep\",\"n\":" << n << ",\"m0\":" << m0
-       << ",\"wrap\":{\"jobs\":1,\"rounds\":" << wrap_plan.rounds
-       << ",\"grid_rows\":" << wrap_plan.grid_rows
-       << ",\"grid_cols\":" << wrap_plan.grid_cols
-       << ",\"bytes_read\":" << wrap_io.bytes_read
-       << ",\"bytes_written\":" << wrap_io.bytes_written
-       << ",\"total_bytes\":" << (wrap_io.bytes_read + wrap_io.bytes_written)
-       << ",\"peak_task_bytes\":" << wrap_plan.peak_task_bytes
-       << ",\"residual\":" << wrap_residual << "},\"sweep\":[";
-  bool first = true;
+  const auto bytes_fields = [](JsonWriter& w, const IoStats& io) {
+    w.field("bytes_read", io.bytes_read)
+        .field("bytes_written", io.bytes_written)
+        .field("total_bytes", io.bytes_read + io.bytes_written);
+  };
+  JsonWriter json(17);
+  json.begin_object()
+      .field("bench", "multiround_sweep")
+      .field("n", n)
+      .field("m0", m0)
+      .begin_object("wrap")
+      .field("jobs", 1)
+      .field("rounds", wrap_plan.rounds)
+      .field("grid_rows", wrap_plan.grid_rows)
+      .field("grid_cols", wrap_plan.grid_cols);
+  bytes_fields(json, wrap_io);
+  json.field("peak_task_bytes", wrap_plan.peak_task_bytes)
+      .field("residual", wrap_residual)
+      .end_object()
+      .begin_array("sweep");
   for (const SweepPoint& p : points) {
-    if (!first) json << ',';
-    first = false;
-    json << "{\"replication\":" << p.replication
-         << ",\"rounds\":" << p.plan.rounds << ",\"jobs\":" << p.jobs
-         << ",\"segments\":" << p.plan.segments
-         << ",\"bytes_read\":" << p.io.bytes_read
-         << ",\"bytes_written\":" << p.io.bytes_written
-         << ",\"total_bytes\":" << (p.io.bytes_read + p.io.bytes_written)
-         << ",\"peak_task_bytes\":" << p.plan.peak_task_bytes
-         << ",\"sim_seconds\":" << p.sim_seconds
-         << ",\"max_abs_diff_vs_wrap\":" << p.max_abs_diff_vs_wrap << "}";
+    json.begin_object()
+        .field("replication", p.replication)
+        .field("rounds", p.plan.rounds)
+        .field("jobs", p.jobs)
+        .field("segments", p.plan.segments);
+    bytes_fields(json, p.io);
+    json.field("peak_task_bytes", p.plan.peak_task_bytes)
+        .field("sim_seconds", p.sim_seconds)
+        .field("max_abs_diff_vs_wrap", p.max_abs_diff_vs_wrap)
+        .end_object();
   }
-  json << "],\"headline\":{\"rounds_monotone_down\":"
-       << (rounds_monotone ? "true" : "false")
-       << ",\"total_bytes_monotone_down\":" << (bytes_monotone ? "true" : "false")
-       << ",\"peak_task_bytes_monotone_up\":" << (peak_monotone ? "true" : "false")
-       << ",\"residuals_ok\":" << (residuals_ok ? "true" : "false") << "}}";
-
-  std::ofstream f(out);
-  MRI_REQUIRE(f.good(), "cannot open output file: " << out);
-  f << json.str() << '\n';
+  json.end_array()
+      .begin_object("headline")
+      .field("rounds_monotone_down", rounds_monotone)
+      .field("total_bytes_monotone_down", bytes_monotone)
+      .field("peak_task_bytes_monotone_up", peak_monotone)
+      .field("residuals_ok", residuals_ok)
+      .end_object()
+      .end_object();
+  write_json_file(out, json.str());
   std::printf("results written to %s\n", out.c_str());
 
-  return rounds_monotone && bytes_monotone && peak_monotone && residuals_ok
+  return sweep_ok && rounds_monotone && bytes_monotone && peak_monotone &&
+                 residuals_ok
              ? 0
              : 1;
 }

@@ -19,72 +19,48 @@
 // Emits BENCH_pr6.json (--out PATH). --probe runs a smaller matrix for the
 // CI smoke step. Exit code = number of failed assertions.
 #include <algorithm>
-#include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "harness.hpp"
-#include "net/topology.hpp"
 
 using namespace mri;
 using namespace mri::bench;
 
 namespace {
 
-struct NetRun {
-  double sim_seconds = 0.0;
-  double paper_hours = 0.0;
-  double map_seconds = 0.0;     // sum of map phases over jobs
-  double reduce_seconds = 0.0;  // sum of reduce phases (the shuffle side)
-  double residual = 0.0;
-  NetworkReport network;        // config + locality counters + link loads
-  double peak_uplink_utilization = 0.0;
-  std::string report_json;      // for the flat-identical check
-};
+/// Sum of one phase's seconds over the run's jobs.
+double phase_seconds(const MrRun& r, double mr::JobResult::*phase) {
+  double total = 0.0;
+  for (const mr::JobResult& job : r.result.jobs) total += job.*phase;
+  return total;
+}
 
-/// One inversion on a fresh cluster/DFS, optionally under a topology. The
-/// same Topology object is attached to both the Cluster (flow-level phase
-/// costing) and the Dfs (placement + transfer endpoints).
-NetRun run_net(const ScaledSetup& s, int nodes,
-               std::shared_ptr<const net::Topology> topo, bool verify) {
-  MetricsRegistry metrics;
-  Cluster cluster(nodes, s.model);
-  dfs::Dfs fs(nodes, dfs::DfsConfig{}, &metrics);
-  ThreadPool pool(4);
-  if (topo != nullptr) {
-    cluster.set_topology(topo);
-    fs.set_topology(topo);
-  }
+/// The shuffle side: the reduce phases.
+double reduce_seconds(const MrRun& r) {
+  return phase_seconds(r, &mr::JobResult::reduce_phase_seconds);
+}
 
-  core::MapReduceInverter inverter(&cluster, &fs, &pool, nullptr, &metrics);
-  core::InversionOptions opts;
-  opts.nb = s.nb;
-  const Matrix a = random_matrix(s.n, /*seed=*/1);
-  core::MapReduceInverter::Result result = inverter.invert(a, opts);
-
-  NetRun run;
-  run.sim_seconds = result.report.sim_seconds;
-  run.paper_hours = to_paper_seconds(run.sim_seconds, s.scale) / 3600.0;
-  for (const mr::JobResult& job : result.jobs) {
-    run.map_seconds += job.map_phase_seconds;
-    run.reduce_seconds += job.reduce_phase_seconds;
-  }
-  run.residual = verify ? inversion_residual(a, result.inverse) : 0.0;
-  const RunReport report = mr::build_run_report(result.jobs, cluster,
-                                                &metrics, result.master_spans);
-  run.network = report.network;
-  for (const LinkReport& link : report.network.links) {
+double peak_uplink_utilization(const MrRun& r) {
+  double peak = 0.0;
+  for (const LinkReport& link : r.run_report.network.links) {
     if (link.name.find("rack") == 0 &&
         link.name.find(":up") != std::string::npos) {
-      run.peak_uplink_utilization =
-          std::max(run.peak_uplink_utilization, link.peak_utilization);
+      peak = std::max(peak, link.peak_utilization);
     }
   }
-  run.report_json = run_report_json(report);
-  return run;
+  return peak;
+}
+
+/// One inversion under `topo` (null = the scalar network), attached to both
+/// the cluster (flow-level phase costing) and the DFS (placement and
+/// transfer endpoints).
+MrRun run_net(const ScaledSetup& s, int nodes,
+              std::shared_ptr<const net::Topology> topo, bool verify) {
+  WorldSpec world;
+  world.topology = std::move(topo);
+  return run_mapreduce(s, nodes, {}, /*seed=*/1, nullptr, verify, world);
 }
 
 std::shared_ptr<const net::Topology> make_topology(int nodes, double bandwidth,
@@ -98,13 +74,14 @@ std::shared_ptr<const net::Topology> make_topology(int nodes, double bandwidth,
   return std::make_shared<const net::Topology>(nodes, bandwidth, o);
 }
 
-void append_network_json(std::ostringstream& json, const NetRun& r) {
-  json << "\"node_local_bytes\":" << r.network.node_local_bytes
-       << ",\"rack_local_bytes\":" << r.network.rack_local_bytes
-       << ",\"cross_rack_bytes\":" << r.network.cross_rack_bytes
-       << ",\"rack_local_attempts\":" << r.network.rack_local_attempts
-       << ",\"cross_rack_attempts\":" << r.network.cross_rack_attempts
-       << ",\"peak_uplink_utilization\":" << r.peak_uplink_utilization;
+void network_fields(JsonWriter& json, const MrRun& r) {
+  const NetworkReport& n = r.run_report.network;
+  json.field("node_local_bytes", n.node_local_bytes)
+      .field("rack_local_bytes", n.rack_local_bytes)
+      .field("cross_rack_bytes", n.cross_rack_bytes)
+      .field("rack_local_attempts", n.rack_local_attempts)
+      .field("cross_rack_attempts", n.cross_rack_attempts)
+      .field("peak_uplink_utilization", peak_uplink_utilization(r));
 }
 
 }  // namespace
@@ -136,15 +113,17 @@ int main(int argc, char** argv) {
               probe ? " (probe mode)" : "");
 
   // ---- 1. flat topology must reproduce the scalar model bit-identically ---
-  const NetRun baseline = run_net(setup, nodes, nullptr, true);
-  const NetRun flat = run_net(
+  const MrRun baseline = run_net(setup, nodes, nullptr, true);
+  const MrRun flat = run_net(
       setup, nodes,
       std::make_shared<const net::Topology>(nodes,
                                             setup.model.network_bandwidth),
       false);
   const bool flat_identical = flat.report_json == baseline.report_json;
+  const double baseline_seconds = baseline.result.report.sim_seconds;
+  const double baseline_reduce = reduce_seconds(baseline);
   std::printf("scalar baseline : %.4f sim-s (%.2f paper-hours), residual "
-              "%.2e\n", baseline.sim_seconds, baseline.paper_hours,
+              "%.2e\n", baseline_seconds, baseline.paper_hours(),
               baseline.residual);
   std::printf("flat topology   : report %s\n",
               flat_identical ? "bit-identical to baseline"
@@ -156,7 +135,7 @@ int main(int argc, char** argv) {
             : std::vector<double>{1.0, 2.0, 4.0, 8.0};
   struct SweepPoint {
     double oversub = 0.0;
-    NetRun run;
+    MrRun run;
   };
   std::vector<SweepPoint> sweep;
   std::printf("\noversubscription sweep (rack-oblivious hash placement):\n");
@@ -167,48 +146,50 @@ int main(int argc, char** argv) {
                     make_topology(nodes, setup.model.network_bandwidth, racks,
                                   oversub, /*rack_aware=*/false),
                     false);
+    const double seconds = p.run.result.report.sim_seconds;
     std::printf("  %3.0f:1 -> shuffle %.4f s (%.2fx), total %.4f s (%.2fx), "
                 "peak uplink %.0f%%\n",
-                oversub, p.run.reduce_seconds,
-                p.run.reduce_seconds / baseline.reduce_seconds,
-                p.run.sim_seconds, p.run.sim_seconds / baseline.sim_seconds,
-                100.0 * p.run.peak_uplink_utilization);
+                oversub, reduce_seconds(p.run),
+                reduce_seconds(p.run) / baseline_reduce, seconds,
+                seconds / baseline_seconds,
+                100.0 * peak_uplink_utilization(p.run));
     sweep.push_back(std::move(p));
   }
   const SweepPoint& contended =
       *std::find_if(sweep.begin(), sweep.end(),
                     [](const SweepPoint& p) { return p.oversub == 4.0; });
-  const double stretch4 = contended.run.reduce_seconds / baseline.reduce_seconds;
+  const NetworkReport& contended_net = contended.run.run_report.network;
+  const double stretch4 = reduce_seconds(contended.run) / baseline_reduce;
   const bool stretch_ok = stretch4 >= 1.3;
 
   // The sweep must be monotone in spirit: the tightest fabric is at least
   // as slow as the non-blocking one.
   const bool sweep_ordered =
-      sweep.back().run.reduce_seconds >= sweep.front().run.reduce_seconds;
+      reduce_seconds(sweep.back().run) >= reduce_seconds(sweep.front().run);
 
   // ---- 3. rack-aware placement at the contended point ----------------------
-  const NetRun aware = run_net(
+  const MrRun aware = run_net(
       setup, nodes,
       make_topology(nodes, setup.model.network_bandwidth, racks, 4.0,
                     /*rack_aware=*/true),
       true);
-  const double stretch4_aware = aware.reduce_seconds / baseline.reduce_seconds;
+  const NetworkReport& aware_net = aware.run_report.network;
+  const double aware_reduce = reduce_seconds(aware);
+  const double stretch4_aware = aware_reduce / baseline_reduce;
   std::printf("\nrack-aware @ 4:1 -> shuffle %.4f s (%.2fx vs %.2fx "
               "oblivious), cross-rack %.1f MB vs %.1f MB\n",
-              aware.reduce_seconds, stretch4_aware, stretch4,
-              static_cast<double>(aware.network.cross_rack_bytes) / 1e6,
-              static_cast<double>(contended.run.network.cross_rack_bytes) /
-                  1e6);
+              aware_reduce, stretch4_aware, stretch4,
+              static_cast<double>(aware_net.cross_rack_bytes) / 1e6,
+              static_cast<double>(contended_net.cross_rack_bytes) / 1e6);
   const bool aware_reduces_stretch =
-      aware.reduce_seconds < contended.run.reduce_seconds;
+      aware_reduce < reduce_seconds(contended.run);
   const bool aware_reduces_bytes =
-      aware.network.cross_rack_bytes <
-      contended.run.network.cross_rack_bytes;
+      aware_net.cross_rack_bytes < contended_net.cross_rack_bytes;
   const bool residual_ok = baseline.residual < residual_bound &&
                            aware.residual < residual_bound;
-  const bool counters_ok = contended.run.network.cross_rack_bytes > 0 &&
-                           aware.network.node_local_bytes > 0 &&
-                           contended.run.peak_uplink_utilization > 0.0;
+  const bool counters_ok = contended_net.cross_rack_bytes > 0 &&
+                           aware_net.node_local_bytes > 0 &&
+                           peak_uplink_utilization(contended.run) > 0.0;
 
   std::printf("\nflat reproduces scalar    : %s\n",
               flat_identical ? "yes" : "NO");
@@ -222,54 +203,58 @@ int main(int argc, char** argv) {
               residual_ok ? "yes" : "NO");
   std::printf("locality counters sane    : %s\n", counters_ok ? "yes" : "NO");
 
-  std::ostringstream json;
-  json.precision(17);
-  json << "{\"config\":{\"matrix\":\"" << (probe ? "M5" : "M2")
-       << "\",\"order\":" << setup.n << ",\"nb\":" << setup.nb
-       << ",\"nodes\":" << nodes << ",\"racks\":" << racks
-       << ",\"scale\":" << scale
-       << ",\"probe\":" << (probe ? "true" : "false")
-       << "},\"baseline\":{\"sim_seconds\":" << baseline.sim_seconds
-       << ",\"map_seconds\":" << baseline.map_seconds
-       << ",\"reduce_seconds\":" << baseline.reduce_seconds
-       << ",\"paper_hours\":" << baseline.paper_hours
-       << ",\"residual\":" << baseline.residual
-       << "},\"flat_identical\":" << (flat_identical ? "true" : "false")
-       << ",\"sweep\":[";
-  bool first = true;
+  JsonWriter json(17);
+  json.begin_object()
+      .begin_object("config")
+      .field("matrix", probe ? "M5" : "M2")
+      .field("order", setup.n)
+      .field("nb", setup.nb)
+      .field("nodes", nodes)
+      .field("racks", racks)
+      .field("scale", scale)
+      .field("probe", probe)
+      .end_object()
+      .begin_object("baseline")
+      .field("sim_seconds", baseline_seconds)
+      .field("map_seconds",
+             phase_seconds(baseline, &mr::JobResult::map_phase_seconds))
+      .field("reduce_seconds", baseline_reduce)
+      .field("paper_hours", baseline.paper_hours())
+      .field("residual", baseline.residual)
+      .end_object()
+      .field("flat_identical", flat_identical)
+      .begin_array("sweep");
   for (const SweepPoint& p : sweep) {
-    if (!first) json << ',';
-    first = false;
-    json << "{\"oversubscription\":" << p.oversub
-         << ",\"sim_seconds\":" << p.run.sim_seconds
-         << ",\"reduce_seconds\":" << p.run.reduce_seconds
-         << ",\"shuffle_stretch\":"
-         << (p.run.reduce_seconds / baseline.reduce_seconds)
-         << ",\"total_stretch\":"
-         << (p.run.sim_seconds / baseline.sim_seconds) << ",";
-    append_network_json(json, p.run);
-    json << "}";
+    const double seconds = p.run.result.report.sim_seconds;
+    json.begin_object()
+        .field("oversubscription", p.oversub)
+        .field("sim_seconds", seconds)
+        .field("reduce_seconds", reduce_seconds(p.run))
+        .field("shuffle_stretch", reduce_seconds(p.run) / baseline_reduce)
+        .field("total_stretch", seconds / baseline_seconds);
+    network_fields(json, p.run);
+    json.end_object();
   }
-  json << "],\"rack_aware\":{\"oversubscription\":4"
-       << ",\"sim_seconds\":" << aware.sim_seconds
-       << ",\"reduce_seconds\":" << aware.reduce_seconds
-       << ",\"shuffle_stretch\":" << stretch4_aware
-       << ",\"residual\":" << aware.residual << ",";
-  append_network_json(json, aware);
-  json << "},\"assertions\":{\"flat_identical\":"
-       << (flat_identical ? "true" : "false")
-       << ",\"stretch_at_4x_over_1_3\":" << (stretch_ok ? "true" : "false")
-       << ",\"sweep_ordered\":" << (sweep_ordered ? "true" : "false")
-       << ",\"rack_aware_reduces_stretch\":"
-       << (aware_reduces_stretch ? "true" : "false")
-       << ",\"rack_aware_reduces_cross_rack_bytes\":"
-       << (aware_reduces_bytes ? "true" : "false")
-       << ",\"residuals_ok\":" << (residual_ok ? "true" : "false")
-       << ",\"counters_ok\":" << (counters_ok ? "true" : "false") << "}}";
-
-  std::ofstream f(out);
-  MRI_REQUIRE(f.good(), "cannot open output file: " << out);
-  f << json.str() << '\n';
+  json.end_array()
+      .begin_object("rack_aware")
+      .field("oversubscription", 4)
+      .field("sim_seconds", aware.result.report.sim_seconds)
+      .field("reduce_seconds", aware_reduce)
+      .field("shuffle_stretch", stretch4_aware)
+      .field("residual", aware.residual);
+  network_fields(json, aware);
+  json.end_object()
+      .begin_object("assertions")
+      .field("flat_identical", flat_identical)
+      .field("stretch_at_4x_over_1_3", stretch_ok)
+      .field("sweep_ordered", sweep_ordered)
+      .field("rack_aware_reduces_stretch", aware_reduces_stretch)
+      .field("rack_aware_reduces_cross_rack_bytes", aware_reduces_bytes)
+      .field("residuals_ok", residual_ok)
+      .field("counters_ok", counters_ok)
+      .end_object()
+      .end_object();
+  write_json_file(out, json.str());
   std::printf("\nresults written to %s\n", out.c_str());
 
   int failed = 0;

@@ -30,14 +30,10 @@
 //
 // Emits BENCH_pr10.json (--out PATH). --probe runs the same scenarios on a
 // small matrix for the CI smoke step.
-#include <cmath>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <vector>
 
 #include "harness.hpp"
-#include "sim/chaos.hpp"
 
 using namespace mri;
 using namespace mri::bench;
@@ -51,74 +47,37 @@ struct ScrubConfig {
   bool ec = false;                       // RS(6,3) instead of replication-3
   bool spin = false;                     // in-memory engine, lineage repair
   std::vector<ChaosEvent> events;
-};
 
-struct ScrubRun {
-  bool completed = false;
-  std::string error;
-  double sim_seconds = 0.0;
-  double paper_hours = 0.0;
-  double residual = 0.0;
-  int blocks_corrupted = 0;  // chaos-side injection count
-  IntegrityReport integrity;
-  std::string report_json;
+  /// The DFS and fault schedule this config runs under; the scrub interval
+  /// is a fraction of the clean run's `clean_seconds`.
+  WorldSpec world(double clean_seconds) const {
+    WorldSpec w;
+    if (ec) {
+      w.dfs.storage_policy = dfs::StoragePolicy::kErasureCoded;
+      w.dfs.ec.k = 6;
+      w.dfs.ec.m = 3;
+    }
+    w.dfs.verify_checksums = verify;
+    if (scrub_interval_fraction > 0.0) {
+      w.dfs.scrub_interval_seconds = scrub_interval_fraction * clean_seconds;
+    }
+    w.chaos.events = events;
+    return w;
+  }
+
+  core::InversionOptions options() const {
+    core::InversionOptions opts;
+    if (spin) {
+      opts.engine = core::EngineKind::kSpin;
+      opts.cache_capacity_bytes = 256ull << 20;
+    }
+    return opts;
+  }
 };
 
 std::int64_t repaired_total(const IntegrityReport& i) {
   return i.cells_repaired_copy + i.cells_repaired_ec +
          i.cells_repaired_lineage;
-}
-
-/// One inversion on a fresh cluster/DFS under the given integrity config.
-ScrubRun run_config(const ScaledSetup& s, int nodes, const ScrubConfig& spec,
-                    std::uint64_t matrix_seed, double clean_seconds) {
-  MetricsRegistry metrics;
-  Cluster cluster(nodes, s.model);
-  dfs::DfsConfig dfs_config;
-  if (spec.ec) {
-    dfs_config.storage_policy = dfs::StoragePolicy::kErasureCoded;
-    dfs_config.ec.k = 6;
-    dfs_config.ec.m = 3;
-  }
-  dfs_config.verify_checksums = spec.verify;
-  if (spec.scrub_interval_fraction > 0.0) {
-    dfs_config.scrub_interval_seconds =
-        spec.scrub_interval_fraction * clean_seconds;
-  }
-  dfs::Dfs fs(nodes, dfs_config, &metrics);
-  ThreadPool pool(4);
-
-  ChaosEngine chaos;
-  for (const ChaosEvent& event : spec.events) chaos.add_event(event);
-  fs.bind_chaos(&chaos, s.model.network_bandwidth, &s.model);
-
-  core::MapReduceInverter inverter(&cluster, &fs, &pool, nullptr, &metrics,
-                                   &chaos);
-  core::InversionOptions opts;
-  opts.nb = s.nb;
-  if (spec.spin) {
-    opts.engine = core::EngineKind::kSpin;
-    opts.cache_capacity_bytes = 256ull << 20;
-  }
-  const Matrix a = random_matrix(s.n, matrix_seed);
-
-  ScrubRun run;
-  try {
-    core::MapReduceInverter::Result result = inverter.invert(a, opts);
-    run.completed = true;
-    run.sim_seconds = result.report.sim_seconds;
-    run.paper_hours = to_paper_seconds(run.sim_seconds, s.scale) / 3600.0;
-    run.residual = inversion_residual(a, result.inverse);
-    const RunReport report = mr::build_run_report(
-        result.jobs, cluster, &metrics, result.master_spans, &chaos,
-        result.engine_active ? &result.engine_stats : nullptr, &fs);
-    run.integrity = report.integrity;
-    run.report_json = run_report_json(report);
-  } catch (const std::exception& e) {
-    run.error = e.what();
-  }
-  run.blocks_corrupted = chaos.stats().blocks_corrupted;
-  return run;
 }
 
 /// Explicit --corrupt-block-style events: primary copies of the largest
@@ -156,16 +115,6 @@ std::vector<ChaosEvent> salted_corruptions(double clean_seconds, int nodes) {
   return events;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (c == '\n') { out += "\\n"; continue; }
-    out += c;
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -183,20 +132,20 @@ int main(int argc, char** argv) {
                "scrubber",
                "end-to-end data integrity");
 
-  const ScaledSetup setup = scaled_setup(probe ? kM5 : kM4, scale);
-  std::printf("%s at 1/%.0f scale: order %lld, nb %lld, %d nodes%s\n\n",
-              probe ? "M5" : "M4", scale, static_cast<long long>(setup.n),
-              static_cast<long long>(setup.nb), nodes,
-              probe ? " (probe mode)" : "");
+  const ScaledSetup setup = sweep_setup(probe, scale, nodes);
 
   // The clean run anchors corruption times and the scrub interval.
   ScrubConfig clean_spec{"clean", false, 0.0, false, false, {}};
-  const ScrubRun clean = run_config(setup, nodes, clean_spec, seed, 0.0);
-  MRI_REQUIRE(clean.completed, "clean run failed: " << clean.error);
+  const auto run = [&](const ScrubConfig& spec, double anchor_seconds) {
+    return run_mapreduce(setup, nodes, spec.options(), seed, nullptr, true,
+                         spec.world(anchor_seconds));
+  };
+  const MrRun clean = run(clean_spec, 0.0);
+  const double clean_seconds = clean.result.report.sim_seconds;
   const std::vector<ChaosEvent> corruptions =
-      explicit_corruptions(clean.sim_seconds, nodes);
+      explicit_corruptions(clean_seconds, nodes);
   const std::vector<ChaosEvent> salted =
-      salted_corruptions(clean.sim_seconds, nodes);
+      salted_corruptions(clean_seconds, nodes);
 
   std::vector<ScrubConfig> configs;
   configs.push_back({"verify-clean", /*verify=*/true, 0.0, false, false, {}});
@@ -213,7 +162,7 @@ int main(int argc, char** argv) {
 
   struct Point {
     ScrubConfig spec;
-    ScrubRun run;
+    MrRun run;
   };
   std::vector<Point> points;
   points.push_back({clean_spec, clean});
@@ -222,10 +171,10 @@ int main(int argc, char** argv) {
               "injected", "detected", "repaired", "(copy/ec/lineage)",
               "scrubs", "residual");
   const auto print_row = [](const Point& p) {
-    const IntegrityReport& i = p.run.integrity;
+    const IntegrityReport& i = p.run.run_report.integrity;
     std::printf("%-12s %10.4f %9lld %9lld %9lld %10lld/%4lld/%4lld %7lld "
                 "%10.2e\n",
-                p.spec.name, p.run.paper_hours,
+                p.spec.name, p.run.paper_hours(),
                 static_cast<long long>(i.corruptions_injected),
                 static_cast<long long>(i.corruptions_detected),
                 static_cast<long long>(repaired_total(i)),
@@ -238,7 +187,7 @@ int main(int argc, char** argv) {
   for (const ScrubConfig& spec : configs) {
     Point p;
     p.spec = spec;
-    p.run = run_config(setup, nodes, spec, seed, clean.sim_seconds);
+    p.run = run(spec, clean_seconds);
     MRI_REQUIRE(p.run.completed,
                 spec.name << " run failed: " << p.run.error);
     print_row(p);
@@ -261,7 +210,7 @@ int main(int argc, char** argv) {
 
   // ---- assertions ---------------------------------------------------------
   // clean: the integrity layer must cost literally nothing when off.
-  const IntegrityReport& ci = clean.integrity;
+  const IntegrityReport& ci = clean.run_report.integrity;
   const bool clean_zero = !ci.verify_checksums && ci.cells_checksummed == 0 &&
                           ci.cells_verified == 0 && ci.bytes_verified == 0 &&
                           ci.corruptions_injected == 0 &&
@@ -272,12 +221,12 @@ int main(int argc, char** argv) {
                           clean.residual < residual_bound;
 
   // clean determinism: a second identical run must be bit-identical.
-  const ScrubRun clean2 = run_config(setup, nodes, clean_spec, seed, 0.0);
+  const MrRun clean2 = run(clean_spec, 0.0);
   const bool clean_deterministic =
       clean2.completed && clean2.report_json == clean.report_json;
 
   // verify-clean: checksums computed and verified, nothing found.
-  const IntegrityReport& vi = verify_clean.run.integrity;
+  const IntegrityReport& vi = verify_clean.run.run_report.integrity;
   const bool verify_clean_ok =
       vi.verify_checksums && vi.cells_checksummed > 0 &&
       vi.cells_verified > 0 && vi.corruptions_injected == 0 &&
@@ -285,14 +234,14 @@ int main(int argc, char** argv) {
       verify_clean.run.residual < residual_bound;
 
   // blind: corruption lands, nothing notices, the inverse is garbage.
-  const IntegrityReport& bi = blind.run.integrity;
+  const IntegrityReport& bi = blind.run.run_report.integrity;
   const bool blind_ok = bi.corruptions_injected >= 1 &&
                         bi.corruptions_detected == 0 &&
                         repaired_total(bi) == 0 &&
                         blind.run.residual > blind_bound;
 
   // repair: verification turns the same corruption into epsilon residual.
-  const IntegrityReport& ri = repair.run.integrity;
+  const IntegrityReport& ri = repair.run.run_report.integrity;
   const bool repair_ok = ri.corruptions_injected >= 1 &&
                          ri.corruptions_detected >= 1 &&
                          ri.corruptions_detected == repaired_total(ri) &&
@@ -300,22 +249,22 @@ int main(int argc, char** argv) {
                          repair.run.residual < residual_bound;
 
   // repair determinism: a second identical corrupted run, bit for bit.
-  const ScrubRun repair2 =
-      run_config(setup, nodes, repair.spec, seed, clean.sim_seconds);
+  const MrRun repair2 = run(repair.spec, clean_seconds);
   const bool repair_deterministic =
       repair2.completed && repair2.report_json == repair.run.report_json;
 
   // scrub: the scrubber closes the gap — 100% of corruptions detected and
-  // repaired whether or not a read ever touched the rotten copy.
-  const IntegrityReport& si = scrub.run.integrity;
-  const bool scrub_ok = si.scrub_passes >= 1 &&
+  // repaired whether or not a read ever touched the rotten copy — and its
+  // passes cost simulated time.
+  const IntegrityReport& si = scrub.run.run_report.integrity;
+  const bool scrub_ok = si.scrub_passes >= 1 && si.scrub_seconds > 0.0 &&
                         si.corruptions_injected >= 1 &&
                         si.corruptions_detected == si.corruptions_injected &&
                         repaired_total(si) == si.corruptions_detected &&
                         scrub.run.residual < residual_bound;
 
   // ec-scrub: at least one repair decodes the cell from the stripe.
-  const IntegrityReport& ei = ec_scrub.run.integrity;
+  const IntegrityReport& ei = ec_scrub.run.run_report.integrity;
   const bool ec_ok = ei.cells_repaired_ec >= 1 &&
                      ei.corruptions_detected == ei.corruptions_injected &&
                      repaired_total(ei) == ei.corruptions_detected &&
@@ -323,7 +272,7 @@ int main(int argc, char** argv) {
 
   // spin-scrub: at least one corrupted memory-tier partition is rebuilt by
   // lineage recomputation.
-  const IntegrityReport& pi = spin_scrub.run.integrity;
+  const IntegrityReport& pi = spin_scrub.run.run_report.integrity;
   const bool spin_ok = pi.cells_repaired_lineage >= 1 &&
                        repaired_total(pi) == pi.corruptions_detected &&
                        spin_scrub.run.residual < residual_bound;
@@ -350,59 +299,50 @@ int main(int argc, char** argv) {
               spin_ok ? "yes" : "NO",
               static_cast<long long>(pi.cells_repaired_lineage));
 
-  std::ostringstream json;
-  json.precision(17);
-  json << "{\"config\":{\"matrix\":\"" << (probe ? "M5" : "M4")
-       << "\",\"order\":" << setup.n << ",\"nb\":" << setup.nb
-       << ",\"nodes\":" << nodes << ",\"scale\":" << scale
-       << ",\"seed\":" << seed << ",\"probe\":" << (probe ? "true" : "false")
-       << "},\"runs\":[";
-  bool first = true;
+  JsonWriter json(17);
+  begin_sweep_json(json, probe, setup, nodes, seed);
+  json.begin_array("runs");
   for (const Point& p : points) {
-    if (!first) json << ',';
-    first = false;
-    const IntegrityReport& i = p.run.integrity;
-    json << "{\"config\":\"" << p.spec.name
-         << "\",\"completed\":" << (p.run.completed ? "true" : "false");
+    const IntegrityReport& i = p.run.run_report.integrity;
+    json.begin_object()
+        .field("config", p.spec.name)
+        .field("completed", p.run.completed);
     if (p.run.completed) {
-      json << ",\"hours\":" << p.run.paper_hours
-           << ",\"residual\":" << p.run.residual
-           << ",\"verify_checksums\":"
-           << (i.verify_checksums ? "true" : "false")
-           << ",\"scrub_interval_seconds\":" << i.scrub_interval_seconds
-           << ",\"cells_checksummed\":" << i.cells_checksummed
-           << ",\"cells_verified\":" << i.cells_verified
-           << ",\"corruptions_injected\":" << i.corruptions_injected
-           << ",\"corruptions_detected\":" << i.corruptions_detected
-           << ",\"cells_repaired_copy\":" << i.cells_repaired_copy
-           << ",\"cells_repaired_ec\":" << i.cells_repaired_ec
-           << ",\"cells_repaired_lineage\":" << i.cells_repaired_lineage
-           << ",\"scrub_passes\":" << i.scrub_passes
-           << ",\"scrub_bytes_scanned\":" << i.scrub_bytes_scanned
-           << ",\"scrub_seconds\":" << i.scrub_seconds;
+      json.field("hours", p.run.paper_hours())
+          .field("residual", p.run.residual)
+          .field("verify_checksums", i.verify_checksums)
+          .field("scrub_interval_seconds", i.scrub_interval_seconds)
+          .field("cells_checksummed", i.cells_checksummed)
+          .field("cells_verified", i.cells_verified)
+          .field("corruptions_injected", i.corruptions_injected)
+          .field("corruptions_detected", i.corruptions_detected)
+          .field("cells_repaired_copy", i.cells_repaired_copy)
+          .field("cells_repaired_ec", i.cells_repaired_ec)
+          .field("cells_repaired_lineage", i.cells_repaired_lineage)
+          .field("scrub_passes", i.scrub_passes)
+          .field("scrub_bytes_scanned", i.scrub_bytes_scanned)
+          .field("scrub_seconds", i.scrub_seconds);
     } else {
-      json << ",\"error\":\"" << json_escape(p.run.error.substr(0, 120))
-           << "\"";
+      json.field("error", p.run.error.substr(0, 120));
     }
-    json << "}";
+    json.end_object();
   }
-  json << "],\"asserts\":{\"clean_zero\":" << (clean_zero ? "true" : "false")
-       << ",\"clean_deterministic\":"
-       << (clean_deterministic ? "true" : "false")
-       << ",\"verify_clean_ok\":" << (verify_clean_ok ? "true" : "false")
-       << ",\"blind_ok\":" << (blind_ok ? "true" : "false")
-       << ",\"repair_ok\":" << (repair_ok ? "true" : "false")
-       << ",\"repair_deterministic\":"
-       << (repair_deterministic ? "true" : "false")
-       << ",\"scrub_ok\":" << (scrub_ok ? "true" : "false")
-       << ",\"ec_ok\":" << (ec_ok ? "true" : "false")
-       << ",\"spin_ok\":" << (spin_ok ? "true" : "false")
-       << "},\"blind_bound\":" << blind_bound
-       << ",\"residual_bound\":" << residual_bound << "}";
-
-  std::ofstream f(out);
-  MRI_REQUIRE(f.good(), "cannot open output file: " << out);
-  f << json.str() << '\n';
+  json.end_array()
+      .begin_object("asserts")
+      .field("clean_zero", clean_zero)
+      .field("clean_deterministic", clean_deterministic)
+      .field("verify_clean_ok", verify_clean_ok)
+      .field("blind_ok", blind_ok)
+      .field("repair_ok", repair_ok)
+      .field("repair_deterministic", repair_deterministic)
+      .field("scrub_ok", scrub_ok)
+      .field("ec_ok", ec_ok)
+      .field("spin_ok", spin_ok)
+      .end_object()
+      .field("blind_bound", blind_bound)
+      .field("residual_bound", residual_bound)
+      .end_object();
+  write_json_file(out, json.str());
   std::printf("results written to %s\n", out.c_str());
 
   return clean_zero && clean_deterministic && verify_clean_ok && blind_ok &&

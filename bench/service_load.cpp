@@ -18,10 +18,8 @@
 //                  instead of building unbounded queues).
 //
 // Emits BENCH_pr3.json (--out PATH) with the throughput / percentile /
-// fairness keys the CI service-bench step validates.
+// fairness keys; the exit code carries the three checks below.
 #include <cmath>
-#include <fstream>
-#include <sstream>
 
 #include "harness.hpp"
 #include "service/loadgen.hpp"
@@ -175,36 +173,45 @@ int main(int argc, char** argv) {
   std::printf("reproducible percentiles  : %s\n", reproducible ? "yes" : "NO");
   std::printf("overload shed, p99 <= 3x  : %s\n", shed_ok ? "yes" : "NO");
 
-  std::ostringstream json;
-  json.precision(17);
-  json << "{\"config\":{\"nodes\":" << nodes << ",\"order\":" << order
-       << ",\"nb\":" << nb << ",\"scale\":" << scale << ",\"seed\":" << seed
-       << ",\"max_concurrent\":" << options.max_concurrent << "}"
-       << ",\"uncontended_seconds\":" << base_latency
-       << ",\"throughput_rps\":" << saturated.throughput
-       << ",\"latency_p50\":" << saturated.p50
-       << ",\"latency_p95\":" << saturated.p95
-       << ",\"latency_p99\":" << saturated.p99
-       << ",\"fairness_index\":" << fairness
-       << ",\"slot_second_gap\":" << ss_gap << ",\"tenants\":[";
-  bool first = true;
+  JsonWriter json(17);
+  json.begin_object()
+      .begin_object("config")
+      .field("nodes", nodes)
+      .field("order", order)
+      .field("nb", nb)
+      .field("scale", scale)
+      .field("seed", seed)
+      .field("max_concurrent", options.max_concurrent)
+      .end_object()
+      .field("uncontended_seconds", base_latency)
+      .field("throughput_rps", saturated.throughput)
+      .field("latency_p50", saturated.p50)
+      .field("latency_p95", saturated.p95)
+      .field("latency_p99", saturated.p99)
+      .field("fairness_index", fairness)
+      .field("slot_second_gap", ss_gap)
+      .begin_array("tenants");
   for (const TenantReport& t : saturated.result.report.tenants) {
-    if (!first) json << ',';
-    first = false;
-    json << "{\"tenant\":\"" << t.tenant << "\",\"weight\":" << t.weight
-         << ",\"admitted\":" << t.admitted << ",\"rejected\":" << t.rejected
-         << ",\"slot_seconds\":" << t.slot_seconds
-         << ",\"latency_p99\":" << t.latency_p99 << "}";
+    json.begin_object()
+        .field("tenant", t.tenant)
+        .field("weight", t.weight)
+        .field("admitted", t.admitted)
+        .field("rejected", t.rejected)
+        .field("slot_seconds", t.slot_seconds)
+        .field("latency_p99", t.latency_p99)
+        .end_object();
   }
-  json << "],\"overload\":{\"submitted\":" << overload.result.submitted
-       << ",\"admitted\":" << overload.result.admitted
-       << ",\"rejected\":" << overload.result.rejected
-       << ",\"accepted_p99\":" << accepted_p99
-       << ",\"p99_vs_uncontended\":" << p99_ratio << "}"
-       << ",\"reproducible\":" << (reproducible ? "true" : "false") << "}";
-  std::ofstream f(out);
-  MRI_REQUIRE(f.good(), "cannot open output file: " << out);
-  f << json.str() << '\n';
+  json.end_array()
+      .begin_object("overload")
+      .field("submitted", overload.result.submitted)
+      .field("admitted", overload.result.admitted)
+      .field("rejected", overload.result.rejected)
+      .field("accepted_p99", accepted_p99)
+      .field("p99_vs_uncontended", p99_ratio)
+      .end_object()
+      .field("reproducible", reproducible)
+      .end_object();
+  write_json_file(out, json.str());
   std::printf("results written to %s\n", out.c_str());
 
   return fair_ok && reproducible && shed_ok ? 0 : 1;

@@ -78,6 +78,7 @@
 #include <sstream>
 
 #include "common/cli.hpp"
+#include "common/json.hpp"
 #include "common/units.hpp"
 #include "core/adaptive.hpp"
 #include "core/multiply_strategy.hpp"
@@ -104,12 +105,6 @@ void save_text_file(const std::string& path, const mri::Matrix& m) {
   std::ofstream out(path);
   MRI_REQUIRE(out.good(), "cannot open output file: " << path);
   out << mri::matrix_to_text(m);
-}
-
-void save_json(const std::string& path, const std::string& json) {
-  std::ofstream out(path);
-  MRI_REQUIRE(out.good(), "cannot open output file: " << path);
-  out << json << '\n';
 }
 
 bool chaos_requested(const mri::CliOptions& cli) {
@@ -250,12 +245,83 @@ mri::core::MultiplyStrategyOptions build_multiply_options(
   return opts;
 }
 
-// Builds the chaos engine from the --chaos-*/--kill-node flags; null when
-// none were given. Call Dfs::bind_chaos() on the result before running.
+// Adds one chaos event per entry of the --kill-node or --corrupt-block
+// list (`id@t[,id@t...]`). A bare id samples its time, which needs
+// --chaos-seed. Node 0 is the master: it may be corrupted but not killed.
+void add_timed_events(const mri::CliOptions& cli, mri::ChaosEventKind kind,
+                      int nodes, mri::ChaosEngine* engine) {
+  using namespace mri;
+  const bool kill = kind == ChaosEventKind::kKillNode;
+  const std::string flag = kill ? "--kill-node" : "--corrupt-block";
+  std::istringstream tokens(cli.get_string(flag.substr(2), ""));
+  std::string token;
+  while (std::getline(tokens, token, ',')) {
+    if (token.empty()) continue;
+    const std::size_t at_pos = token.find('@');
+    int node = -1;
+    double at = -1.0;
+    try {
+      node = std::stoi(token.substr(0, at_pos));
+      if (at_pos != std::string::npos) at = std::stod(token.substr(at_pos + 1));
+    } catch (const std::exception&) {
+      MRI_REQUIRE(false, "cannot parse " << flag << " entry '" << token
+                                         << "'; expected id@seconds (3@120) "
+                                            "or a bare node id with "
+                                            "--chaos-seed");
+    }
+    MRI_REQUIRE(!kill || node != 0,
+                "--kill-node 0 would take down the master (jobtracker + "
+                "namenode) and abort the run rather than stretch it; pick a "
+                "worker id in 1.." << nodes - 1);
+    const int first_id = kill ? 1 : 0;
+    MRI_REQUIRE(node >= first_id && node < nodes,
+                flag << " " << node << " is outside the cluster; --nodes "
+                     << nodes << " has " << (kill ? "worker" : "node")
+                     << " ids " << first_id << ".." << nodes - 1);
+    if (at_pos == std::string::npos) {
+      MRI_REQUIRE(cli.has("chaos-seed"),
+                  flag << " " << node << " has no "
+                       << (kill ? "kill" : "corruption")
+                       << " time; give one explicitly (" << flag << " "
+                       << node
+                       << "@3600) or add --chaos-seed N to sample a "
+                          "deterministic time");
+      at = engine->sample_kill_time(node);
+    }
+    MRI_REQUIRE(at >= 0.0, flag << " " << node << "@" << at << ": "
+                                << (kill ? "kill time" : "time")
+                                << " must be >= 0");
+    engine->add_event({kind, at, node});  // salt 0: corrupt a primary copy
+  }
+}
+
+// Fills the run report's kernel block (both run modes): the backend every
+// GEMM/TRSM dispatched through, the multiply strategy, and the kernel
+// counters the run accumulated.
+void fill_kernel_report(mri::KernelReport* kernel,
+                        mri::core::MultiplyStrategyKind strategy,
+                        int replication, int rounds,
+                        const mri::kernels::KernelCounters& delta) {
+  using namespace mri;
+  kernel->backend = kernels::backend_name(kernels::default_backend());
+  kernel->multiply_strategy = core::multiply_strategy_name(strategy);
+  kernel->replication = replication;
+  kernel->multiply_rounds = rounds;
+  kernel->gemm_calls = delta.gemm_calls;
+  kernel->trsm_calls = delta.trsm_calls;
+  kernel->kernel_flops = delta.flops;
+  kernel->kernel_seconds = delta.seconds;
+  kernel->achieved_gflops = delta.gflops();
+}
+
+// Builds the chaos engine from the --chaos-*/--kill-node flags and binds
+// it to the DFS with the cluster's cost model; null when none were given.
 std::unique_ptr<mri::ChaosEngine> build_chaos_engine(
-    const mri::CliOptions& cli, int nodes) {
+    const mri::CliOptions& cli, const mri::Cluster& cluster,
+    mri::dfs::Dfs* fs) {
   using namespace mri;
   if (!chaos_requested(cli)) return nullptr;
+  const int nodes = cluster.size();
   MRI_REQUIRE(cli.has("chaos-seed") || !cli.has("chaos-mtbf"),
               "--chaos-mtbf samples a random fault schedule and needs "
               "--chaos-seed N to make it reproducible; add --chaos-seed");
@@ -286,86 +352,28 @@ std::unique_ptr<mri::ChaosEngine> build_chaos_engine(
     engine->sample_bitrot(nodes);
   }
 
-  const std::string spec = cli.get_string("kill-node", "");
-  std::istringstream tokens(spec);
-  std::string token;
-  while (std::getline(tokens, token, ',')) {
-    if (token.empty()) continue;
-    const std::size_t at_pos = token.find('@');
-    int node = -1;
-    double at = -1.0;
-    try {
-      node = std::stoi(token.substr(0, at_pos));
-      if (at_pos != std::string::npos) at = std::stod(token.substr(at_pos + 1));
-    } catch (const std::exception&) {
-      MRI_REQUIRE(false, "cannot parse --kill-node entry '"
-                             << token << "'; expected id@seconds (3@120) or "
-                                "a bare node id with --chaos-seed");
-    }
-    MRI_REQUIRE(node != 0,
-                "--kill-node 0 would take down the master (jobtracker + "
-                "namenode) and abort the run rather than stretch it; pick a "
-                "worker id in 1.." << nodes - 1);
-    MRI_REQUIRE(node > 0 && node < nodes,
-                "--kill-node " << node << " is outside the cluster; --nodes "
-                               << nodes << " has worker ids 1.." << nodes - 1);
-    if (at_pos == std::string::npos) {
-      MRI_REQUIRE(cli.has("chaos-seed"),
-                  "--kill-node " << node
-                                 << " has no kill time; give one explicitly "
-                                    "(--kill-node " << node
-                                 << "@3600) or add --chaos-seed N to sample "
-                                    "a deterministic time");
-      at = engine->sample_kill_time(node);
-    }
-    MRI_REQUIRE(at >= 0.0, "--kill-node " << node << "@" << at
-                                          << ": kill time must be >= 0");
-    ChaosEvent event;
-    event.kind = ChaosEventKind::kKillNode;
-    event.at = at;
-    event.node = node;
-    engine->add_event(event);
-  }
-
-  const std::string corrupt_spec = cli.get_string("corrupt-block", "");
-  std::istringstream corrupt_tokens(corrupt_spec);
-  while (std::getline(corrupt_tokens, token, ',')) {
-    if (token.empty()) continue;
-    const std::size_t at_pos = token.find('@');
-    int node = -1;
-    double at = -1.0;
-    try {
-      node = std::stoi(token.substr(0, at_pos));
-      if (at_pos != std::string::npos) at = std::stod(token.substr(at_pos + 1));
-    } catch (const std::exception&) {
-      MRI_REQUIRE(false, "cannot parse --corrupt-block entry '"
-                             << token << "'; expected id@seconds (3@120) or "
-                                "a bare node id with --chaos-seed");
-    }
-    MRI_REQUIRE(node >= 0 && node < nodes,
-                "--corrupt-block " << node << " is outside the cluster; "
-                                      "--nodes " << nodes
-                                   << " has node ids 0.." << nodes - 1);
-    if (at_pos == std::string::npos) {
-      MRI_REQUIRE(cli.has("chaos-seed"),
-                  "--corrupt-block "
-                      << node
-                      << " has no corruption time; give one explicitly "
-                         "(--corrupt-block " << node
-                      << "@3600) or add --chaos-seed N to sample a "
-                         "deterministic time");
-      at = engine->sample_kill_time(node);
-    }
-    MRI_REQUIRE(at >= 0.0, "--corrupt-block " << node << "@" << at
-                                              << ": time must be >= 0");
-    ChaosEvent event;
-    event.kind = ChaosEventKind::kCorruptBlock;
-    event.at = at;
-    event.node = node;
-    event.salt = 0;  // explicit events prefer a primary copy
-    engine->add_event(event);
-  }
+  add_timed_events(cli, ChaosEventKind::kKillNode, nodes, engine.get());
+  add_timed_events(cli, ChaosEventKind::kCorruptBlock, nodes, engine.get());
+  fs->bind_chaos(engine.get(), cluster.cost_model().network_bandwidth,
+                 &cluster.cost_model());
   return engine;
+}
+
+// Honours --trace-out / --report-out: writes the run's Chrome trace and
+// run-report JSON.
+void export_report(const mri::CliOptions& cli, const mri::RunReport& report) {
+  using namespace mri;
+  const std::string trace_out = cli.get_string("trace-out", "");
+  if (!trace_out.empty()) {
+    write_json_file(trace_out, chrome_trace_json(report));
+    std::printf("chrome trace written to %s (load in chrome://tracing)\n",
+                trace_out.c_str());
+  }
+  const std::string report_out = cli.get_string("report-out", "");
+  if (!report_out.empty()) {
+    write_json_file(report_out, run_report_json(report));
+    std::printf("run report written to %s\n", report_out.c_str());
+  }
 }
 
 // Replays a request-trace file through the multi-tenant inversion service
@@ -389,11 +397,7 @@ int run_serve(const mri::CliOptions& cli) {
   dfs::Dfs fs(nodes, build_dfs_config(cli, nodes), &metrics);
   attach_topology(cli, &cluster, &fs);
   ThreadPool pool(4);
-  std::unique_ptr<ChaosEngine> chaos = build_chaos_engine(cli, nodes);
-  if (chaos) {
-    fs.bind_chaos(chaos.get(), cluster.cost_model().network_bandwidth,
-                  &cluster.cost_model());
-  }
+  std::unique_ptr<ChaosEngine> chaos = build_chaos_engine(cli, cluster, &fs);
 
   service::ServiceOptions options;
   options.shares = trace.shares;
@@ -432,16 +436,11 @@ int run_serve(const mri::CliOptions& cli) {
   service::ServiceResult result = svc.run(trace.requests);
   const kernels::KernelCounters kernel_delta =
       kernels::counters_snapshot() - kernel_before;
-  result.report.kernel.backend =
-      kernels::backend_name(kernels::default_backend());
-  result.report.kernel.multiply_strategy =
-      core::multiply_strategy_name(options.inversion.multiply.strategy);
-  result.report.kernel.replication = options.inversion.multiply.replication;
-  result.report.kernel.gemm_calls = kernel_delta.gemm_calls;
-  result.report.kernel.trsm_calls = kernel_delta.trsm_calls;
-  result.report.kernel.kernel_flops = kernel_delta.flops;
-  result.report.kernel.kernel_seconds = kernel_delta.seconds;
-  result.report.kernel.achieved_gflops = kernel_delta.gflops();
+  // Requests plan their multiplies independently; the block keeps the
+  // requested replication and the single-round default.
+  fill_kernel_report(&result.report.kernel, options.inversion.multiply.strategy,
+                     options.inversion.multiply.replication, /*rounds=*/1,
+                     kernel_delta);
 
   std::printf("%-12s %6s %8s %8s %12s %10s %10s %10s %6s\n", "tenant",
               "weight", "admitted", "rejected", "slot-sec", "p50 (s)",
@@ -466,17 +465,7 @@ int run_serve(const mri::CliOptions& cli) {
                 rec.request_retries, rec.requests_unrecoverable);
   }
 
-  const std::string trace_out = cli.get_string("trace-out", "");
-  const std::string report_out = cli.get_string("report-out", "");
-  if (!trace_out.empty()) {
-    save_json(trace_out, chrome_trace_json(result.report));
-    std::printf("chrome trace written to %s (load in chrome://tracing)\n",
-                trace_out.c_str());
-  }
-  if (!report_out.empty()) {
-    save_json(report_out, run_report_json(result.report));
-    std::printf("run report written to %s\n", report_out.c_str());
-  }
+  export_report(cli, result.report);
   return result.admitted > 0 ? 0 : 1;
 }
 
@@ -611,11 +600,7 @@ int main(int argc, char** argv) {
   dfs::Dfs fs(nodes, build_dfs_config(cli, nodes), &metrics);
   attach_topology(cli, &cluster, &fs);
   ThreadPool pool(4);
-  std::unique_ptr<ChaosEngine> chaos = build_chaos_engine(cli, nodes);
-  if (chaos) {
-    fs.bind_chaos(chaos.get(), cluster.cost_model().network_bandwidth,
-                  &cluster.cost_model());
-  }
+  std::unique_ptr<ChaosEngine> chaos = build_chaos_engine(cli, cluster, &fs);
 
   core::InversionOptions options;
   options.nb = cli.get_int("nb", std::max<Index>(32, a.rows() / 8));
@@ -728,9 +713,8 @@ int main(int argc, char** argv) {
                 cluster.cost_model().flops_per_second);
   }
 
-  const std::string trace_out = cli.get_string("trace-out", "");
-  const std::string report_out = cli.get_string("report-out", "");
-  if (!trace_out.empty() || !report_out.empty()) {
+  if (!cli.get_string("trace-out", "").empty() ||
+      !cli.get_string("report-out", "").empty()) {
     if (jobs.empty()) {
       std::fprintf(stderr, "note: no task traces (engine did not run "
                            "MapReduce jobs); skipping trace/report export\n");
@@ -739,26 +723,10 @@ int main(int argc, char** argv) {
           mr::build_run_report(jobs, cluster, &metrics, master_spans,
                                chaos.get(),
                                engine_active ? &engine_stats : nullptr, &fs);
-      run_report.kernel.backend =
-          kernels::backend_name(kernels::default_backend());
-      run_report.kernel.multiply_strategy =
-          core::multiply_strategy_name(options.multiply.strategy);
-      run_report.kernel.replication = multiply_plan.replication;
-      run_report.kernel.multiply_rounds = multiply_plan.rounds;
-      run_report.kernel.gemm_calls = kernel_delta.gemm_calls;
-      run_report.kernel.trsm_calls = kernel_delta.trsm_calls;
-      run_report.kernel.kernel_flops = kernel_delta.flops;
-      run_report.kernel.kernel_seconds = kernel_delta.seconds;
-      run_report.kernel.achieved_gflops = kernel_delta.gflops();
-      if (!trace_out.empty()) {
-        save_json(trace_out, chrome_trace_json(run_report));
-        std::printf("chrome trace written to %s (load in chrome://tracing)\n",
-                    trace_out.c_str());
-      }
-      if (!report_out.empty()) {
-        save_json(report_out, run_report_json(run_report));
-        std::printf("run report written to %s\n", report_out.c_str());
-      }
+      fill_kernel_report(&run_report.kernel, options.multiply.strategy,
+                         multiply_plan.replication, multiply_plan.rounds,
+                         kernel_delta);
+      export_report(cli, run_report);
     }
   }
 

@@ -1147,43 +1147,20 @@ NodeKillOutcome Dfs::kill_datanode(int node, double at) {
   out.lost_files = repaired.lost_files;
   out.ec_cells_reconstructed = repaired.ec_cells_reconstructed;
   out.ec_reconstructed_bytes = repaired.ec_reconstructed_bytes;
-  if (repaired.ec_cells_reconstructed > 0) {
-    // EC reconstruction happened: combine replica copies, the k-cell
-    // fan-ins and the decode CPU into one repair duration so the chaos
-    // engine's stretch accounting sees the whole recovery, not just the
-    // copy traffic. (The pure-replication branch below is left untouched so
-    // default runs stay bit-identical.)
-    double seconds = 0.0;
-    if (topo != nullptr && !repairs.empty()) {
-      std::vector<net::Flow> flows;
-      flows.reserve(repairs.size());
-      for (const net::Transfer& t : repairs) {
-        flows.push_back(net::Flow{t.src, t.dst, t.bytes, 0.0, -1});
-      }
-      seconds = net::simulate_flows(*topo, flows).end_time;
-    } else if (chaos_network_bandwidth_ > 0.0) {
-      seconds =
-          static_cast<double>(out.re_replicated_bytes + ec_fanin_bytes) /
-          chaos_network_bandwidth_;
-    }
-    if (cost_model_ != nullptr) {
-      seconds += cost_model_->ec_decode_seconds(out.ec_reconstructed_bytes);
-    }
-    out.re_replication_seconds = seconds;
+  // One repair duration combines replica copies, EC k-cell fan-ins and the
+  // decode CPU, so the chaos engine's stretch accounting sees the whole
+  // recovery, not just the copy traffic.
+  out.re_replication_seconds =
+      repair_seconds(repairs, out.re_replicated_bytes + ec_fanin_bytes);
+  if (cost_model_ != nullptr) {
+    out.re_replication_seconds +=
+        cost_model_->ec_decode_seconds(out.ec_reconstructed_bytes);
+  }
+  if (out.ec_cells_reconstructed > 0) {
     std::lock_guard<std::mutex> lock(storage_mu_);
     storage_events_.push_back(StorageReconstructionEvent{
         at, node, out.ec_cells_reconstructed, out.ec_reconstructed_bytes,
-        seconds});
-  } else if (topo != nullptr && !repairs.empty()) {
-    // All repair streams start together when the loss is detected; their
-    // contended makespan on the racked fabric replaces the scalar
-    // bytes/bandwidth estimate the chaos engine would otherwise use.
-    std::vector<net::Flow> flows;
-    flows.reserve(repairs.size());
-    for (const net::Transfer& t : repairs) {
-      flows.push_back(net::Flow{t.src, t.dst, t.bytes, 0.0, -1});
-    }
-    out.re_replication_seconds = net::simulate_flows(*topo, flows).end_time;
+        out.re_replication_seconds});
   }
 
   if (metrics_ != nullptr) {
@@ -1246,9 +1223,23 @@ void Dfs::bind_chaos(ChaosEngine* chaos, double network_bandwidth,
     corrupt_block(node, at, salt);
   });
   chaos->set_scrub_handler([this](double t) { scrub_to(t); });
-  if (network_bandwidth > 0.0) chaos->set_network_bandwidth(network_bandwidth);
   chaos_network_bandwidth_ = network_bandwidth;
   cost_model_ = cost_model;
+}
+
+double Dfs::repair_seconds(const std::vector<net::Transfer>& transfers,
+                           std::uint64_t bytes) const {
+  if (racked_topology() && !transfers.empty()) {
+    std::vector<net::Flow> flows;
+    flows.reserve(transfers.size());
+    for (const net::Transfer& t : transfers) {
+      flows.push_back(net::Flow{t.src, t.dst, t.bytes, 0.0, -1});
+    }
+    return net::simulate_flows(*topology_, flows).end_time;
+  }
+  return chaos_network_bandwidth_ > 0.0
+             ? static_cast<double>(bytes) / chaos_network_bandwidth_
+             : 0.0;
 }
 
 // ---------------------------------------------------------------------------
@@ -1500,17 +1491,7 @@ void Dfs::run_scrub_pass(double at) {
         static_cast<double>(max_node_bytes) / cost_model_->disk_bandwidth +
         cost_model_->checksum_seconds(scanned);
   }
-  if (!flows.empty() && racked_topology()) {
-    std::vector<net::Flow> nf;
-    nf.reserve(flows.size());
-    for (const net::Transfer& t : flows) {
-      nf.push_back(net::Flow{t.src, t.dst, t.bytes, 0.0, -1});
-    }
-    pass_seconds += net::simulate_flows(*topology_, nf).end_time;
-  } else if (repair_bytes > 0 && chaos_network_bandwidth_ > 0.0) {
-    pass_seconds +=
-        static_cast<double>(repair_bytes) / chaos_network_bandwidth_;
-  }
+  pass_seconds += repair_seconds(flows, repair_bytes);
   std::lock_guard<std::mutex> lock(integrity_mu_);
   ++integrity_.scrub_passes;
   integrity_.scrub_bytes_scanned += scanned;

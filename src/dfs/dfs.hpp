@@ -384,11 +384,13 @@ class Dfs {
   /// off and no corruption was injected).
   IntegrityStats integrity_stats() const;
 
-  /// Installs this filesystem as `chaos`'s kill and read-error handler and
-  /// hands it `network_bandwidth` for re-replication-seconds accounting.
-  /// `cost_model` (may be null; must outlive the Dfs if given) prices the
-  /// decode CPU of erasure-coded reconstruction into the repair seconds.
-  /// The filesystem must outlive the engine's last advance_to().
+  /// Installs this filesystem as `chaos`'s kill and read-error handler.
+  /// `network_bandwidth` prices repair traffic when no racked topology is
+  /// attached (0 leaves it unpriced); `cost_model` (may be null; must
+  /// outlive the Dfs if given) prices the decode CPU of erasure-coded
+  /// reconstruction and the scrubber's scan. Every kill outcome carries its
+  /// own repair seconds. The filesystem must outlive the engine's last
+  /// advance_to().
   void bind_chaos(ChaosEngine* chaos, double network_bandwidth = 0.0,
                   const CostModel* cost_model = nullptr);
 
@@ -443,6 +445,13 @@ class Dfs {
 
   /// One scrubber pass at simulated time `at` (see scrub_to).
   void run_scrub_pass(double at);
+
+  /// Simulated seconds of repair traffic, for node-kill repair and the
+  /// scrubber alike: on a racked topology the contended makespan of
+  /// `transfers` (all start together), else `bytes` over the network
+  /// bandwidth bind_chaos was given (0 when none).
+  double repair_seconds(const std::vector<net::Transfer>& transfers,
+                        std::uint64_t bytes) const;
 
   /// True when the attached topology is racked and sized for this DFS —
   /// the gate for transfer recording and rack-aware behaviour.

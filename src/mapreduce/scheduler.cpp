@@ -236,14 +236,11 @@ PhaseSchedule schedule_phase(
   // carved out. Recorded transfers are charged as flows (`flow_seconds`);
   // bytes with no recorded endpoints — ghost attempts carry only reads, and
   // some master-side attribution lands on task IoStats — keep the scalar
-  // network charge. Attempts with no transfers at all cost exactly the
-  // scalar task_seconds.
+  // network charge. Every other term comes from the CostModel's own list.
+  // Attempts with no transfers at all cost exactly the scalar task_seconds.
   const auto racked_seconds = [&](const Attempt& a, const AttemptNet& n,
                                   double speed, double flow_seconds) {
     if (a.transfers.empty()) return model.task_seconds(a.io, speed);
-    double t = model.task_overhead_seconds;
-    t += static_cast<double>(a.io.flops()) /
-         (model.flops_per_second * speed);
     const std::uint64_t covered_read = n.local_read + n.net_read;
     const std::uint64_t leftover_read =
         a.io.bytes_read > covered_read ? a.io.bytes_read - covered_read : 0;
@@ -251,15 +248,10 @@ PhaseSchedule schedule_phase(
         a.io.bytes_replicated > n.net_write
             ? a.io.bytes_replicated - n.net_write
             : 0;
-    t += static_cast<double>(n.local_read) / model.disk_bandwidth;
-    t += static_cast<double>(leftover_read) / model.network_bandwidth;
-    t += static_cast<double>(a.io.bytes_written) / model.disk_bandwidth;
-    t += static_cast<double>(leftover_repl) / model.network_bandwidth;
-    t += static_cast<double>(a.io.bytes_parity) / model.disk_bandwidth;
-    t += model.ec_decode_seconds(a.io.bytes_reconstructed);
-    t += model.memory_tier_seconds(a.io);
-    t += flow_seconds;
-    return t;
+    return model.accumulate_seconds(model.task_overhead_seconds, a.io, speed,
+                                    n.local_read, leftover_read,
+                                    leftover_repl) +
+           flow_seconds;
   };
 
   // Contended flow seconds per (task, data_index), filled between passes.

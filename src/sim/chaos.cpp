@@ -172,11 +172,6 @@ void ChaosEngine::set_scrub_handler(ScrubHandler handler) {
   scrub_handler_ = std::move(handler);
 }
 
-void ChaosEngine::set_network_bandwidth(double bytes_per_second) {
-  std::lock_guard<std::mutex> lock(mu_);
-  network_bandwidth_ = bytes_per_second;
-}
-
 void ChaosEngine::advance_to(double t) {
   // Collect due events under the lock, apply handlers outside it: the kill
   // handler walks the namenode and must be free to call back into query
@@ -235,15 +230,7 @@ void ChaosEngine::advance_to(double t) {
         stats_.lineage_recomputed_bytes += outcome.recomputed_bytes;
         stats_.ec_cells_reconstructed += outcome.ec_cells_reconstructed;
         stats_.ec_reconstructed_bytes += outcome.ec_reconstructed_bytes;
-        if (outcome.re_replication_seconds > 0.0) {
-          // The DFS simulated the repair flows on the racked topology; its
-          // contended duration supersedes the scalar bytes/bandwidth model.
-          stats_.re_replication_seconds += outcome.re_replication_seconds;
-        } else if (network_bandwidth_ > 0.0) {
-          stats_.re_replication_seconds +=
-              static_cast<double>(outcome.re_replicated_bytes) /
-              network_bandwidth_;
-        }
+        stats_.re_replication_seconds += outcome.re_replication_seconds;
         break;
       }
       case ChaosEventKind::kDegradeNode: {

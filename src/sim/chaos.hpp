@@ -89,9 +89,9 @@ struct NodeKillOutcome {
   std::uint64_t re_replicated_bytes = 0;
   int re_replicated_blocks = 0;
   int blocks_lost = 0;
-  /// Simulated duration of the repair traffic when the DFS routed it
-  /// through the flow-level network model (racked topology); 0 means "not
-  /// flow-simulated" and the engine falls back to bytes / bandwidth.
+  /// Simulated duration of the repair, priced by the DFS: repair traffic
+  /// flow-simulated on a racked topology, else bytes over the network
+  /// bandwidth it was bound with, plus EC decode CPU.
   double re_replication_seconds = 0.0;
   /// Files that lost every replica of at least one block with this kill
   /// (reported by the DFS; the SPIN engine recomputes the lineage-tracked
@@ -125,9 +125,9 @@ struct RecoveryStats {
   std::uint64_t re_replicated_bytes = 0;
   int re_replicated_blocks = 0;
   int blocks_lost = 0;
-  /// Simulated seconds of background re-replication traffic (bytes over the
-  /// network bandwidth handed to the engine); informational, the pipeline
-  /// does not block on it, matching HDFS background re-replication.
+  /// Simulated seconds of background repair, summed over the kill
+  /// outcomes; informational, the pipeline does not block on it, matching
+  /// HDFS background re-replication.
   double re_replication_seconds = 0.0;
   int request_retries = 0;
   int requests_unrecoverable = 0;
@@ -217,9 +217,6 @@ class ChaosEngine {
   void set_read_error_handler(ReadErrorHandler handler);
   void set_corrupt_handler(CorruptHandler handler);
   void set_scrub_handler(ScrubHandler handler);
-  /// Network bandwidth used to convert re-replicated bytes into
-  /// re_replication_seconds (0 leaves the seconds at 0).
-  void set_network_bandwidth(double bytes_per_second);
 
   /// Applies every not-yet-applied event with at <= t in (time, insertion)
   /// order. Driver-thread only: called at job/phase boundaries (the end of
@@ -258,7 +255,6 @@ class ChaosEngine {
   ReadErrorHandler read_error_handler_;
   CorruptHandler corrupt_handler_;
   ScrubHandler scrub_handler_;
-  double network_bandwidth_ = 0.0;
   RecoveryStats stats_;
   std::vector<TaskFailureRule> task_rules_;
   std::uint64_t injected_tasks_ = 0;

@@ -51,11 +51,9 @@ double CostModel::task_seconds(const IoStats& io, double speed_factor) const {
 }
 
 double CostModel::compute_seconds(const IoStats& io, double speed_factor) const {
-  double t = 0.0;
-  t += static_cast<double>(io.flops()) / (flops_per_second * speed_factor);
   // Only the network-crossing part of the reads pays the network path.
   // bytes_transferred counts remote reads plus the replication pipeline
-  // (charged separately below), so remote reads are transferred minus
+  // (charged separately), so remote reads are transferred minus
   // replicated, clamped into [0, bytes_read]; the rest of bytes_read is
   // node-local and streams at disk bandwidth.
   const std::uint64_t network_bytes =
@@ -63,10 +61,20 @@ double CostModel::compute_seconds(const IoStats& io, double speed_factor) const 
                                       io.bytes_replicated);
   const std::uint64_t remote_read = std::min(network_bytes, io.bytes_read);
   const std::uint64_t local_read = io.bytes_read - remote_read;
+  return accumulate_seconds(0.0, io, speed_factor, local_read, remote_read,
+                            io.bytes_replicated);
+}
+
+double CostModel::accumulate_seconds(double t, const IoStats& io,
+                                     double speed_factor,
+                                     std::uint64_t local_read,
+                                     std::uint64_t remote_read,
+                                     std::uint64_t replicated) const {
+  t += static_cast<double>(io.flops()) / (flops_per_second * speed_factor);
   t += static_cast<double>(local_read) / disk_bandwidth;
   t += static_cast<double>(remote_read) / network_bandwidth;
   t += static_cast<double>(io.bytes_written) / disk_bandwidth;
-  t += static_cast<double>(io.bytes_replicated) / network_bandwidth;
+  t += static_cast<double>(replicated) / network_bandwidth;
   t += static_cast<double>(io.bytes_parity) / disk_bandwidth;
   t += ec_decode_seconds(io.bytes_reconstructed);
   t += checksum_seconds(io.bytes_checksummed);

@@ -91,21 +91,28 @@ struct CostModel {
   /// the master node (the leaf LU decompositions), which is not a task.
   double compute_seconds(const IoStats& io, double speed_factor = 1.0) const;
 
+  /// Adds every cost term of `io` to `t` in one fixed order. The caller
+  /// supplies the network split: compute_seconds derives it from
+  /// bytes_transferred; the scheduler's racked path passes only what its
+  /// flow-charged transfers leave uncovered. One term list, so neither
+  /// path can drop a term the other charges.
+  double accumulate_seconds(double t, const IoStats& io, double speed_factor,
+                            std::uint64_t local_read,
+                            std::uint64_t remote_read,
+                            std::uint64_t replicated) const;
+
   /// Seconds spent on the in-memory intermediate tier: cache-resident writes
   /// and node-local reads stream at memory bandwidth, spilled bytes pay the
-  /// disk path. The SINGLE conversion point for the memory tier — both
-  /// compute_seconds and the scheduler's racked flow accounting call this,
-  /// so attempt timing and cost-model totals cannot drift apart.
+  /// disk path. The SINGLE conversion point for the memory tier.
   double memory_tier_seconds(const IoStats& io) const;
 
   /// CPU seconds to Reed–Solomon-decode `bytes` of lost cell data. The
-  /// SINGLE conversion point for EC decode cost — compute_seconds, the
-  /// scheduler's racked flow accounting and Dfs node-loss reconstruction
-  /// all call this.
+  /// SINGLE conversion point for EC decode cost — accumulate_seconds and
+  /// Dfs node-loss reconstruction both call this.
   double ec_decode_seconds(std::uint64_t bytes) const;
 
   /// CPU seconds to CRC32C-checksum `bytes`. The SINGLE conversion point
-  /// for checksum cost — compute_seconds and the Dfs scrubber both call
+  /// for checksum cost — accumulate_seconds and the Dfs scrubber both call
   /// this.
   double checksum_seconds(std::uint64_t bytes) const;
 

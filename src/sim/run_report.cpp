@@ -1,9 +1,8 @@
 #include "sim/run_report.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
-#include <sstream>
+
+#include "common/json.hpp"
 
 namespace mri {
 
@@ -205,394 +204,372 @@ void aggregate_tenant_reports(RunReport* report,
 
 namespace {
 
-// Minimal JSON writer: the strings we emit (job names, counter names) are
-// plain identifiers, but escape defensively anyway.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
+void write_io(JsonWriter& w, std::string_view key, const IoStats& io) {
+  w.begin_object(key)
+      .field("bytes_written", io.bytes_written)
+      .field("bytes_read", io.bytes_read)
+      .field("bytes_transferred", io.bytes_transferred)
+      .field("bytes_replicated", io.bytes_replicated)
+      .field("bytes_written_memory", io.bytes_written_memory)
+      .field("bytes_read_memory", io.bytes_read_memory)
+      .field("bytes_spilled", io.bytes_spilled)
+      .field("bytes_parity", io.bytes_parity)
+      .field("bytes_reconstructed", io.bytes_reconstructed)
+      .field("degraded_reads", io.degraded_reads)
+      .field("mults", io.mults)
+      .field("adds", io.adds)
+      .end_object();
+}
+
+const char* chaos_kind_name(ChaosEventKind kind) {
+  switch (kind) {
+    case ChaosEventKind::kKillNode: return "kill";
+    case ChaosEventKind::kDegradeNode: return "degrade";
+    case ChaosEventKind::kCorruptBlock: return "corrupt_block";
+    case ChaosEventKind::kBlockReadError: break;
   }
-  return out;
-}
-
-void append_num(std::ostringstream& os, double v) {
-  // JSON has no NaN/Inf; clamp defensively.
-  if (!std::isfinite(v)) v = 0.0;
-  os << v;
-}
-
-void append_io(std::ostringstream& os, const char* key, const IoStats& io) {
-  os << '"' << key << "\":{"
-     << "\"bytes_written\":" << io.bytes_written
-     << ",\"bytes_read\":" << io.bytes_read
-     << ",\"bytes_transferred\":" << io.bytes_transferred
-     << ",\"bytes_replicated\":" << io.bytes_replicated
-     << ",\"bytes_written_memory\":" << io.bytes_written_memory
-     << ",\"bytes_read_memory\":" << io.bytes_read_memory
-     << ",\"bytes_spilled\":" << io.bytes_spilled
-     << ",\"bytes_parity\":" << io.bytes_parity
-     << ",\"bytes_reconstructed\":" << io.bytes_reconstructed
-     << ",\"degraded_reads\":" << io.degraded_reads
-     << ",\"mults\":" << io.mults << ",\"adds\":" << io.adds << '}';
+  return "read_error";
 }
 
 }  // namespace
 
 std::string run_report_json(const RunReport& report) {
-  std::ostringstream os;
-  os.precision(12);
-  os << "{\"sim_seconds\":";
-  append_num(os, report.sim_seconds);
-  os << ",\"jobs\":" << report.jobs
-     << ",\"failures_recovered\":" << report.failures_recovered
-     << ",\"backups_run\":" << report.backups_run
-     << ",\"total_slots\":" << report.total_slots
-     << ",\"busy_slot_seconds\":";
-  append_num(os, report.busy_slot_seconds);
-  os << ",\"cluster_utilization\":";
-  append_num(os, report.cluster_utilization);
-  os << ',';
-  append_io(os, "io", report.io);
-  os << ",\"shuffle\":{\"local_bytes\":" << report.shuffle_local_bytes
-     << ",\"remote_bytes\":" << report.shuffle_remote_bytes << "},";
-  append_io(os, "dfs_io", report.dfs_io);
+  JsonWriter w(12);
+  w.begin_object()
+      .field("sim_seconds", report.sim_seconds)
+      .field("jobs", report.jobs)
+      .field("failures_recovered", report.failures_recovered)
+      .field("backups_run", report.backups_run)
+      .field("total_slots", report.total_slots)
+      .field("busy_slot_seconds", report.busy_slot_seconds)
+      .field("cluster_utilization", report.cluster_utilization);
+  write_io(w, "io", report.io);
+  w.begin_object("shuffle")
+      .field("local_bytes", report.shuffle_local_bytes)
+      .field("remote_bytes", report.shuffle_remote_bytes)
+      .end_object();
+  write_io(w, "dfs_io", report.dfs_io);
   // Network keys are always present (stable schema); disabled with an empty
   // link list on flat runs.
   const NetworkReport& net = report.network;
-  os << ",\"network\":{\"enabled\":" << (net.enabled ? "true" : "false")
-     << ",\"topology\":\"" << json_escape(net.topology)
-     << "\",\"racks\":" << net.racks << ",\"oversubscription\":";
-  append_num(os, net.oversubscription);
-  os << ",\"rack_aware_placement\":"
-     << (net.rack_aware_placement ? "true" : "false")
-     << ",\"node_local_bytes\":" << net.node_local_bytes
-     << ",\"rack_local_bytes\":" << net.rack_local_bytes
-     << ",\"cross_rack_bytes\":" << net.cross_rack_bytes
-     << ",\"rack_local_attempts\":" << net.rack_local_attempts
-     << ",\"cross_rack_attempts\":" << net.cross_rack_attempts
-     << ",\"links\":[";
-  {
-    bool first_link = true;
-    for (const LinkReport& l : net.links) {
-      if (!first_link) os << ',';
-      first_link = false;
-      os << "{\"name\":\"" << json_escape(l.name) << "\",\"bytes\":" << l.bytes
-         << ",\"busy_seconds\":";
-      append_num(os, l.busy_seconds);
-      os << ",\"peak_utilization\":";
-      append_num(os, l.peak_utilization);
-      os << '}';
-    }
+  w.begin_object("network")
+      .field("enabled", net.enabled)
+      .field("topology", net.topology)
+      .field("racks", net.racks)
+      .field("oversubscription", net.oversubscription)
+      .field("rack_aware_placement", net.rack_aware_placement)
+      .field("node_local_bytes", net.node_local_bytes)
+      .field("rack_local_bytes", net.rack_local_bytes)
+      .field("cross_rack_bytes", net.cross_rack_bytes)
+      .field("rack_local_attempts", net.rack_local_attempts)
+      .field("cross_rack_attempts", net.cross_rack_attempts)
+      .begin_array("links");
+  for (const LinkReport& l : net.links) {
+    w.begin_object()
+        .field("name", l.name)
+        .field("bytes", l.bytes)
+        .field("busy_seconds", l.busy_seconds)
+        .field("peak_utilization", l.peak_utilization)
+        .end_object();
   }
-  os << "]}";
+  w.end_array().end_object();
   // Recovery keys are always present (stable schema); all zero and an
   // empty event list on chaos-free runs.
   const RecoveryReport& rec = report.recovery;
-  os << ",\"recovery\":{\"nodes_killed\":" << rec.nodes_killed
-     << ",\"nodes_degraded\":" << rec.nodes_degraded
-     << ",\"read_errors_injected\":" << rec.read_errors_injected
-     << ",\"read_errors_survived\":" << rec.read_errors_survived
-     << ",\"tasks_recomputed\":" << rec.tasks_recomputed
-     << ",\"attempts_killed\":" << rec.attempts_killed
-     << ",\"re_replicated_bytes\":" << rec.re_replicated_bytes
-     << ",\"re_replicated_blocks\":" << rec.re_replicated_blocks
-     << ",\"blocks_lost\":" << rec.blocks_lost
-     << ",\"re_replication_seconds\":";
-  append_num(os, rec.re_replication_seconds);
-  os << ",\"recovery_seconds\":";
-  append_num(os, rec.recovery_seconds);
-  os << ",\"request_retries\":" << rec.request_retries
-     << ",\"requests_unrecoverable\":" << rec.requests_unrecoverable
-     << ",\"partitions_recomputed\":" << rec.partitions_recomputed
-     << ",\"lineage_waves\":" << rec.lineage_waves
-     << ",\"lineage_recompute_seconds\":";
-  append_num(os, rec.lineage_recompute_seconds);
-  os << ",\"lineage_recomputed_bytes\":" << rec.lineage_recomputed_bytes
-     << ",\"ec_cells_reconstructed\":" << rec.ec_cells_reconstructed
-     << ",\"ec_reconstructed_bytes\":" << rec.ec_reconstructed_bytes << ',';
-  append_io(os, "recovery_io", rec.recovery_io);
-  os << '}';
+  w.begin_object("recovery")
+      .field("nodes_killed", rec.nodes_killed)
+      .field("nodes_degraded", rec.nodes_degraded)
+      .field("read_errors_injected", rec.read_errors_injected)
+      .field("read_errors_survived", rec.read_errors_survived)
+      .field("tasks_recomputed", rec.tasks_recomputed)
+      .field("attempts_killed", rec.attempts_killed)
+      .field("re_replicated_bytes", rec.re_replicated_bytes)
+      .field("re_replicated_blocks", rec.re_replicated_blocks)
+      .field("blocks_lost", rec.blocks_lost)
+      .field("re_replication_seconds", rec.re_replication_seconds)
+      .field("recovery_seconds", rec.recovery_seconds)
+      .field("request_retries", rec.request_retries)
+      .field("requests_unrecoverable", rec.requests_unrecoverable)
+      .field("partitions_recomputed", rec.partitions_recomputed)
+      .field("lineage_waves", rec.lineage_waves)
+      .field("lineage_recompute_seconds", rec.lineage_recompute_seconds)
+      .field("lineage_recomputed_bytes", rec.lineage_recomputed_bytes)
+      .field("ec_cells_reconstructed", rec.ec_cells_reconstructed)
+      .field("ec_reconstructed_bytes", rec.ec_reconstructed_bytes);
+  write_io(w, "recovery_io", rec.recovery_io);
+  w.end_object();
   // Engine keys are always present (stable schema); disabled with empty
   // event lists on Hadoop-style disk-tier runs.
   const EngineReport& eng = report.engine;
-  os << ",\"engine\":{\"enabled\":" << (eng.enabled ? "true" : "false")
-     << ",\"cache\":{\"insertions\":" << eng.cache_insertions
-     << ",\"evictions\":" << eng.cache_evictions
-     << ",\"hits\":" << eng.cache_hits
-     << ",\"resident_bytes\":" << eng.cache_resident_bytes
-     << ",\"peak_resident_bytes\":" << eng.cache_peak_resident_bytes
-     << ",\"spilled_bytes\":" << eng.spilled_bytes
-     << "},\"tracked_partitions\":" << eng.tracked_partitions
-     << ",\"partitions_recomputed\":" << eng.partitions_recomputed
-     << ",\"lineage_waves\":" << eng.lineage_waves
-     << ",\"recompute_seconds\":";
-  append_num(os, eng.recompute_seconds);
-  os << ",\"recomputed_bytes\":" << eng.recomputed_bytes
-     << ",\"lineage_stall_seconds\":";
-  append_num(os, eng.lineage_stall_seconds);
-  os << ",\"spills\":[";
-  {
-    bool first_spill = true;
-    for (const EngineSpillSpan& s : eng.spills) {
-      if (!first_spill) os << ',';
-      first_spill = false;
-      os << "{\"at\":";
-      append_num(os, s.at);
-      os << ",\"path\":\"" << json_escape(s.path) << "\",\"bytes\":" << s.bytes
-         << '}';
-    }
+  w.begin_object("engine")
+      .field("enabled", eng.enabled)
+      .begin_object("cache")
+      .field("insertions", eng.cache_insertions)
+      .field("evictions", eng.cache_evictions)
+      .field("hits", eng.cache_hits)
+      .field("resident_bytes", eng.cache_resident_bytes)
+      .field("peak_resident_bytes", eng.cache_peak_resident_bytes)
+      .field("spilled_bytes", eng.spilled_bytes)
+      .end_object()
+      .field("tracked_partitions", eng.tracked_partitions)
+      .field("partitions_recomputed", eng.partitions_recomputed)
+      .field("lineage_waves", eng.lineage_waves)
+      .field("recompute_seconds", eng.recompute_seconds)
+      .field("recomputed_bytes", eng.recomputed_bytes)
+      .field("lineage_stall_seconds", eng.lineage_stall_seconds)
+      .begin_array("spills");
+  for (const EngineSpillSpan& s : eng.spills) {
+    w.begin_object()
+        .field("at", s.at)
+        .field("path", s.path)
+        .field("bytes", s.bytes)
+        .end_object();
   }
-  os << "],\"recomputes\":[";
-  {
-    bool first_rc = true;
-    for (const EngineRecomputeSpan& r : eng.recomputes) {
-      if (!first_rc) os << ',';
-      first_rc = false;
-      os << "{\"at\":";
-      append_num(os, r.at);
-      os << ",\"duration\":";
-      append_num(os, r.duration);
-      os << ",\"wave\":" << r.wave << ",\"path\":\"" << json_escape(r.path)
-         << "\",\"bytes\":" << r.bytes << '}';
-    }
+  w.end_array().begin_array("recomputes");
+  for (const EngineRecomputeSpan& r : eng.recomputes) {
+    w.begin_object()
+        .field("at", r.at)
+        .field("duration", r.duration)
+        .field("wave", r.wave)
+        .field("path", r.path)
+        .field("bytes", r.bytes)
+        .end_object();
   }
-  os << "]}";
+  w.end_array().end_object();
   // Storage keys are always present (stable schema); on replicated runs the
   // policy is "replicate" and every EC/cache counter is zero.
   const StorageReport& sto = report.storage;
-  os << ",\"storage\":{\"policy\":\"" << json_escape(sto.policy)
-     << "\",\"ec_k\":" << sto.ec_k << ",\"ec_m\":" << sto.ec_m
-     << ",\"logical_bytes\":" << sto.logical_bytes
-     << ",\"physical_bytes\":" << sto.physical_bytes
-     << ",\"physical_overhead\":";
-  append_num(os, sto.physical_overhead);
-  os << ",\"parity_bytes\":" << sto.parity_bytes
-     << ",\"reconstructed_bytes\":" << sto.reconstructed_bytes
-     << ",\"degraded_reads\":" << sto.degraded_reads
-     << ",\"cells_reconstructed\":" << sto.cells_reconstructed
-     << ",\"hot_cache\":{\"capacity_bytes\":" << sto.hot_cache_capacity_bytes
-     << ",\"resident_bytes\":" << sto.hot_cache_resident_bytes
-     << ",\"resident_files\":" << sto.hot_cache_resident_files
-     << ",\"hits\":" << sto.hot_cache_hits
-     << ",\"hit_bytes\":" << sto.hot_cache_hit_bytes
-     << "},\"reconstructions\":[";
-  {
-    bool first_rcn = true;
-    for (const StorageReconstruction& r : sto.reconstructions) {
-      if (!first_rcn) os << ',';
-      first_rcn = false;
-      os << "{\"at\":";
-      append_num(os, r.at);
-      os << ",\"node\":" << r.node << ",\"cells\":" << r.cells
-         << ",\"bytes\":" << r.bytes << ",\"seconds\":";
-      append_num(os, r.seconds);
-      os << '}';
-    }
+  w.begin_object("storage")
+      .field("policy", sto.policy)
+      .field("ec_k", sto.ec_k)
+      .field("ec_m", sto.ec_m)
+      .field("logical_bytes", sto.logical_bytes)
+      .field("physical_bytes", sto.physical_bytes)
+      .field("physical_overhead", sto.physical_overhead)
+      .field("parity_bytes", sto.parity_bytes)
+      .field("reconstructed_bytes", sto.reconstructed_bytes)
+      .field("degraded_reads", sto.degraded_reads)
+      .field("cells_reconstructed", sto.cells_reconstructed)
+      .begin_object("hot_cache")
+      .field("capacity_bytes", sto.hot_cache_capacity_bytes)
+      .field("resident_bytes", sto.hot_cache_resident_bytes)
+      .field("resident_files", sto.hot_cache_resident_files)
+      .field("hits", sto.hot_cache_hits)
+      .field("hit_bytes", sto.hot_cache_hit_bytes)
+      .end_object()
+      .begin_array("reconstructions");
+  for (const StorageReconstruction& r : sto.reconstructions) {
+    w.begin_object()
+        .field("at", r.at)
+        .field("node", r.node)
+        .field("cells", r.cells)
+        .field("bytes", r.bytes)
+        .field("seconds", r.seconds)
+        .end_object();
   }
-  os << "]}";
+  w.end_array().end_object();
   // Integrity keys are always present (stable schema); with verification
   // off and no corruption every counter is zero and both lists are empty.
   const IntegrityReport& integ = report.integrity;
-  os << ",\"integrity\":{\"verify_checksums\":"
-     << (integ.verify_checksums ? "true" : "false")
-     << ",\"scrub_interval_seconds\":";
-  append_num(os, integ.scrub_interval_seconds);
-  os << ",\"cells_checksummed\":" << integ.cells_checksummed
-     << ",\"cells_verified\":" << integ.cells_verified
-     << ",\"bytes_verified\":" << integ.bytes_verified
-     << ",\"corruptions_injected\":" << integ.corruptions_injected
-     << ",\"corruptions_detected\":" << integ.corruptions_detected
-     << ",\"cells_repaired_copy\":" << integ.cells_repaired_copy
-     << ",\"cells_repaired_ec\":" << integ.cells_repaired_ec
-     << ",\"cells_repaired_lineage\":" << integ.cells_repaired_lineage
-     << ",\"cells_quarantined\":" << integ.cells_quarantined
-     << ",\"scrub_passes\":" << integ.scrub_passes
-     << ",\"scrub_bytes_scanned\":" << integ.scrub_bytes_scanned
-     << ",\"scrub_seconds\":";
-  append_num(os, integ.scrub_seconds);
-  os << ",\"repairs\":[";
-  {
-    bool first_rep = true;
-    for (const IntegrityRepairSpan& r : integ.repairs) {
-      if (!first_rep) os << ',';
-      first_rep = false;
-      os << "{\"at\":";
-      append_num(os, r.at);
-      os << ",\"node\":" << r.node << ",\"path\":\"" << json_escape(r.path)
-         << "\",\"cell\":" << r.cell << ",\"bytes\":" << r.bytes
-         << ",\"kind\":\"" << json_escape(r.kind) << "\",\"by_scrubber\":"
-         << (r.by_scrubber ? "true" : "false") << '}';
-    }
+  w.begin_object("integrity")
+      .field("verify_checksums", integ.verify_checksums)
+      .field("scrub_interval_seconds", integ.scrub_interval_seconds)
+      .field("cells_checksummed", integ.cells_checksummed)
+      .field("cells_verified", integ.cells_verified)
+      .field("bytes_verified", integ.bytes_verified)
+      .field("corruptions_injected", integ.corruptions_injected)
+      .field("corruptions_detected", integ.corruptions_detected)
+      .field("cells_repaired_copy", integ.cells_repaired_copy)
+      .field("cells_repaired_ec", integ.cells_repaired_ec)
+      .field("cells_repaired_lineage", integ.cells_repaired_lineage)
+      .field("cells_quarantined", integ.cells_quarantined)
+      .field("scrub_passes", integ.scrub_passes)
+      .field("scrub_bytes_scanned", integ.scrub_bytes_scanned)
+      .field("scrub_seconds", integ.scrub_seconds)
+      .begin_array("repairs");
+  for (const IntegrityRepairSpan& r : integ.repairs) {
+    w.begin_object()
+        .field("at", r.at)
+        .field("node", r.node)
+        .field("path", r.path)
+        .field("cell", r.cell)
+        .field("bytes", r.bytes)
+        .field("kind", r.kind)
+        .field("by_scrubber", r.by_scrubber)
+        .end_object();
   }
-  os << "],\"scrubs\":[";
-  {
-    bool first_scrub = true;
-    for (const ScrubPassSpan& s : integ.scrub_spans) {
-      if (!first_scrub) os << ',';
-      first_scrub = false;
-      os << "{\"at\":";
-      append_num(os, s.at);
-      os << ",\"seconds\":";
-      append_num(os, s.seconds);
-      os << ",\"bytes_scanned\":" << s.bytes_scanned
-         << ",\"cells_verified\":" << s.cells_verified
-         << ",\"cells_repaired\":" << s.cells_repaired << '}';
-    }
+  w.end_array().begin_array("scrubs");
+  for (const ScrubPassSpan& s : integ.scrub_spans) {
+    w.begin_object()
+        .field("at", s.at)
+        .field("seconds", s.seconds)
+        .field("bytes_scanned", s.bytes_scanned)
+        .field("cells_verified", s.cells_verified)
+        .field("cells_repaired", s.cells_repaired)
+        .end_object();
   }
-  os << "]}";
+  w.end_array().end_object();
   // Kernel keys are always present (stable schema). Wall-clock kernel
   // timings (kernel_seconds / achieved_gflops) are intentionally NOT
   // emitted: they vary per host, and same-seed reports must stay
   // bit-identical.
   const KernelReport& ker = report.kernel;
-  os << ",\"kernel\":{\"backend\":\"" << json_escape(ker.backend)
-     << "\",\"multiply_strategy\":\"" << json_escape(ker.multiply_strategy)
-     << "\",\"replication\":" << ker.replication
-     << ",\"multiply_rounds\":" << ker.multiply_rounds
-     << ",\"gemm_calls\":" << ker.gemm_calls
-     << ",\"trsm_calls\":" << ker.trsm_calls
-     << ",\"kernel_flops\":" << ker.kernel_flops << '}';
-  os << ",\"chaos_events\":[";
-  bool first_event = true;
+  w.begin_object("kernel")
+      .field("backend", ker.backend)
+      .field("multiply_strategy", ker.multiply_strategy)
+      .field("replication", ker.replication)
+      .field("multiply_rounds", ker.multiply_rounds)
+      .field("gemm_calls", ker.gemm_calls)
+      .field("trsm_calls", ker.trsm_calls)
+      .field("kernel_flops", ker.kernel_flops)
+      .end_object();
+  w.begin_array("chaos_events");
   for (const ChaosEvent& e : report.chaos_events) {
-    if (!first_event) os << ',';
-    first_event = false;
-    os << "{\"kind\":\""
-       << (e.kind == ChaosEventKind::kKillNode       ? "kill"
-           : e.kind == ChaosEventKind::kDegradeNode  ? "degrade"
-           : e.kind == ChaosEventKind::kCorruptBlock ? "corrupt_block"
-                                                     : "read_error")
-       << "\",\"at\":";
-    append_num(os, e.at);
-    os << ",\"node\":" << e.node << ",\"factor\":";
-    append_num(os, e.factor);
-    os << '}';
+    w.begin_object()
+        .field("kind", chaos_kind_name(e.kind))
+        .field("at", e.at)
+        .field("node", e.node)
+        .field("factor", e.factor)
+        .end_object();
   }
-  os << "],\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : report.counters) {
-    if (!first) os << ',';
-    first = false;
-    os << '"' << json_escape(name) << "\":" << value;
-  }
-  os << "},\"phases\":[";
-  first = true;
+  w.end_array().begin_object("counters");
+  for (const auto& [name, value] : report.counters) w.field(name, value);
+  w.end_object().begin_array("phases");
   for (const PhaseReport& p : report.phase_reports) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"job\":\"" << json_escape(p.job) << "\",\"phase\":\"" << p.phase
-       << "\",\"tasks\":" << p.tasks << ",\"attempts\":" << p.attempts
-       << ",\"failures\":" << p.failures << ",\"backups\":" << p.backups
-       << ",\"waves\":" << p.waves << ",\"duration\":";
-    append_num(os, p.duration);
-    os << ",\"busy_seconds\":";
-    append_num(os, p.busy_seconds);
-    os << ",\"slot_utilization\":";
-    append_num(os, p.slot_utilization);
-    os << ",\"median_task_end\":";
-    append_num(os, p.median_task_end);
-    os << ",\"max_task_end\":";
-    append_num(os, p.max_task_end);
-    os << ",\"straggler_ratio\":";
-    append_num(os, p.straggler_ratio);
-    os << '}';
+    w.begin_object()
+        .field("job", p.job)
+        .field("phase", p.phase)
+        .field("tasks", p.tasks)
+        .field("attempts", p.attempts)
+        .field("failures", p.failures)
+        .field("backups", p.backups)
+        .field("waves", p.waves)
+        .field("duration", p.duration)
+        .field("busy_seconds", p.busy_seconds)
+        .field("slot_utilization", p.slot_utilization)
+        .field("median_task_end", p.median_task_end)
+        .field("max_task_end", p.max_task_end)
+        .field("straggler_ratio", p.straggler_ratio)
+        .end_object();
   }
-  os << "],\"job_spans\":[";
-  first = true;
+  w.end_array().begin_array("job_spans");
   for (const JobSpan& s : report.job_spans) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"job\":\"" << json_escape(s.job) << "\",\"start\":";
-    append_num(os, s.start);
-    os << ",\"end\":";
-    append_num(os, s.end);
-    os << '}';
+    w.begin_object()
+        .field("job", s.job)
+        .field("start", s.start)
+        .field("end", s.end)
+        .end_object();
   }
-  os << "],\"master\":{\"seconds\":";
-  append_num(os, report.master_seconds);
-  os << ",\"spans\":[";
-  first = true;
+  w.end_array()
+      .begin_object("master")
+      .field("seconds", report.master_seconds)
+      .begin_array("spans");
   for (const MasterSpan& s : report.master_spans) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"start\":";
-    append_num(os, s.start);
-    os << ",\"end\":";
-    append_num(os, s.end);
-    os << '}';
+    w.begin_object().field("start", s.start).field("end", s.end).end_object();
   }
-  os << "]},\"failure_timeline\":[";
-  first = true;
+  w.end_array().end_object().begin_array("failure_timeline");
   for (const FailureRecovery& f : report.failure_timeline) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"job\":\"" << json_escape(f.job) << "\",\"phase\":\"" << f.phase
-       << "\",\"task\":" << f.task << ",\"attempt\":" << f.attempt
-       << ",\"node\":" << f.node << ",\"failed_at\":";
-    append_num(os, f.failed_at);
-    os << ",\"retry_start\":";
-    append_num(os, f.retry_start);
-    os << '}';
+    w.begin_object()
+        .field("job", f.job)
+        .field("phase", f.phase)
+        .field("task", f.task)
+        .field("attempt", f.attempt)
+        .field("node", f.node)
+        .field("failed_at", f.failed_at)
+        .field("retry_start", f.retry_start)
+        .end_object();
   }
   // Service-layer keys are always present (stable schema for the service
   // bench's consumers); both arrays are empty for single-run reports.
-  os << "],\"fairness_index\":";
-  append_num(os, report.fairness_index);
-  os << ",\"tenants\":[";
-  first = true;
+  w.end_array()
+      .field("fairness_index", report.fairness_index)
+      .begin_array("tenants");
   for (const TenantReport& t : report.tenants) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"tenant\":\"" << json_escape(t.tenant)
-       << "\",\"weight\":" << t.weight << ",\"submitted\":" << t.submitted
-       << ",\"admitted\":" << t.admitted << ",\"rejected\":" << t.rejected
-       << ",\"queue_wait_mean\":";
-    append_num(os, t.queue_wait_mean);
-    os << ",\"queue_wait_max\":";
-    append_num(os, t.queue_wait_max);
-    os << ",\"latency_p50\":";
-    append_num(os, t.latency_p50);
-    os << ",\"latency_p95\":";
-    append_num(os, t.latency_p95);
-    os << ",\"latency_p99\":";
-    append_num(os, t.latency_p99);
-    os << ",\"slot_seconds\":";
-    append_num(os, t.slot_seconds);
-    os << ",\"deadline_misses\":" << t.deadline_misses
-       << ",\"retries\":" << t.retries
-       << ",\"unrecoverable\":" << t.unrecoverable << '}';
+    w.begin_object()
+        .field("tenant", t.tenant)
+        .field("weight", t.weight)
+        .field("submitted", t.submitted)
+        .field("admitted", t.admitted)
+        .field("rejected", t.rejected)
+        .field("queue_wait_mean", t.queue_wait_mean)
+        .field("queue_wait_max", t.queue_wait_max)
+        .field("latency_p50", t.latency_p50)
+        .field("latency_p95", t.latency_p95)
+        .field("latency_p99", t.latency_p99)
+        .field("slot_seconds", t.slot_seconds)
+        .field("deadline_misses", t.deadline_misses)
+        .field("retries", t.retries)
+        .field("unrecoverable", t.unrecoverable)
+        .end_object();
   }
-  os << "],\"requests\":[";
-  first = true;
+  w.end_array().begin_array("requests");
   for (const RequestSpan& r : report.request_spans) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"request\":\"" << json_escape(r.request) << "\",\"tenant\":\""
-       << json_escape(r.tenant) << "\",\"arrival\":";
-    append_num(os, r.arrival);
-    os << ",\"dispatch\":";
-    append_num(os, r.dispatch);
-    os << ",\"finish\":";
-    append_num(os, r.finish);
-    os << ",\"rejected\":" << (r.rejected ? "true" : "false") << '}';
+    w.begin_object()
+        .field("request", r.request)
+        .field("tenant", r.tenant)
+        .field("arrival", r.arrival)
+        .field("dispatch", r.dispatch)
+        .field("finish", r.finish)
+        .field("rejected", r.rejected)
+        .end_object();
   }
-  os << "]}";
-  return os.str();
+  w.end_array().end_object();
+  return w.str();
 }
+
+namespace {
+
+// Chrome trace events: every event carries ph/name/cat/pid/tid/ts, then a
+// complete ("X") event its duration or an instant ("i") event its scope
+// ("t" thread, "g" global), then an "args" object. begin_event writes the
+// head and opens "args" for the caller; end_event closes both.
+struct EventTime {
+  double ts_us;
+  double dur_us = 0.0;         // "X" events
+  const char* scope = nullptr;  // "i" events: set instead of dur_us
+};
+
+JsonWriter& begin_event(JsonWriter& w, std::string_view name,
+                        std::string_view cat, long long pid, long long tid,
+                        EventTime time) {
+  w.begin_object()
+      .field("ph", time.scope == nullptr ? "X" : "i")
+      .field("name", name)
+      .field("cat", cat)
+      .field("pid", pid)
+      .field("tid", tid)
+      .field("ts", time.ts_us);
+  if (time.scope == nullptr) {
+    w.field("dur", time.dur_us);
+  } else {
+    w.field("s", time.scope);
+  }
+  return w.begin_object("args");
+}
+
+void end_event(JsonWriter& w) { w.end_object().end_object(); }
+
+EventTime span_us(double start, double seconds) {
+  return {start * 1e6, seconds * 1e6};
+}
+
+EventTime instant_us(double at, const char* scope) {
+  return {at * 1e6, 0.0, scope};
+}
+
+// The metadata record that labels a pid's swimlane group.
+void process_name(JsonWriter& w, long long pid, std::string_view label) {
+  w.begin_object()
+      .field("ph", "M")
+      .field("name", "process_name")
+      .field("pid", pid)
+      .begin_object("args")
+      .field("name", label)
+      .end_object()
+      .end_object();
+}
+
+}  // namespace
 
 std::string chrome_trace_json(const RunReport& report) {
   // Pseudo-process ids for the run-level lanes, far above any node id.
@@ -604,85 +581,65 @@ std::string chrome_trace_json(const RunReport& report) {
   constexpr int kEnginePid = 1000005;
   constexpr int kStoragePid = 1000006;
   constexpr int kIntegrityPid = 1000007;
-  std::ostringstream os;
-  os.precision(12);
-  os << "[";
-  bool first = true;
+  JsonWriter w(12);
+  w.begin_array();
+  std::string name;  // event-name scratch, reused across events
   // Process metadata so chrome://tracing labels the per-node swimlanes.
   std::map<int, bool> nodes_seen;
   for (const PhaseTrace& phase : report.phases) {
     for (const TaskTraceEvent& e : phase.events) nodes_seen[e.node] = true;
   }
   for (const auto& [node, seen] : nodes_seen) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << node
-       << ",\"args\":{\"name\":\"node " << node << "\"}}";
+    name = "node ";
+    name += std::to_string(node);
+    process_name(w, node, name);
   }
   if (!report.job_spans.empty()) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << kJobsPid
-       << ",\"args\":{\"name\":\"jobs\"}}";
+    process_name(w, kJobsPid, "jobs");
     // One lane (tid) per job: overlap-scheduled jobs render side by side.
     int lane = 0;
     for (const JobSpan& s : report.job_spans) {
-      os << ",{\"ph\":\"X\",\"name\":\"" << json_escape(s.job)
-         << "\",\"cat\":\"job\",\"pid\":" << kJobsPid << ",\"tid\":" << lane
-         << ",\"ts\":";
-      append_num(os, s.start * 1e6);
-      os << ",\"dur\":";
-      append_num(os, (s.end - s.start) * 1e6);
-      os << ",\"args\":{}}";
-      ++lane;
+      begin_event(w, s.job, "job", kJobsPid, lane++,
+                  span_us(s.start, s.end - s.start));
+      end_event(w);
     }
   }
   if (!report.master_spans.empty()) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << kMasterPid
-       << ",\"args\":{\"name\":\"master\"}}";
+    process_name(w, kMasterPid, "master");
     for (const MasterSpan& s : report.master_spans) {
-      os << ",{\"ph\":\"X\",\"name\":\"master work\",\"cat\":\"master\","
-            "\"pid\":" << kMasterPid << ",\"tid\":0,\"ts\":";
-      append_num(os, s.start * 1e6);
-      os << ",\"dur\":";
-      append_num(os, (s.end - s.start) * 1e6);
-      os << ",\"args\":{\"mults\":" << s.io.mults
-         << ",\"bytes_read\":" << s.io.bytes_read << "}}";
+      begin_event(w, "master work", "master", kMasterPid, 0,
+                  span_us(s.start, s.end - s.start))
+          .field("mults", s.io.mults)
+          .field("bytes_read", s.io.bytes_read);
+      end_event(w);
     }
   }
   if (!report.request_spans.empty()) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << kRequestsPid
-       << ",\"args\":{\"name\":\"requests\"}}";
+    process_name(w, kRequestsPid, "requests");
     // One lane per request: queued (arrival->dispatch) then run
     // (dispatch->finish); rejected requests render as instant markers.
     int lane = 0;
     for (const RequestSpan& r : report.request_spans) {
       if (r.rejected) {
-        os << ",{\"ph\":\"i\",\"name\":\"" << json_escape(r.request)
-           << " rejected\",\"cat\":\"request\",\"pid\":" << kRequestsPid
-           << ",\"tid\":" << lane << ",\"ts\":";
-        append_num(os, r.arrival * 1e6);
-        os << ",\"s\":\"t\",\"args\":{\"tenant\":\"" << json_escape(r.tenant)
-           << "\"}}";
+        name = r.request;
+        name += " rejected";
+        begin_event(w, name, "request", kRequestsPid, lane,
+                    instant_us(r.arrival, "t"))
+            .field("tenant", r.tenant);
+        end_event(w);
       } else {
-        os << ",{\"ph\":\"X\",\"name\":\"" << json_escape(r.request)
-           << " queued\",\"cat\":\"request\",\"pid\":" << kRequestsPid
-           << ",\"tid\":" << lane << ",\"ts\":";
-        append_num(os, r.arrival * 1e6);
-        os << ",\"dur\":";
-        append_num(os, (r.dispatch - r.arrival) * 1e6);
-        os << ",\"args\":{\"tenant\":\"" << json_escape(r.tenant) << "\"}}";
-        os << ",{\"ph\":\"X\",\"name\":\"" << json_escape(r.request)
-           << " run\",\"cat\":\"request\",\"pid\":" << kRequestsPid
-           << ",\"tid\":" << lane << ",\"ts\":";
-        append_num(os, r.dispatch * 1e6);
-        os << ",\"dur\":";
-        append_num(os, (r.finish - r.dispatch) * 1e6);
-        os << ",\"args\":{\"tenant\":\"" << json_escape(r.tenant) << "\"}}";
+        name = r.request;
+        name += " queued";
+        begin_event(w, name, "request", kRequestsPid, lane,
+                    span_us(r.arrival, r.dispatch - r.arrival))
+            .field("tenant", r.tenant);
+        end_event(w);
+        name = r.request;
+        name += " run";
+        begin_event(w, name, "request", kRequestsPid, lane,
+                    span_us(r.dispatch, r.finish - r.dispatch))
+            .field("tenant", r.tenant);
+        end_event(w);
       }
       ++lane;
     }
@@ -699,37 +656,32 @@ std::string chrome_trace_json(const RunReport& report) {
     return false;
   }();
   if (!report.chaos_events.empty() || any_recovery) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << kFaultsPid
-       << ",\"args\":{\"name\":\"faults\"}}";
+    process_name(w, kFaultsPid, "faults");
     for (const ChaosEvent& e : report.chaos_events) {
-      const char* what = e.kind == ChaosEventKind::kKillNode ? "kill node "
-                         : e.kind == ChaosEventKind::kDegradeNode
-                             ? "degrade node "
-                         : e.kind == ChaosEventKind::kCorruptBlock
-                             ? "corrupt block node "
-                             : "read error node ";
-      os << ",{\"ph\":\"i\",\"name\":\"" << what << e.node
-         << "\",\"cat\":\"chaos\",\"pid\":" << kFaultsPid
-         << ",\"tid\":0,\"ts\":";
-      append_num(os, e.at * 1e6);
-      os << ",\"s\":\"g\",\"args\":{\"node\":" << e.node << ",\"factor\":";
-      append_num(os, e.factor);
-      os << "}}";
+      name = e.kind == ChaosEventKind::kKillNode       ? "kill node "
+             : e.kind == ChaosEventKind::kDegradeNode  ? "degrade node "
+             : e.kind == ChaosEventKind::kCorruptBlock ? "corrupt block node "
+                                                       : "read error node ";
+      name += std::to_string(e.node);
+      begin_event(w, name, "chaos", kFaultsPid, 0, instant_us(e.at, "g"))
+          .field("node", e.node)
+          .field("factor", e.factor);
+      end_event(w);
     }
     for (const PhaseTrace& phase : report.phases) {
       for (const TaskTraceEvent& e : phase.events) {
         if (!e.recovery) continue;
-        os << ",{\"ph\":\"X\",\"name\":\"recompute " << json_escape(phase.job)
-           << '/' << phase.phase << " t" << e.task
-           << "\",\"cat\":\"recovery\",\"pid\":" << kFaultsPid
-           << ",\"tid\":1,\"ts\":";
-        append_num(os, (phase.start + e.start) * 1e6);
-        os << ",\"dur\":";
-        append_num(os, (e.end - e.start) * 1e6);
-        os << ",\"args\":{\"task\":" << e.task << ",\"node\":" << e.node
-           << "}}";
+        name = "recompute ";
+        name += phase.job;
+        name += '/';
+        name += phase.phase;
+        name += " t";
+        name += std::to_string(e.task);
+        begin_event(w, name, "recovery", kFaultsPid, 1,
+                    span_us(phase.start + e.start, e.end - e.start))
+            .field("task", e.task)
+            .field("node", e.node);
+        end_event(w);
       }
     }
   }
@@ -745,30 +697,26 @@ std::string chrome_trace_json(const RunReport& report) {
     return false;
   }();
   if (any_link_loads) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << kNetworkPid
-       << ",\"args\":{\"name\":\"network\"}}";
+    process_name(w, kNetworkPid, "network");
     for (const PhaseTrace& phase : report.phases) {
       for (std::size_t i = 0; i < phase.link_loads.size(); ++i) {
         const LinkReport& l = phase.link_loads[i];
         if (l.bytes == 0) continue;
-        std::string name = l.name;
+        name = l.name;
         if (name.empty() && i < report.network.links.size()) {
           name = report.network.links[i].name;
         }
-        if (name.empty()) name = "link " + std::to_string(i);
-        os << ",{\"ph\":\"X\",\"name\":\"" << json_escape(name) << "\",\"cat\""
-           << ":\"network\",\"pid\":" << kNetworkPid << ",\"tid\":" << i
-           << ",\"ts\":";
-        append_num(os, phase.start * 1e6);
-        os << ",\"dur\":";
-        append_num(os, phase.duration * 1e6);
-        os << ",\"args\":{\"bytes\":" << l.bytes << ",\"busy_seconds\":";
-        append_num(os, l.busy_seconds);
-        os << ",\"peak_utilization\":";
-        append_num(os, l.peak_utilization);
-        os << "}}";
+        if (name.empty()) {
+          name = "link ";
+          name += std::to_string(i);
+        }
+        begin_event(w, name, "network", kNetworkPid,
+                    static_cast<long long>(i),
+                    span_us(phase.start, phase.duration))
+            .field("bytes", l.bytes)
+            .field("busy_seconds", l.busy_seconds)
+            .field("peak_utilization", l.peak_utilization);
+        end_event(w);
       }
     }
   }
@@ -776,47 +724,39 @@ std::string chrome_trace_json(const RunReport& report) {
   // recomputations as spans stacked by recovery wave (tid 1 + wave), so a
   // node kill's rebuild reads next to the faults lane it responds to.
   if (!report.engine.spills.empty() || !report.engine.recomputes.empty()) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << kEnginePid
-       << ",\"args\":{\"name\":\"engine\"}}";
+    process_name(w, kEnginePid, "engine");
     for (const EngineSpillSpan& s : report.engine.spills) {
-      os << ",{\"ph\":\"i\",\"name\":\"spill " << json_escape(s.path)
-         << "\",\"cat\":\"engine\",\"pid\":" << kEnginePid
-         << ",\"tid\":0,\"ts\":";
-      append_num(os, s.at * 1e6);
-      os << ",\"s\":\"t\",\"args\":{\"bytes\":" << s.bytes << "}}";
+      name = "spill ";
+      name += s.path;
+      begin_event(w, name, "engine", kEnginePid, 0, instant_us(s.at, "t"))
+          .field("bytes", s.bytes);
+      end_event(w);
     }
     for (const EngineRecomputeSpan& r : report.engine.recomputes) {
-      os << ",{\"ph\":\"X\",\"name\":\"recompute " << json_escape(r.path)
-         << "\",\"cat\":\"engine\",\"pid\":" << kEnginePid
-         << ",\"tid\":" << 1 + r.wave << ",\"ts\":";
-      append_num(os, r.at * 1e6);
-      os << ",\"dur\":";
-      append_num(os, r.duration * 1e6);
-      os << ",\"args\":{\"wave\":" << r.wave << ",\"bytes\":" << r.bytes
-         << "}}";
+      name = "recompute ";
+      name += r.path;
+      begin_event(w, name, "engine", kEnginePid, 1 + r.wave,
+                  span_us(r.at, r.duration))
+          .field("wave", r.wave)
+          .field("bytes", r.bytes);
+      end_event(w);
     }
   }
   // Storage lane: one span per EC stripe reconstruction, stacked in kill
   // order, so decode-based repair reads next to the faults lane that
   // triggered it.
   if (!report.storage.reconstructions.empty()) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << kStoragePid
-       << ",\"args\":{\"name\":\"storage\"}}";
+    process_name(w, kStoragePid, "storage");
     int lane = 0;
     for (const StorageReconstruction& r : report.storage.reconstructions) {
-      os << ",{\"ph\":\"X\",\"name\":\"reconstruct node " << r.node
-         << "\",\"cat\":\"storage\",\"pid\":" << kStoragePid
-         << ",\"tid\":" << lane << ",\"ts\":";
-      append_num(os, r.at * 1e6);
-      os << ",\"dur\":";
-      append_num(os, r.seconds * 1e6);
-      os << ",\"args\":{\"node\":" << r.node << ",\"cells\":" << r.cells
-         << ",\"bytes\":" << r.bytes << "}}";
-      ++lane;
+      name = "reconstruct node ";
+      name += std::to_string(r.node);
+      begin_event(w, name, "storage", kStoragePid, lane++,
+                  span_us(r.at, r.seconds))
+          .field("node", r.node)
+          .field("cells", r.cells)
+          .field("bytes", r.bytes);
+      end_event(w);
     }
   }
   // Integrity lane: scrubber passes as spans (tid 0) and individual repairs
@@ -824,58 +764,57 @@ std::string chrome_trace_json(const RunReport& report) {
   // faults lane that injected the corruption.
   if (!report.integrity.repairs.empty() ||
       !report.integrity.scrub_spans.empty()) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << kIntegrityPid
-       << ",\"args\":{\"name\":\"integrity\"}}";
+    process_name(w, kIntegrityPid, "integrity");
     for (const ScrubPassSpan& s : report.integrity.scrub_spans) {
-      os << ",{\"ph\":\"X\",\"name\":\"scrub pass\",\"cat\":\"integrity\","
-            "\"pid\":" << kIntegrityPid << ",\"tid\":0,\"ts\":";
-      append_num(os, s.at * 1e6);
-      os << ",\"dur\":";
-      append_num(os, s.seconds * 1e6);
-      os << ",\"args\":{\"bytes_scanned\":" << s.bytes_scanned
-         << ",\"cells_verified\":" << s.cells_verified
-         << ",\"cells_repaired\":" << s.cells_repaired << "}}";
+      begin_event(w, "scrub pass", "integrity", kIntegrityPid, 0,
+                  span_us(s.at, s.seconds))
+          .field("bytes_scanned", s.bytes_scanned)
+          .field("cells_verified", s.cells_verified)
+          .field("cells_repaired", s.cells_repaired);
+      end_event(w);
     }
     for (const IntegrityRepairSpan& r : report.integrity.repairs) {
-      os << ",{\"ph\":\"i\",\"name\":\"repair " << json_escape(r.kind) << ' '
-         << json_escape(r.path) << "\",\"cat\":\"integrity\",\"pid\":"
-         << kIntegrityPid << ",\"tid\":1,\"ts\":";
-      append_num(os, r.at * 1e6);
-      os << ",\"s\":\"t\",\"args\":{\"node\":" << r.node << ",\"path\":\""
-         << json_escape(r.path) << "\",\"cell\":" << r.cell
-         << ",\"bytes\":" << r.bytes << ",\"by_scrubber\":"
-         << (r.by_scrubber ? "true" : "false") << "}}";
+      name = "repair ";
+      name += r.kind;
+      name += ' ';
+      name += r.path;
+      begin_event(w, name, "integrity", kIntegrityPid, 1,
+                  instant_us(r.at, "t"))
+          .field("node", r.node)
+          .field("path", r.path)
+          .field("cell", r.cell)
+          .field("bytes", r.bytes)
+          .field("by_scrubber", r.by_scrubber);
+      end_event(w);
     }
   }
   for (const PhaseTrace& phase : report.phases) {
     for (const TaskTraceEvent& e : phase.events) {
-      const double ts_us = (phase.start + e.start) * 1e6;
-      const double dur_us = (e.end - e.start) * 1e6;
-      if (!first) os << ',';
-      first = false;
-      os << "{\"ph\":\"X\",\"name\":\"" << json_escape(phase.job) << '/'
-         << phase.phase << " t" << e.task << " a" << e.attempt
-         << (e.recovery       ? " (recovery)"
-             : e.chaos        ? " (node lost)"
-             : e.backup       ? " (backup)"
-             : e.failed       ? " (failed)"
-                              : "")
-         << "\",\"cat\":\"" << phase.phase << "\",\"pid\":" << e.node
-         << ",\"tid\":" << e.slot << ",\"ts\":";
-      append_num(os, ts_us);
-      os << ",\"dur\":";
-      append_num(os, dur_us);
-      os << ",\"args\":{\"task\":" << e.task << ",\"attempt\":" << e.attempt
-         << ",\"failed\":" << (e.failed ? "true" : "false")
-         << ",\"backup\":" << (e.backup ? "true" : "false")
-         << ",\"chaos\":" << (e.chaos ? "true" : "false")
-         << ",\"recovery\":" << (e.recovery ? "true" : "false") << "}}";
+      name = phase.job;
+      name += '/';
+      name += phase.phase;
+      name += " t";
+      name += std::to_string(e.task);
+      name += " a";
+      name += std::to_string(e.attempt);
+      name += e.recovery  ? " (recovery)"
+              : e.chaos   ? " (node lost)"
+              : e.backup  ? " (backup)"
+              : e.failed  ? " (failed)"
+                          : "";
+      begin_event(w, name, phase.phase, e.node, e.slot,
+                  span_us(phase.start + e.start, e.end - e.start))
+          .field("task", e.task)
+          .field("attempt", e.attempt)
+          .field("failed", e.failed)
+          .field("backup", e.backup)
+          .field("chaos", e.chaos)
+          .field("recovery", e.recovery);
+      end_event(w);
     }
   }
-  os << "]";
-  return os.str();
+  w.end_array();
+  return w.str();
 }
 
 }  // namespace mri

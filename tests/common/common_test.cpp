@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <fstream>
+#include <limits>
 #include <set>
+#include <sstream>
 
 #include "common/cli.hpp"
+#include "common/json.hpp"
 #include "common/random.hpp"
 #include "common/stopwatch.hpp"
 #include "common/table.hpp"
@@ -201,6 +206,96 @@ TEST(Table, RejectsRaggedRows) {
 TEST(Table, CellFormatting) {
   EXPECT_EQ(cell(3.14159, 2), "3.14");
   EXPECT_EQ(cell_int(-42), "-42");
+}
+
+// ---- json -------------------------------------------------------------------
+
+TEST(JsonWriter, EscapesQuotesBackslashesAndControlCharacters) {
+  JsonWriter w;
+  w.value("q\"b\\n\nt\tc\x01" "e\x1f");
+  EXPECT_EQ(w.str(), R"("q\"b\\n\nt\tc\u0001e\u001f")");
+  JsonWriter plain;
+  plain.value("caf\xc3\xa9 /x");  // UTF-8 and '/' pass through untouched
+  EXPECT_EQ(plain.str(), "\"caf\xc3\xa9 /x\"");
+}
+
+TEST(JsonWriter, PlacesCommasBetweenSiblingsOnly) {
+  JsonWriter w;
+  w.begin_object()
+      .field("a", 1)
+      .begin_array("b")
+      .value(1)
+      .value(2)
+      .begin_object()
+      .end_object()
+      .begin_array()
+      .end_array()
+      .end_array()
+      .begin_object("c")
+      .field("d", true)
+      .field("e", "x")
+      .begin_object("f")
+      .field("g", false)
+      .end_object()
+      .end_object()
+      .begin_array("empty")
+      .end_array()
+      .end_object();
+  EXPECT_EQ(w.str(),
+            R"({"a":1,"b":[1,2,{},[]],"c":{"d":true,"e":"x","f":{"g":false}},)"
+            R"("empty":[]})");
+}
+
+TEST(JsonWriter, IntegersVerbatimDoublesAtTheWritersPrecision) {
+  JsonWriter report(12);
+  JsonWriter bench(17);
+  report.value(1.0 / 3.0);
+  bench.value(1.0 / 3.0);
+  EXPECT_EQ(report.str(), "0.333333333333");
+  EXPECT_EQ(bench.str(), "0.33333333333333331");
+
+  JsonWriter ints;
+  ints.begin_array()
+      .value(std::numeric_limits<std::uint64_t>::max())
+      .value(-3)
+      .value(std::int64_t{-9007199254740993})
+      .end_array();
+  EXPECT_EQ(ints.str(), "[18446744073709551615,-3,-9007199254740993]");
+
+  // Doubles match the stream's default format at the same precision: no
+  // trailing zeros, exponent form outside the fixed range.
+  for (const int precision : {12, 17}) {
+    for (const double v : {15e6, 2.5, 1e-5, 1e20, -0.0, 143.56052969,
+                           6.02214076e23, 1e-300, 0.1}) {
+      std::ostringstream expected;
+      expected.precision(precision);
+      expected << v;
+      JsonWriter w(precision);
+      w.value(v);
+      EXPECT_EQ(w.str(), expected.str()) << v << " at " << precision;
+    }
+  }
+}
+
+TEST(JsonWriter, NonFiniteDoublesBecomeNull) {
+  JsonWriter w;
+  w.begin_object()
+      .field("nan", std::nan(""))
+      .field("inf", std::numeric_limits<double>::infinity())
+      .field("neg_inf", -std::numeric_limits<double>::infinity())
+      .end_object();
+  EXPECT_EQ(w.str(), R"({"nan":null,"inf":null,"neg_inf":null})");
+}
+
+TEST(JsonWriter, WritesTheDocumentPlusNewline) {
+  const std::string path = ::testing::TempDir() + "json_writer_test.json";
+  write_json_file(path, "{\"a\":1}");
+  std::ifstream in(path);
+  std::ostringstream contents;
+  contents << in.rdbuf();
+  EXPECT_EQ(contents.str(), "{\"a\":1}\n");
+  EXPECT_THROW(write_json_file(path + ".missing/x.json", "{}"),
+               InvalidArgument);
 }
 
 // ---- stopwatch ----------------------------------------------------------------

@@ -137,6 +137,19 @@ TEST(DfsChaos, BindChaosAppliesKillsAndAccountsReReplication) {
   EXPECT_EQ(stats.blocks_lost, 0);
 }
 
+TEST(DfsChaos, FlatKillOutcomePricesRepairAtTheBoundBandwidth) {
+  // Without a racked topology the DFS prices repair traffic itself, as
+  // bytes over the bandwidth bind_chaos was given.
+  ChaosEngine engine;
+  Dfs fs(4, small_blocks(3));
+  fs.bind_chaos(&engine, /*network_bandwidth=*/1e6);
+  fs.write_text("/priced", payload(600));
+  const NodeKillOutcome outcome = fs.kill_datanode(1);
+  ASSERT_GT(outcome.re_replicated_bytes, 0u);
+  EXPECT_DOUBLE_EQ(outcome.re_replication_seconds,
+                   static_cast<double>(outcome.re_replicated_bytes) / 1e6);
+}
+
 // Placement must be a function of the file alone, not of commit order:
 // chaos re-replication totals depend on which blocks lived on the dead
 // node, so same-seed runs are only bit-identical if two filesystems built

@@ -272,9 +272,9 @@ TEST(DfsRacked, FlatTopologyPlacementUnchanged) {
 
 TEST(DfsRacked, KillSimulatesRepairFlowsAndPrefersSourceRack) {
   // Under a racked topology the repair traffic is flow-simulated:
-  // re_replication_seconds must come back positive (engine stops falling
-  // back to bytes / bandwidth) and repaired blocks stay at full
-  // replication on live nodes.
+  // re_replication_seconds must come back positive even with no network
+  // bandwidth bound, and repaired blocks stay at full replication on live
+  // nodes.
   Dfs fs(8);
   fs.set_topology(racked_topology_of(8, 4, /*rack_aware=*/true));
   {

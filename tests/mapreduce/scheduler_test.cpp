@@ -395,6 +395,26 @@ TEST(SchedulerRacked, ByteDistanceSplitFollowsPlacement) {
   EXPECT_EQ(s.net_cross_rack_bytes, 0u);
 }
 
+TEST(SchedulerRacked, AttemptsWithTransfersPayChecksumCpu) {
+  // Verification is never free: a racked attempt with recorded transfers
+  // pays checksum_seconds for its bytes_checksummed, as the scalar model
+  // charges it.
+  CostModel m = flat_model();
+  Attempt plain = ok_attempt(1'000'000);
+  plain.io.bytes_read = 20'000'000;
+  plain.transfers.push_back({0, 0, 20'000'000, net::TransferKind::kRead});
+  Attempt verified = plain;
+  verified.io.bytes_checksummed = 40'000'000;
+  const auto duration = [&m](const Attempt& a) {
+    Cluster cluster(4, m, /*seed=*/7);
+    cluster.set_topology(make_topology(4, 2, 1.0, m.network_bandwidth));
+    return schedule_phase(cluster, {{a}}).duration;
+  };
+  EXPECT_GT(m.checksum_seconds(40'000'000), 0.0);
+  EXPECT_NEAR(duration(verified) - duration(plain),
+              m.checksum_seconds(40'000'000), 1e-12);
+}
+
 // ---- fair-share slot pool ---------------------------------------------------
 
 TEST(SlotPoolShares, LargestRemainderApportionment) {

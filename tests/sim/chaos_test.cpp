@@ -120,21 +120,23 @@ TEST(ChaosEngine, AdvanceAppliesEachEventExactlyOnceAndNeverRewinds) {
   EXPECT_EQ(engine.stats().nodes_killed, 2);
 }
 
-TEST(ChaosEngine, ReReplicationSecondsUseTheBandwidth) {
+TEST(ChaosEngine, ReReplicationSecondsSumTheHandlersOutcomes) {
+  // The kill handler (the DFS) prices its own repair; the engine only sums.
   ChaosEngine engine;
   engine.add_event({ChaosEventKind::kKillNode, 1.0, 1, 1.0});
-  engine.set_kill_handler([](int, double) {
+  engine.add_event({ChaosEventKind::kKillNode, 3.0, 2, 1.0});
+  engine.set_kill_handler([](int node, double) {
     NodeKillOutcome outcome;
     outcome.re_replicated_bytes = 100;
     outcome.re_replicated_blocks = 2;
+    outcome.re_replication_seconds = 0.5 * node;
     return outcome;
   });
-  engine.set_network_bandwidth(50.0);
-  engine.advance_to(2.0);
+  engine.advance_to(5.0);
   const RecoveryStats stats = engine.stats();
-  EXPECT_EQ(stats.re_replicated_bytes, 100u);
-  EXPECT_EQ(stats.re_replicated_blocks, 2);
-  EXPECT_DOUBLE_EQ(stats.re_replication_seconds, 2.0);
+  EXPECT_EQ(stats.re_replicated_bytes, 200u);
+  EXPECT_EQ(stats.re_replicated_blocks, 4);
+  EXPECT_DOUBLE_EQ(stats.re_replication_seconds, 1.5);
 }
 
 TEST(ChaosEngine, ReadErrorEventsReachTheHandler) {

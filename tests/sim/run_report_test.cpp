@@ -1,6 +1,8 @@
 // Run-report aggregation and JSON export over synthetic phase traces.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "sim/run_report.hpp"
 
 namespace mri {
@@ -168,6 +170,17 @@ TEST(RunReport, JsonContainsSchemaKeys) {
         "\"bytes_read\":123"}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }
+}
+
+TEST(RunReport, NonFiniteNumbersSerializeAsNull) {
+  // A NaN must not read as a clean zero: JSON has no NaN, so it is null.
+  RunReport r = two_slot_run();
+  aggregate_run_report(&r);
+  r.sim_seconds = std::nan("");
+  r.cluster_utilization = HUGE_VAL;
+  const std::string json = run_report_json(r);
+  EXPECT_NE(json.find("\"sim_seconds\":null"), std::string::npos);
+  EXPECT_NE(json.find("\"cluster_utilization\":null"), std::string::npos);
 }
 
 TEST(RunReport, IntegritySectionAlwaysPresentWithRecoveryCounter) {
