@@ -1,6 +1,14 @@
+// The AVX2 path is compiled with a per-function target attribute (the
+// translation unit needs no -mavx2, so the binary still runs on any x86-64)
+// and taken only when __builtin_cpu_supports reports the feature.
 #include "dfs/ec/gf256.hpp"
 
 #include "common/error.hpp"
+
+#if defined(__x86_64__) || defined(__i386__)
+#define MRI_GF256_X86 1
+#include <immintrin.h>
+#endif
 
 namespace mri::dfs::ec {
 
@@ -29,6 +37,48 @@ const Gf256Tables& tables() {
   return t;
 }
 
+#ifdef MRI_GF256_X86
+
+// Multiplication distributes over XOR, so c·s = c·(s & 0x0F) ^ c·(s & 0xF0):
+// two 16-entry product tables indexed by s's nibbles. One byte shuffle looks
+// a nibble up in all 32 lanes at once, so a pair of shuffles multiplies 32
+// bytes.
+__attribute__((target("avx2"))) void gf_mul_add_avx2(std::uint8_t coeff,
+                                                     const std::uint8_t* src,
+                                                     std::uint8_t* dst,
+                                                     std::size_t len) {
+  alignas(16) std::uint8_t low[16];
+  alignas(16) std::uint8_t high[16];
+  for (int i = 0; i < 16; ++i) {
+    low[i] = gf_mul(coeff, static_cast<std::uint8_t>(i));
+    high[i] = gf_mul(coeff, static_cast<std::uint8_t>(i << 4));
+  }
+  const __m256i low_table = _mm256_broadcastsi128_si256(
+      _mm_load_si128(reinterpret_cast<const __m128i*>(low)));
+  const __m256i high_table = _mm256_broadcastsi128_si256(
+      _mm_load_si128(reinterpret_cast<const __m128i*>(high)));
+  const __m256i nibble = _mm256_set1_epi8(0x0F);
+  std::size_t i = 0;
+  for (; i + 32 <= len; i += 32) {
+    const __m256i s =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
+    const __m256i product = _mm256_xor_si256(
+        _mm256_shuffle_epi8(low_table, _mm256_and_si256(s, nibble)),
+        _mm256_shuffle_epi8(high_table,
+                            _mm256_and_si256(_mm256_srli_epi64(s, 4), nibble)));
+    __m256i* d = reinterpret_cast<__m256i*>(dst + i);
+    _mm256_storeu_si256(d, _mm256_xor_si256(_mm256_loadu_si256(d), product));
+  }
+  detail::gf_mul_add_portable(coeff, src + i, dst + i, len - i);
+}
+
+bool avx2_supported() {
+  static const bool ok = __builtin_cpu_supports("avx2");
+  return ok;
+}
+
+#endif  // MRI_GF256_X86
+
 }  // namespace
 
 std::uint8_t gf_mul(std::uint8_t a, std::uint8_t b) {
@@ -50,6 +100,20 @@ std::uint8_t gf_div(std::uint8_t a, std::uint8_t b) {
 void gf_mul_add(std::uint8_t coeff, const std::uint8_t* src, std::uint8_t* dst,
                 std::size_t len) {
   if (coeff == 0) return;
+#ifdef MRI_GF256_X86
+  if (avx2_supported()) {
+    gf_mul_add_avx2(coeff, src, dst, len);
+    return;
+  }
+#endif
+  detail::gf_mul_add_portable(coeff, src, dst, len);
+}
+
+namespace detail {
+
+void gf_mul_add_portable(std::uint8_t coeff, const std::uint8_t* src,
+                         std::uint8_t* dst, std::size_t len) {
+  if (coeff == 0) return;
   if (coeff == 1) {
     for (std::size_t i = 0; i < len; ++i) dst[i] ^= src[i];
     return;
@@ -62,4 +126,5 @@ void gf_mul_add(std::uint8_t coeff, const std::uint8_t* src, std::uint8_t* dst,
   }
 }
 
+}  // namespace detail
 }  // namespace mri::dfs::ec

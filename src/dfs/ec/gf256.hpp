@@ -2,10 +2,15 @@
 // code uses (HDFS-EC/ISA-L, Jerasure, Backblaze). Elements are bytes;
 // addition is XOR; multiplication is carry-less modulo the primitive
 // polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11d, generator 2 — the same field
-// those libraries pick), implemented with exp/log tables so a byte multiply
-// is two lookups and one add.
+// those libraries pick). A single multiply is two exp/log lookups and one
+// add. The bulk multiply-add that encode and decode spend their time in,
+// gf_mul_add(), runs on AVX2 byte shuffles over 16-entry nibble product
+// tables (the ISA-L technique) when the CPU has AVX2, picked once at runtime
+// (no build flag or option), and on the exp/log loop otherwise; both give
+// the same bytes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace mri::dfs::ec {
@@ -24,4 +29,12 @@ std::uint8_t gf_div(std::uint8_t a, std::uint8_t b);
 void gf_mul_add(std::uint8_t coeff, const std::uint8_t* src, std::uint8_t* dst,
                 std::size_t len);
 
+namespace detail {
+
+/// The portable exp/log loop gf_mul_add() falls back to on CPUs without
+/// AVX2. Exposed so the tests and microbenchmarks can compare the two paths.
+void gf_mul_add_portable(std::uint8_t coeff, const std::uint8_t* src,
+                         std::uint8_t* dst, std::size_t len);
+
+}  // namespace detail
 }  // namespace mri::dfs::ec

@@ -1,6 +1,7 @@
 #include "service/loadgen.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <random>
 #include <sstream>
@@ -27,6 +28,23 @@ double exp_gap(std::mt19937_64& rng, double rate) {
   const double u =
       static_cast<double>(rng() >> 11) * 0x1.0p-53;  // u in [0, 1)
   return -std::log1p(-u) / rate;
+}
+
+/// A trace line's whitespace-separated fields, up to a '#' comment.
+std::vector<std::string> fields_of(const std::string& line) {
+  std::istringstream in(line);
+  std::vector<std::string> fields;
+  std::string token;
+  while (in >> token && token[0] != '#') fields.push_back(std::move(token));
+  return fields;
+}
+
+/// Parses all of `token` into `out`: no partial number, no trailing text.
+template <typename T>
+bool parse_field(const std::string& token, T* out) {
+  const char* end = token.data() + token.size();
+  const auto [stop, error] = std::from_chars(token.data(), end, *out);
+  return error == std::errc() && stop == end;
 }
 
 }  // namespace
@@ -91,15 +109,15 @@ RequestTrace parse_request_trace(const std::string& text) {
   int lineno = 0;
   while (std::getline(lines, line)) {
     ++lineno;
-    std::istringstream fields(line);
-    std::string kind;
-    if (!(fields >> kind) || kind[0] == '#') continue;
-    if (kind == "tenant") {
+    const std::vector<std::string> f = fields_of(line);
+    if (f.empty()) continue;
+    if (f[0] == "tenant") {
       mr::TenantShare share;
-      MRI_REQUIRE(static_cast<bool>(fields >> share.tenant >> share.weight),
+      MRI_REQUIRE(f.size() == 3 && parse_field(f[2], &share.weight),
                   "request trace line " << lineno
                                         << ": expected 'tenant <name> "
                                            "<weight>', got '" << line << "'");
+      share.tenant = f[1];
       MRI_REQUIRE(share.weight >= 1, "request trace line "
                                          << lineno << ": tenant '"
                                          << share.tenant
@@ -112,28 +130,39 @@ RequestTrace parse_request_trace(const std::string& text) {
                                           << "' declared twice");
       }
       trace.shares.push_back(std::move(share));
-    } else if (kind == "request") {
+    } else if (f[0] == "request") {
       InversionRequest r;
       long long order = 0;
       MRI_REQUIRE(
-          static_cast<bool>(fields >> r.tenant >> r.arrival_seconds >> order >>
-                            r.seed),
+          f.size() >= 5 && parse_field(f[2], &r.arrival_seconds) &&
+              parse_field(f[3], &order) && parse_field(f[4], &r.seed),
           "request trace line "
               << lineno
               << ": expected 'request <tenant> <arrival_seconds> <order> "
                  "<seed> [priority] [deadline_seconds]', got '" << line
               << "'");
+      r.tenant = f[1];
       MRI_REQUIRE(order >= 1, "request trace line " << lineno
                                                     << ": matrix order "
                                                     << order
                                                     << " must be >= 1");
-      MRI_REQUIRE(r.arrival_seconds >= 0.0,
+      MRI_REQUIRE(std::isfinite(r.arrival_seconds) && r.arrival_seconds >= 0.0,
                   "request trace line " << lineno << ": arrival "
                                         << r.arrival_seconds
-                                        << " must be >= 0");
+                                        << " must be finite and >= 0");
       r.order = static_cast<Index>(order);
-      fields >> r.priority;                // optional
-      fields >> r.deadline_seconds;        // optional
+      // Optional fields: present means fully parsed, never silently dropped.
+      MRI_REQUIRE(f.size() < 6 || parse_field(f[5], &r.priority),
+                  "request trace line " << lineno << ": priority '" << f[5]
+                                        << "' is not an integer");
+      MRI_REQUIRE(f.size() < 7 || (parse_field(f[6], &r.deadline_seconds) &&
+                                   std::isfinite(r.deadline_seconds)),
+                  "request trace line " << lineno << ": deadline '" << f[6]
+                                        << "' is not a finite number");
+      MRI_REQUIRE(f.size() <= 7, "request trace line "
+                                     << lineno << ": unexpected '" << f[7]
+                                     << "' after the deadline (comments "
+                                        "start with '#')");
       MRI_REQUIRE(r.deadline_seconds >= 0.0,
                   "request trace line " << lineno << ": deadline "
                                         << r.deadline_seconds
@@ -149,7 +178,7 @@ RequestTrace parse_request_trace(const std::string& text) {
       trace.requests.push_back(std::move(r));
     } else {
       MRI_REQUIRE(false, "request trace line "
-                             << lineno << ": unknown directive '" << kind
+                             << lineno << ": unknown directive '" << f[0]
                              << "' (expected 'tenant' or 'request')");
     }
   }

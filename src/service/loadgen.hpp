@@ -60,12 +60,14 @@ struct RequestTrace {
   std::vector<InversionRequest> requests;
 };
 
-/// Parses the request-trace text format. Lines (blank and '#'-comment lines
-/// are skipped):
+/// Parses the request-trace text format. Lines (blank lines are skipped, and
+/// a field starting with '#' begins a comment that runs to the line's end):
 ///   tenant <name> <weight>
 ///   request <tenant> <arrival_seconds> <order> <seed> [priority] [deadline]
-/// Every request's tenant must have been declared first. Throws
-/// InvalidArgument with the offending line number on malformed input.
+/// Every request's tenant must have been declared first. Every field that is
+/// present must parse in full, arrival and deadline must be finite, and no
+/// field may follow the last one. Throws InvalidArgument with the offending
+/// line number on malformed input.
 RequestTrace parse_request_trace(const std::string& text);
 
 }  // namespace mri::service

@@ -84,6 +84,45 @@ TEST(Gf256, FieldAxiomsOnAllElements) {
   EXPECT_THROW(ec::gf_inv(0), InvalidArgument);
 }
 
+TEST(Gf256, MulAddMatchesPerByteOracleForEveryCoefficient) {
+  // Lengths around the 32-byte vector width, at every src/dst misalignment
+  // 0-3, for all 256 coefficients; both the dispatched and the portable
+  // path must equal dst[i] ^ gf_mul(coeff, src[i]) byte for byte.
+  const std::size_t lengths[] = {0, 1, 31, 32, 33, 63, 64, 65, 1000};
+  const std::vector<std::uint8_t> src_bytes = random_bytes(1003, 5);
+  const std::vector<std::uint8_t> dst_bytes = random_bytes(1003, 6);
+  for (int c = 0; c < 256; ++c) {
+    const auto coeff = static_cast<std::uint8_t>(c);
+    for (std::size_t len : lengths) {
+      for (std::size_t so = 0; so < 4; ++so) {
+        for (std::size_t dof = 0; dof < 4; ++dof) {
+          // Exact-size heap buffers: a read or write past `len` is a heap
+          // overflow under ASan.
+          const std::vector<std::uint8_t> src(
+              src_bytes.begin(),
+              src_bytes.begin() + static_cast<std::ptrdiff_t>(so + len));
+          const std::vector<std::uint8_t> dst(
+              dst_bytes.begin(),
+              dst_bytes.begin() + static_cast<std::ptrdiff_t>(dof + len));
+          std::vector<std::uint8_t> want = dst;
+          for (std::size_t i = 0; i < len; ++i) {
+            want[dof + i] ^= ec::gf_mul(coeff, src[so + i]);
+          }
+          std::vector<std::uint8_t> dispatched = dst;
+          std::vector<std::uint8_t> portable = dst;
+          ec::gf_mul_add(coeff, src.data() + so, dispatched.data() + dof, len);
+          ec::detail::gf_mul_add_portable(coeff, src.data() + so,
+                                          portable.data() + dof, len);
+          ASSERT_EQ(dispatched, want) << "coeff " << c << " len " << len
+                                      << " src+" << so << " dst+" << dof;
+          ASSERT_EQ(portable, want) << "coeff " << c << " len " << len
+                                    << " src+" << so << " dst+" << dof;
+        }
+      }
+    }
+  }
+}
+
 TEST(RsCodec, RoundTripsRandomPayloadsThroughEveryLossCount) {
   for (const auto& [k, m] : std::vector<std::pair<int, int>>{
            {3, 2}, {6, 3}, {10, 4}, {1, 1}}) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -43,6 +44,94 @@ TEST(Crc32c, KnownAnswer) {
                 reinterpret_cast<const std::byte*>(digits), 9)),
             0xE3069283u);
   EXPECT_EQ(crc32c({}), 0u);
+}
+
+// Bit-at-a-time CRC32C with no table: the oracle both library paths (the
+// dispatched one and the portable table loop) must agree with.
+std::uint32_t crc32c_bitwise(std::span<const std::byte> data) {
+  std::uint32_t c = ~0u;
+  for (std::byte b : data) {
+    c ^= static_cast<std::uint32_t>(b);
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c >> 1) ^ (0x82F63B78u & (0u - (c & 1u)));
+    }
+  }
+  return ~c;
+}
+
+// Deterministic pseudo-random bytes (xorshift).
+std::vector<std::byte> random_bytes(std::size_t n, std::uint64_t seed) {
+  std::vector<std::byte> out(n);
+  std::uint64_t x = seed * 2654435761u + 1;
+  for (std::byte& b : out) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    b = static_cast<std::byte>(x >> 32);
+  }
+  return out;
+}
+
+TEST(Crc32c, Rfc3720Vectors) {
+  // RFC 3720 §B.4: 32 bytes of zeros, of ones, ascending and descending.
+  std::vector<std::byte> zeros(32, std::byte{0x00});
+  std::vector<std::byte> ones(32, std::byte{0xFF});
+  std::vector<std::byte> up(32);
+  std::vector<std::byte> down(32);
+  for (int i = 0; i < 32; ++i) {
+    up[static_cast<std::size_t>(i)] = static_cast<std::byte>(i);
+    down[static_cast<std::size_t>(i)] = static_cast<std::byte>(31 - i);
+  }
+  const std::vector<std::pair<std::vector<std::byte>, std::uint32_t>> cases = {
+      {zeros, 0x8A9136AAu},
+      {ones, 0x62A8AB43u},
+      {up, 0x46DD794Eu},
+      {down, 0x113FDB5Cu}};
+  for (const auto& [bytes, want] : cases) {
+    EXPECT_EQ(crc32c(bytes), want);
+    EXPECT_EQ(detail::crc32c_portable(bytes), want);
+    EXPECT_EQ(crc32c_bitwise(bytes), want);
+  }
+}
+
+TEST(Crc32c, DispatchedAndPortableMatchBitwiseOracle) {
+  // Every length through the single-stream and 8-byte/1-byte tails, and
+  // +-1 around the three-stream chunk edges: 3 x 256 B, 3 x 8 KiB, and
+  // 3 x 8 KiB followed by 3 x 256 B and a 7-byte tail.
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 1100; ++n) lengths.push_back(n);
+  for (std::size_t edge : {std::size_t{768}, std::size_t{24576},
+                           std::size_t{24576 + 768 + 7}}) {
+    for (std::size_t n = edge - 1; n <= edge + 1; ++n) lengths.push_back(n);
+  }
+  const std::vector<std::byte> source = random_bytes(24576 + 768 + 16, 3);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len : lengths) {
+      // Exact-size heap buffer: the data ends where the allocation ends, so
+      // a read past the last byte is a heap overflow under ASan.
+      const auto buffer = std::make_unique<std::byte[]>(offset + len);
+      std::memcpy(buffer.get(), source.data(), offset + len);
+      const std::span<const std::byte> data(buffer.get() + offset, len);
+      const std::uint32_t want = crc32c_bitwise(data);
+      ASSERT_EQ(crc32c(data), want) << "len " << len << " offset " << offset;
+      ASSERT_EQ(detail::crc32c_portable(data), want)
+          << "len " << len << " offset " << offset;
+    }
+  }
+}
+
+TEST(Crc32c, ChainingAtEverySplitEqualsOneShot) {
+  const std::vector<std::byte> bytes = random_bytes(2048, 4);
+  const std::span<const std::byte> all(bytes);
+  const std::uint32_t whole = crc32c(all);
+  for (std::size_t split = 0; split <= all.size(); ++split) {
+    ASSERT_EQ(crc32c(all.subspan(split), crc32c(all.first(split))), whole)
+        << "split " << split;
+    ASSERT_EQ(detail::crc32c_portable(all.subspan(split),
+                                      detail::crc32c_portable(all.first(split))),
+              whole)
+        << "split " << split;
+  }
 }
 
 TEST(CorruptCopy, DeterministicAndDifferent) {

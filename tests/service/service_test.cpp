@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -440,6 +442,54 @@ TEST(RequestTrace, RejectsMalformedInput) {
   EXPECT_THROW(
       parse_request_trace("tenant a 1\ntenant a 2\nrequest a 0 24 7\n"),
       InvalidArgument);
+
+  // A field that is present must parse in full, and the error names the
+  // line: none of these may be read as a shorter, valid request.
+  const auto error_of = [](const std::string& request_line) {
+    try {
+      parse_request_trace("tenant gold 1\n" + request_line + "\n");
+    } catch (const InvalidArgument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  for (const char* bad : {
+           "request gold 10 96 1 high 900",     // non-integer priority
+           "request gold 10 96 1.5 2 900",      // fractional seed
+           "request gold 10 96 1 2.5 900",      // fractional priority
+           "request gold 10 96 1 2 nan",        // non-finite deadline
+           "request gold 10 96 1 2 inf",
+           "request gold 10 96 1 2 900s",       // unit suffix
+           "request gold 10 96 1 2 900 7",      // token after the deadline
+           "request gold 10 96 1 2 900 late",
+           "request gold 10 96 -1",             // negative seed
+           "request gold inf 96 1",             // non-finite arrival
+           "request gold 10 96.5 1",            // fractional order
+       }) {
+    EXPECT_NE(error_of(bad).find("request trace line 2"), std::string::npos)
+        << bad << " -> " << error_of(bad);
+  }
+  EXPECT_THROW(parse_request_trace("tenant gold 1 extra\n"), InvalidArgument);
+  EXPECT_THROW(parse_request_trace("tenant gold 1.5\n"), InvalidArgument);
+
+  // A trailing '#' comment is not a field.
+  const RequestTrace commented = parse_request_trace(
+      "tenant gold 1 # weight\nrequest gold 10 96 1 2 900 # comment\n"
+      "request gold 11 96 2 # no optional fields\n");
+  ASSERT_EQ(commented.requests.size(), 2u);
+  EXPECT_EQ(commented.requests[0].priority, 2);
+  EXPECT_EQ(commented.requests[0].deadline_seconds, 900.0);
+  EXPECT_EQ(commented.requests[1].priority, 0);
+}
+
+TEST(RequestTrace, ParsesTheExampleTrace) {
+  std::ifstream file(MRI_SAMPLE_REQUEST_TRACE);
+  ASSERT_TRUE(file) << MRI_SAMPLE_REQUEST_TRACE;
+  std::ostringstream text;
+  text << file.rdbuf();
+  const RequestTrace trace = parse_request_trace(text.str());
+  EXPECT_EQ(trace.shares.size(), 2u);
+  EXPECT_FALSE(trace.requests.empty());
 }
 
 TEST(RetryBackoff, EscalatesAndClampsAtMax) {
