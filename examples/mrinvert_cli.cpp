@@ -73,6 +73,12 @@
 // stays at machine epsilon. The report's "integrity" section has the counts.
 //
 // Any other --option is refused (a typo must not run as if it were absent).
+//
+// Exit codes: 0 success; 1 residual not below 1e-5, no request admitted, or
+// any other error; 2 usage or invalid argument (bad or conflicting flags, an
+// unreadable input file); 3 numerical error (e.g. a singular input); 4 DFS
+// error (including unrecoverable block loss). Errors print "error: <what>"
+// to stderr.
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -469,9 +475,7 @@ int run_serve(const mri::CliOptions& cli) {
   return result.admitted > 0 ? 0 : 1;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace mri;
   CliOptions cli(argc, argv);
   // --help is listed so it still falls through to the usage message below.
@@ -790,4 +794,18 @@ int main(int argc, char** argv) {
                 output.c_str());
   }
   return residual < 1e-5 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const mri::Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    if (dynamic_cast<const mri::InvalidArgument*>(&e) != nullptr) return 2;
+    if (dynamic_cast<const mri::NumericalError*>(&e) != nullptr) return 3;
+    if (dynamic_cast<const mri::DfsError*>(&e) != nullptr) return 4;
+    return 1;
+  }
 }

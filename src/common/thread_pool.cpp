@@ -51,18 +51,27 @@ void ThreadPool::parallel_for(std::size_t count,
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
-  std::vector<std::future<void>> futures;
+  // Each task hands its exception back as a value: get() moves it out of
+  // the shared state, so the last reference, and with it the exception
+  // object, dies on this thread. Left in the state as a thrown exception,
+  // it would die on whichever worker released the task last, racing the
+  // caller still reading it.
+  std::vector<std::future<std::exception_ptr>> futures;
   futures.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    futures.push_back(submit([&fn, i] { fn(i); }));
+    futures.push_back(submit([&fn, i]() -> std::exception_ptr {
+      try {
+        fn(i);
+      } catch (...) {
+        return std::current_exception();
+      }
+      return nullptr;
+    }));
   }
   std::exception_ptr first_error;
   for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
+    std::exception_ptr error = f.get();
+    if (error && !first_error) first_error = std::move(error);
   }
   if (first_error) std::rethrow_exception(first_error);
 }

@@ -249,10 +249,12 @@ class InverseReducer : public mr::Reducer {
     } else {
       // Naive baseline: all m0 reducers compute row bands of the product;
       // reducer t takes a slice of U file (t mod u_workers) and reads every
-      // L file — the (1 + 1/m0)·n² per-node read of §6.2.
+      // L file — the (1 + 1/m0)·n² per-node read of §6.2. File f has one
+      // slice per reducer t < m0 with t mod u_workers == f, so when
+      // u_workers does not divide m0 the low files get one slice more.
       const int file = t % c.u_workers;
       const int slice = t / c.u_workers;
-      const int slices = (c.m0 + c.u_workers - 1) / c.u_workers;
+      const int slices = (c.m0 - file + c.u_workers - 1) / c.u_workers;
       const auto ids = interleaved_ids(c.n, c.u_workers, file);
       const RowRange r =
           stripe(static_cast<Index>(ids.size()), slices, slice);

@@ -20,11 +20,6 @@ BlockData DataNode::get(BlockId block) const {
   return it->second;
 }
 
-bool DataNode::has(BlockId block) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return blocks_.count(block) > 0;
-}
-
 void DataNode::evict(BlockId block) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = blocks_.find(block);
@@ -42,11 +37,6 @@ void DataNode::clear() {
 std::uint64_t DataNode::bytes_stored() const {
   std::lock_guard<std::mutex> lock(mu_);
   return bytes_;
-}
-
-std::size_t DataNode::block_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return blocks_.size();
 }
 
 }  // namespace mri::dfs

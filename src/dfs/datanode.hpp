@@ -17,7 +17,6 @@ class DataNode {
 
   void put(BlockId block, BlockData data);
   BlockData get(BlockId block) const;
-  bool has(BlockId block) const;
   void evict(BlockId block);
 
   /// Drops every block (the node died; its disks are gone).
@@ -25,7 +24,6 @@ class DataNode {
 
   /// Bytes of replicas resident on this node.
   std::uint64_t bytes_stored() const;
-  std::size_t block_count() const;
 
  private:
   int id_;

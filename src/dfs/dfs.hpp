@@ -11,6 +11,10 @@
 //
 // Per-task accounting: pass an IoStats* when opening/creating; the facade
 // adds the same amounts to the global MetricsRegistry.
+//
+// One class over three translation units: dfs.cpp (namespace, write path),
+// read_path.cpp (Reader, replica and stripe reads, open) and
+// failure_path.cpp (node kills, corruption, verification, repair, scrub).
 #pragma once
 
 #include <atomic>
@@ -22,12 +26,10 @@
 #include <string>
 #include <vector>
 
-#include <map>
-#include <set>
-
 #include "dfs/block.hpp"
 #include "dfs/datanode.hpp"
 #include "dfs/ec/policy.hpp"
+#include "dfs/hot_cache.hpp"
 #include "dfs/integrity/checksum_store.hpp"
 #include "dfs/namenode.hpp"
 #include "net/topology.hpp"
@@ -114,15 +116,6 @@ struct StorageReconstructionEvent {
   int cells = 0;    // stripe cells rebuilt
   std::uint64_t bytes = 0;   // bytes of rebuilt cell payload
   double seconds = 0.0;      // simulated duration of the whole repair
-};
-
-/// Namenode hot-block cache occupancy and hit totals.
-struct HotCacheStats {
-  std::uint64_t capacity_bytes = 0;
-  std::uint64_t resident_bytes = 0;
-  int resident_files = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t hit_bytes = 0;
 };
 
 /// Observer of memory-tier lifecycle events, implemented by the engine layer
@@ -232,7 +225,7 @@ class Dfs {
     bool closed_ = false;
   };
 
-  /// Sequential reader over a committed file.
+  /// Sequential reader over a committed file; must not outlive its Dfs.
   class Reader {
    public:
     std::uint64_t size() const { return size_; }
@@ -252,9 +245,9 @@ class Dfs {
 
    private:
     friend class Dfs;
-    Reader(std::vector<BlockData> blocks, std::vector<int> sources,
-           std::vector<bool> mem_local, std::uint64_t size, IoStats* account,
-           MetricsRegistry* metrics, bool record_transfers);
+    Reader(const Dfs* fs, std::vector<BlockData> blocks,
+           std::vector<int> sources, std::vector<bool> mem_local,
+           std::uint64_t size, IoStats* account);
     void account(std::uint64_t bytes, std::uint64_t memory_bytes);
 
     std::vector<BlockData> blocks_;
@@ -270,7 +263,7 @@ class Dfs {
     std::size_t block_index_ = 0;
     std::uint64_t block_offset_ = 0;
     IoStats* account_;
-    MetricsRegistry* metrics_;
+    const Dfs* fs_;
     bool record_transfers_;
   };
 
@@ -397,35 +390,65 @@ class Dfs {
  private:
   void commit(const std::string& path, std::vector<std::byte> buffer,
               bool overwrite, IoStats* account, StorageTier tier,
-              bool charge = true, bool notify = true);
+              bool charged = true, bool notify = true);
 
-  /// Picks the replica a read of `loc` uses: the first live replica whose
-  /// read-error budget is exhausted, trying closest replicas first under a
-  /// rack-aware topology. Throws UnrecoverableBlock when every replica is
-  /// dead, DfsError when only injected-error copies remain. `source` (may
-  /// be null) receives the chosen datanode. Errors name `path` and `index`,
-  /// the block's position within the file: block ids follow the commit
-  /// order of concurrent writers, so naming one would make a same-seed
-  /// failure message differ run to run.
-  BlockData read_replica(const BlockLocation& loc, std::size_t index,
-                         const std::string& path, int* source) const;
+  /// Adds `io` to `account` (may be null) and to the metrics registry.
+  void charge(const IoStats& io, IoStats* account) const;
 
-  /// Reads one erasure-coded stripe: fetches the first k available cells
-  /// (data cells first — a fully healthy stripe is a plain concatenation),
-  /// decodes any missing data cells from the survivors (a degraded read,
-  /// charged as bytes_reconstructed + degraded_reads), and returns the
-  /// reassembled block payload. An armed read error on a cell's node marks
-  /// that cell unavailable for this read (failover, like the replicated
-  /// path). Throws UnrecoverableBlock when fewer than k cells survive.
-  /// Errors name `path` and `index`, as read_replica's do.
-  BlockData read_stripe(const BlockLocation& loc, std::size_t index,
-                        const std::string& path, IoStats* account) const;
+  /// Counts `cells` CRC-checked cells of `bytes` in total and charges their
+  /// checksum CPU to `account` (may be null) and the metrics registry.
+  void charge_verified(std::int64_t cells, std::uint64_t bytes,
+                       IoStats* account) const;
 
-  /// Re-runs the greedy residency sweep; call with hot_mu_ held.
-  void recompute_hot_residents_locked() const;
+  /// Forgets removed blocks' checksums and evicts every stored copy.
+  void drop_blocks(const std::vector<BlockLocation>& blocks);
+
+  /// The node of the calling thread's TransferLog, or -1 when no log is
+  /// installed or its node is outside this DFS.
+  int task_node() const;
+
+  /// Picks the replica a read of block `index` of `file` uses: the first
+  /// live replica whose read-error budget is exhausted, trying closest
+  /// replicas first under a rack-aware topology. Throws UnrecoverableBlock
+  /// when every replica is dead, DfsError when only injected-error copies
+  /// remain. `source` (may be null) receives the chosen datanode. Errors
+  /// name the path and `index`, the block's position within the file:
+  /// block ids follow the commit order of concurrent writers, so naming one
+  /// would make a same-seed failure message differ run to run.
+  BlockData read_replica(const NameNode::FileInfo& file, std::size_t index,
+                         int* source) const;
+
+  /// Reads erasure-coded block `index` of `file`: fetches the first k
+  /// available cells (data cells first — a fully healthy stripe is a plain
+  /// concatenation), decodes any missing data cells from the survivors (a
+  /// degraded read, charged as bytes_reconstructed + degraded_reads), and
+  /// returns the reassembled block payload. An armed read error on a cell's
+  /// node marks that cell unavailable for this read (failover, like the
+  /// replicated path). Throws UnrecoverableBlock when fewer than k cells
+  /// survive. Errors name the path and `index`, as read_replica's do.
+  BlockData read_stripe(const NameNode::FileInfo& file, std::size_t index,
+                        IoStats* account) const;
+
+  /// Cells of one erasure-coded stripe, as decode_cells() gathers them.
+  struct StripeCells {
+    std::vector<const std::uint8_t*> cells;  // per slot; null = not at hand
+    std::vector<int> fetched;                // slots read, in slot order
+    std::vector<BlockData> pins;             // keeps fetched payloads alive
+    std::vector<std::vector<std::uint8_t>> rebuilt;  // decoded cells
+  };
+
+  /// Fetches the first k cells of `loc` in slot order from the slots
+  /// `usable` admits and decodes every slot of `wanted` not among them,
+  /// pointing `cells` at the rebuilt payload. With `serve_marks` a marked
+  /// copy is fetched as its bit-flipped view, as a reader would see it.
+  /// Fewer than k usable cells: returns what was fetched, decodes nothing.
+  StripeCells decode_cells(const BlockLocation& loc,
+                           const std::vector<char>& usable,
+                           const std::vector<int>& wanted,
+                           bool serve_marks) const;
 
   /// Repairs one corrupt copy: clears the (block, node) mark and the hot-
-  /// cache salt, records the repair event and charges its traffic. The
+  /// cache poison, records the repair event and charges its traffic. The
   /// in-sim payload object was never mutated (corruption is served as a
   /// deterministic overlay), so clearing the mark models rewriting good
   /// bytes over the quarantined copy. `slot` is the EC cell index (-1 for
@@ -473,31 +496,13 @@ class Dfs {
   mutable std::mutex storage_mu_;  // guards storage_events_
   std::vector<StorageReconstructionEvent> storage_events_;
 
-  // Block-integrity layer (see DfsConfig::verify_checksums). The store and
-  // stats are mutable because verification, detection and read-repair all
-  // happen on the const read path.
+  // Block-integrity layer (see DfsConfig::verify_checksums): checksums,
+  // corrupt marks and counters. Mutable because verification, detection
+  // and read-repair all happen on the const read path.
   mutable ChecksumStore checksums_;
-  mutable std::mutex integrity_mu_;  // guards integrity_
-  mutable IntegrityStats integrity_;
   double next_scrub_at_ = 0.0;  // driver-thread only (chaos advance)
 
-  // Namenode hot-block cache (see DfsConfig::hot_cache_bytes).
-  struct HotFile {
-    std::uint64_t size = 0;
-    std::vector<BlockData> blocks;  // full-block payloads, in file order
-    std::vector<BlockId> ids;       // parallel to blocks
-    /// Poisoned cached blocks -> bit-rot salt: the cached copy mirrors a
-    /// datanode replica, so corruption of that replica poisons the cached
-    /// bytes too until a repair clears it. Empty while the file is clean.
-    std::map<BlockId, std::uint64_t> corrupt;
-  };
-  mutable std::mutex hot_mu_;
-  // Mutable: read-repair (on the const open path) clears cache poisoning.
-  mutable std::map<std::string, HotFile> hot_candidates_;  // sorted order
-  mutable std::set<std::string> hot_resident_;
-  mutable std::uint64_t hot_resident_bytes_ = 0;
-  mutable std::uint64_t hot_hits_ = 0;
-  mutable std::uint64_t hot_hit_bytes_ = 0;
+  std::unique_ptr<HotCache> hot_;  // null unless hot_cache_bytes > 0
 };
 
 }  // namespace mri::dfs

@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <memory>
+#include <string_view>
 
 #include "common/random.hpp"
 
@@ -33,9 +34,11 @@ std::optional<std::uint32_t> ChecksumStore::expected(BlockId block,
 bool ChecksumStore::mark_corrupt(BlockId block, int node, std::uint64_t salt,
                                  double at) {
   std::lock_guard<std::mutex> lock(mu_);
-  return marks_
-      .emplace(std::make_pair(block, node), CorruptMark{salt, at})
-      .second;
+  const bool fresh =
+      marks_.emplace(std::make_pair(block, node), CorruptMark{salt, at})
+          .second;
+  if (fresh) ++stats_.corruptions_injected;
+  return fresh;
 }
 
 std::optional<CorruptMark> ChecksumStore::corrupt_mark(BlockId block,
@@ -51,12 +54,53 @@ bool ChecksumStore::clear_corrupt(BlockId block, int node) {
   return marks_.erase({block, node}) > 0;
 }
 
-std::vector<std::pair<BlockId, int>> ChecksumStore::corrupt_copies() const {
+bool ChecksumStore::clear_node(int node) {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<BlockId, int>> out;
-  out.reserve(marks_.size());
-  for (const auto& [key, mark] : marks_) out.push_back(key);
-  return out;
+  return std::erase_if(marks_, [node](const auto& m) {
+           return m.first.second == node;
+         }) > 0;
+}
+
+std::set<BlockId> ChecksumStore::marked_blocks() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::set<BlockId> blocks;
+  for (const auto& [key, mark] : marks_) blocks.insert(key.first);
+  return blocks;
+}
+
+void ChecksumStore::count_checksummed(std::int64_t cells) {
+  std::lock_guard<std::mutex> lock(mu_);
+  stats_.cells_checksummed += cells;
+}
+
+void ChecksumStore::count_verified(std::int64_t cells, std::uint64_t bytes) {
+  std::lock_guard<std::mutex> lock(mu_);
+  stats_.cells_verified += cells;
+  stats_.bytes_verified += bytes;
+}
+
+void ChecksumStore::record_repair(IntegrityRepairEvent event) {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.corruptions_detected;
+  ++stats_.cells_quarantined;
+  const std::string_view kind = event.kind;
+  ++(kind == "ec"        ? stats_.cells_repaired_ec
+     : kind == "lineage" ? stats_.cells_repaired_lineage
+                         : stats_.cells_repaired_copy);
+  stats_.repairs.push_back(std::move(event));
+}
+
+void ChecksumStore::record_scrub(const ScrubPassEvent& pass) {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.scrub_passes;
+  stats_.scrub_bytes_scanned += pass.bytes_scanned;
+  stats_.scrub_seconds += pass.seconds;
+  stats_.scrubs.push_back(pass);
+}
+
+IntegrityStats ChecksumStore::stats() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return stats_;
 }
 
 BlockData corrupt_copy(const BlockData& data, std::uint64_t salt) {

@@ -19,6 +19,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -79,7 +80,9 @@ struct IntegrityStats {
   std::vector<ScrubPassEvent> scrubs;
 };
 
-/// Thread-safe map of block -> expected cell CRCs plus corrupt-copy marks.
+/// Thread-safe map of block -> expected cell CRCs plus corrupt-copy marks,
+/// and the integrity counters the Dfs accumulates over them (one mutex
+/// guards all three).
 class ChecksumStore {
  public:
   /// Records the expected CRCs for a freshly committed block (replaces any
@@ -93,10 +96,10 @@ class ChecksumStore {
   /// block was committed before checksumming was enabled.
   std::optional<std::uint32_t> expected(BlockId block, int cell) const;
 
-  /// Marks the copy of `block` on `node` as silently corrupted. Returns
-  /// false when the copy was already marked (first corruption wins: the
-  /// copy is already bad and the original salt keeps the bit pattern
-  /// stable, so a repeat hit changes nothing observable).
+  /// Marks the copy of `block` on `node` as silently corrupted and counts
+  /// the injection. Returns false when the copy was already marked (first
+  /// corruption wins: the copy is already bad and the original salt keeps
+  /// the bit pattern stable, so a repeat hit changes nothing observable).
   bool mark_corrupt(BlockId block, int node, std::uint64_t salt, double at);
 
   /// The corruption mark on (block, node), if any.
@@ -105,13 +108,30 @@ class ChecksumStore {
   /// Clears a mark after repair. Returns false if none was present.
   bool clear_corrupt(BlockId block, int node);
 
-  /// All currently marked copies, in deterministic (block, node) order.
-  std::vector<std::pair<BlockId, int>> corrupt_copies() const;
+  /// Clears every mark on `node` (its copies died with it). Returns false
+  /// when there was none.
+  bool clear_node(int node);
+
+  /// Blocks with at least one marked copy.
+  std::set<BlockId> marked_blocks() const;
+
+  /// Counts cells CRC'd on the write path.
+  void count_checksummed(std::int64_t cells);
+  /// Counts cells, and their bytes, CRC-checked on a read or a scrub.
+  void count_verified(std::int64_t cells, std::uint64_t bytes);
+  /// Counts a repair whose mark the caller cleared: one detection, one
+  /// quarantined cell and one repair of `event.kind`.
+  void record_repair(IntegrityRepairEvent event);
+  /// Counts one scrubber pass.
+  void record_scrub(const ScrubPassEvent& pass);
+
+  IntegrityStats stats() const;
 
  private:
   mutable std::mutex mu_;
   std::map<BlockId, std::vector<std::uint32_t>> crcs_;
   std::map<std::pair<BlockId, int>, CorruptMark> marks_;
+  IntegrityStats stats_;
 };
 
 /// A deterministic silently-corrupted view of `data`: flips one bit (XOR

@@ -1,44 +1,53 @@
 #include "dfs/namenode.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/error.hpp"
-#include "dfs/path.hpp"
 
 namespace mri::dfs {
 
-NameNode::NameNode() : root_(std::make_unique<Inode>()) {}
+NameNode::NameNode() { entries_.emplace("/", Entry{}); }
 
-NameNode::Inode* NameNode::find(const std::string& path) const {
-  Inode* node = root_.get();
-  for (const auto& part : components(path)) {
-    if (!node->is_dir) return nullptr;
-    auto it = node->children.find(part);
-    if (it == node->children.end()) return nullptr;
-    node = it->second.get();
+const NameNode::Entry& NameNode::file(const std::string& path) const {
+  auto it = entries_.find(path);
+  if (it == entries_.end() || it->second.is_dir) {
+    throw DfsError("no such file: " + path);
   }
-  return node;
+  return it->second;
 }
 
-NameNode::Inode* NameNode::find_or_create_dir(const std::string& path) {
-  Inode* node = root_.get();
-  for (const auto& part : components(path)) {
-    MRI_CHECK_MSG(node->is_dir, "path component is a file: " << path);
-    auto it = node->children.find(part);
-    if (it == node->children.end()) {
-      it = node->children.emplace(part, std::make_unique<Inode>()).first;
-    }
-    node = it->second.get();
-    if (!node->is_dir) {
+void NameNode::make_dirs(const std::string& path) {
+  // Every ancestor of an entry exists, so only the missing tail is created
+  // and a file anywhere on the way is found before anything is.
+  if (auto it = entries_.find(path); it != entries_.end()) {
+    if (!it->second.is_dir) {
       throw DfsError("cannot create directory over file: " + path);
     }
+    return;
   }
-  return node;
+  for (std::size_t end = path.find('/', 1);; end = path.find('/', end + 1)) {
+    const auto it = entries_.try_emplace(path.substr(0, end)).first;
+    if (!it->second.is_dir) {
+      throw DfsError("cannot create directory over file: " + path);
+    }
+    if (end == std::string::npos) return;
+  }
+}
+
+NameNode::Namespace::const_iterator NameNode::subtree_end(
+    Namespace::const_iterator dir) const {
+  std::string prefix = dir->first;
+  if (prefix.back() != '/') prefix += '/';
+  auto end = std::next(dir);
+  while (end != entries_.end() && end->first.starts_with(prefix)) ++end;
+  return end;
 }
 
 void NameNode::mkdirs(const std::string& path) {
+  const std::string norm = normalize(path);
   std::lock_guard<std::mutex> lock(mu_);
-  find_or_create_dir(normalize(path));
+  make_dirs(norm);
 }
 
 void NameNode::commit_file(const std::string& raw_path,
@@ -46,126 +55,99 @@ void NameNode::commit_file(const std::string& raw_path,
                            StorageTier tier) {
   const std::string path = normalize(raw_path);
   MRI_REQUIRE(path != "/", "cannot create a file at the root path");
+  Entry file{false, tier, 0, std::move(blocks)};
+  for (const auto& b : file.blocks) file.size += b.length;
   std::lock_guard<std::mutex> lock(mu_);
-  Inode* dir = find_or_create_dir(parent(path));
-  const std::string name = basename(path);
-  auto it = dir->children.find(name);
-  if (it != dir->children.end()) {
-    if (!overwrite || it->second->is_dir) {
-      throw DfsError("path already exists: " + path);
-    }
-    dir->children.erase(it);
+  make_dirs(parent(path));
+  auto [it, inserted] = entries_.try_emplace(path);
+  if (!inserted && (!overwrite || it->second.is_dir)) {
+    throw DfsError("path already exists: " + path);
   }
-  auto file = std::make_unique<Inode>();
-  file->is_dir = false;
-  file->size = 0;
-  for (const auto& b : blocks) file->size += b.length;
-  file->blocks = std::move(blocks);
-  file->tier = tier;
-  dir->children.emplace(name, std::move(file));
+  it->second = std::move(file);
 }
 
 StorageTier NameNode::file_tier(const std::string& path) const {
+  const std::string norm = normalize(path);
   std::lock_guard<std::mutex> lock(mu_);
-  Inode* node = find(normalize(path));
-  if (node == nullptr || node->is_dir) {
-    throw DfsError("no such file: " + normalize(path));
-  }
-  return node->tier;
+  return file(norm).tier;
 }
 
 void NameNode::set_file_tier(const std::string& path, StorageTier tier) {
+  const std::string norm = normalize(path);
   std::lock_guard<std::mutex> lock(mu_);
-  Inode* node = find(normalize(path));
-  if (node == nullptr || node->is_dir) {
-    throw DfsError("no such file: " + normalize(path));
+  auto it = entries_.find(norm);
+  if (it == entries_.end() || it->second.is_dir) {
+    throw DfsError("no such file: " + norm);
   }
-  node->tier = tier;
+  it->second.tier = tier;
 }
 
 bool NameNode::exists(const std::string& path) const {
+  const std::string norm = normalize(path);
   std::lock_guard<std::mutex> lock(mu_);
-  return find(normalize(path)) != nullptr;
+  return entries_.count(norm) > 0;
 }
 
 bool NameNode::is_directory(const std::string& path) const {
+  const std::string norm = normalize(path);
   std::lock_guard<std::mutex> lock(mu_);
-  Inode* node = find(normalize(path));
-  return node != nullptr && node->is_dir;
+  auto it = entries_.find(norm);
+  return it != entries_.end() && it->second.is_dir;
 }
 
 bool NameNode::is_file(const std::string& path) const {
+  const std::string norm = normalize(path);
   std::lock_guard<std::mutex> lock(mu_);
-  Inode* node = find(normalize(path));
-  return node != nullptr && !node->is_dir;
+  auto it = entries_.find(norm);
+  return it != entries_.end() && !it->second.is_dir;
 }
 
 std::uint64_t NameNode::file_size(const std::string& path) const {
+  const std::string norm = normalize(path);
   std::lock_guard<std::mutex> lock(mu_);
-  Inode* node = find(normalize(path));
-  if (node == nullptr || node->is_dir) {
-    throw DfsError("no such file: " + normalize(path));
-  }
-  return node->size;
+  return file(norm).size;
 }
 
 std::vector<BlockLocation> NameNode::file_blocks(const std::string& path) const {
+  const std::string norm = normalize(path);
   std::lock_guard<std::mutex> lock(mu_);
-  Inode* node = find(normalize(path));
-  if (node == nullptr || node->is_dir) {
-    throw DfsError("no such file: " + normalize(path));
-  }
-  return node->blocks;
+  return file(norm).blocks;
+}
+
+NameNode::FileInfo NameNode::resolve(const std::string& path) const {
+  std::string norm = normalize(path);
+  std::lock_guard<std::mutex> lock(mu_);
+  const Entry& entry = file(norm);
+  return FileInfo{std::move(norm), entry.tier, entry.blocks};
 }
 
 std::vector<std::string> NameNode::list(const std::string& dir) const {
+  const std::string norm = normalize(dir);
   std::lock_guard<std::mutex> lock(mu_);
-  Inode* node = find(normalize(dir));
-  if (node == nullptr || !node->is_dir) {
-    throw DfsError("no such directory: " + normalize(dir));
+  auto it = entries_.find(norm);
+  if (it == entries_.end() || !it->second.is_dir) {
+    throw DfsError("no such directory: " + norm);
   }
+  // Children are the subtree entries with no '/' past the directory's own
+  // prefix; PathOrder keeps them in name order.
+  const std::size_t skip = norm == "/" ? 1 : norm.size() + 1;
   std::vector<std::string> names;
-  names.reserve(node->children.size());
-  for (const auto& [name, child] : node->children) names.push_back(name);
-  return names;  // std::map keeps them sorted
-}
-
-void NameNode::collect_files(const Inode& node, const std::string& path,
-                             std::vector<BlockLocation>* blocks,
-                             std::vector<std::string>* paths) {
-  if (!node.is_dir) {
-    blocks->insert(blocks->end(), node.blocks.begin(), node.blocks.end());
-    if (paths != nullptr) paths->push_back(path);
-    return;
+  for (auto child = std::next(it), end = subtree_end(it); child != end;
+       ++child) {
+    if (child->first.find('/', skip) == std::string::npos) {
+      names.push_back(child->first.substr(skip));
+    }
   }
-  for (const auto& [name, child] : node.children) {
-    collect_files(*child, path + "/" + name, blocks, paths);
-  }
-}
-
-void NameNode::snapshot_inode(const Inode& node, const std::string& path,
-                              std::vector<FileInfo>* out) {
-  if (!node.is_dir) {
-    out->push_back(FileInfo{path, node.tier, node.blocks});
-    return;
-  }
-  for (const auto& [name, child] : node.children) {
-    snapshot_inode(*child, path + "/" + name, out);
-  }
+  return names;
 }
 
 std::vector<NameNode::FileInfo> NameNode::snapshot_files() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<FileInfo> out;
-  snapshot_inode(*root_, "", &out);
+  for (const auto& [path, entry] : entries_) {
+    if (!entry.is_dir) out.push_back(FileInfo{path, entry.tier, entry.blocks});
+  }
   return out;
-}
-
-std::size_t NameNode::count_files(const Inode& node) {
-  if (!node.is_dir) return 1;
-  std::size_t n = 0;
-  for (const auto& [name, child] : node.children) n += count_files(*child);
-  return n;
 }
 
 std::vector<BlockLocation> NameNode::remove(
@@ -174,17 +156,20 @@ std::vector<BlockLocation> NameNode::remove(
   const std::string path = normalize(raw_path);
   MRI_REQUIRE(path != "/", "refusing to remove the DFS root");
   std::lock_guard<std::mutex> lock(mu_);
-  Inode* dir = find(parent(path));
-  if (dir == nullptr || !dir->is_dir) throw DfsError("no such path: " + path);
-  auto it = dir->children.find(basename(path));
-  if (it == dir->children.end()) throw DfsError("no such path: " + path);
-  Inode* victim = it->second.get();
-  if (victim->is_dir && !victim->children.empty() && !recursive) {
+  const auto first = entries_.find(path);
+  if (first == entries_.end()) throw DfsError("no such path: " + path);
+  const auto last = subtree_end(first);
+  if (!recursive && std::next(first) != last) {
     throw DfsError("directory not empty (pass recursive=true): " + path);
   }
   std::vector<BlockLocation> removed;
-  collect_files(*victim, path, &removed, removed_paths);
-  dir->children.erase(it);
+  for (auto it = first; it != last; ++it) {
+    if (it->second.is_dir) continue;
+    removed.insert(removed.end(), it->second.blocks.begin(),
+                   it->second.blocks.end());
+    if (removed_paths != nullptr) removed_paths->push_back(it->first);
+  }
+  entries_.erase(first, last);
   return removed;
 }
 
@@ -195,30 +180,37 @@ void NameNode::rename(const std::string& raw_from, const std::string& raw_to) {
   MRI_REQUIRE(to.rfind(from + "/", 0) != 0,
               "cannot rename a directory into itself: " << from << " -> " << to);
   std::lock_guard<std::mutex> lock(mu_);
-  Inode* from_dir = find(parent(from));
-  if (from_dir == nullptr || !from_dir->is_dir)
-    throw DfsError("no such path: " + from);
-  auto it = from_dir->children.find(basename(from));
-  if (it == from_dir->children.end()) throw DfsError("no such path: " + from);
-  if (find(to) != nullptr) throw DfsError("target already exists: " + to);
-  Inode* to_dir = find_or_create_dir(parent(to));
-  auto node = std::move(it->second);
-  from_dir->children.erase(it);
-  to_dir->children.emplace(basename(to), std::move(node));
+  auto first = entries_.find(from);
+  if (first == entries_.end()) throw DfsError("no such path: " + from);
+  if (entries_.count(to) > 0) throw DfsError("target already exists: " + to);
+  make_dirs(parent(to));
+  // Re-key the whole subtree; extracted nodes keep their block lists.
+  const auto last = subtree_end(first);
+  std::vector<Namespace::node_type> moved;
+  while (first != last) moved.push_back(entries_.extract(first++));
+  for (auto& node : moved) {
+    node.key() = to + node.key().substr(from.size());
+    entries_.insert(std::move(node));
+  }
 }
 
 std::size_t NameNode::file_count() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return count_files(*root_);
+  return static_cast<std::size_t>(
+      std::count_if(entries_.begin(), entries_.end(),
+                    [](const auto& e) { return !e.second.is_dir; }));
 }
 
-void NameNode::repair_inode(
-    Inode* inode, const std::string& path, int node, int target_replication,
-    const std::function<int(const BlockLocation&, int cell)>& replicate,
-    BlockRepairSummary* out) {
-  if (!inode->is_dir) {
+BlockRepairSummary NameNode::repair_after_node_loss(
+    int node, int target_replication,
+    const std::function<int(const BlockLocation&, int cell)>& replicate) {
+  MRI_REQUIRE(target_replication >= 1, "target replication must be >= 1");
+  std::lock_guard<std::mutex> lock(mu_);
+  BlockRepairSummary out;
+  for (auto& [path, file] : entries_) {
+    if (file.is_dir) continue;
     bool had_loss = false;
-    for (BlockLocation& loc : inode->blocks) {
+    for (BlockLocation& loc : file.blocks) {
       if (loc.is_ec()) {
         // Slot order is cell identity: mark this node's cells lost in place
         // instead of erasing them.
@@ -235,7 +227,7 @@ void NameNode::repair_inode(
           if (newly_lost > 0 && live + newly_lost >= loc.ec_k) {
             // Fewer than k survivors: the stripe is undecodable, gone for
             // good. Only the kill that crossed the threshold reports it.
-            ++out->blocks_lost;
+            ++out.blocks_lost;
             had_loss = true;
           }
           continue;
@@ -247,8 +239,8 @@ void NameNode::repair_inode(
           const int placed = replicate(loc, static_cast<int>(cell));
           if (placed < 0) continue;  // no eligible node; stay degraded
           loc.replicas[cell] = placed;
-          ++out->ec_cells_reconstructed;
-          out->ec_reconstructed_bytes += loc.cell_bytes();
+          ++out.ec_cells_reconstructed;
+          out.ec_reconstructed_bytes += loc.cell_bytes();
         }
         continue;
       }
@@ -258,7 +250,7 @@ void NameNode::repair_inode(
       if (loc.replicas.empty()) {
         // Last replica gone: keep the block registered so reads fail fast
         // with UnrecoverableBlock rather than "no such file".
-        ++out->blocks_lost;
+        ++out.blocks_lost;
         had_loss = true;
         continue;
       }
@@ -266,39 +258,20 @@ void NameNode::repair_inode(
         const int placed = replicate(loc, -1);
         if (placed < 0) break;  // no eligible node left; stay under-replicated
         loc.replicas.push_back(placed);
-        ++out->re_replicated_blocks;
-        out->re_replicated_bytes += loc.length;
+        ++out.re_replicated_blocks;
+        out.re_replicated_bytes += loc.length;
       }
     }
-    if (had_loss) out->lost_files.push_back(path);
-    return;
+    if (had_loss) out.lost_files.push_back(path);
   }
-  for (auto& [name, child] : inode->children) {
-    repair_inode(child.get(), path + "/" + name, node, target_replication,
-                 replicate, out);
-  }
-}
-
-BlockRepairSummary NameNode::repair_after_node_loss(
-    int node, int target_replication,
-    const std::function<int(const BlockLocation&, int cell)>& replicate) {
-  MRI_REQUIRE(target_replication >= 1, "target replication must be >= 1");
-  std::lock_guard<std::mutex> lock(mu_);
-  BlockRepairSummary out;
-  repair_inode(root_.get(), "", node, target_replication, replicate, &out);
   return out;
-}
-
-std::uint64_t NameNode::sum_file_bytes(const Inode& node) {
-  if (!node.is_dir) return node.size;
-  std::uint64_t n = 0;
-  for (const auto& [name, child] : node.children) n += sum_file_bytes(*child);
-  return n;
 }
 
 std::uint64_t NameNode::total_logical_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return sum_file_bytes(*root_);
+  std::uint64_t total = 0;
+  for (const auto& [path, entry] : entries_) total += entry.size;
+  return total;
 }
 
 }  // namespace mri::dfs

@@ -1,17 +1,20 @@
-// The DFS namespace: a tree of directories and files, where a file is a
-// list of block locations. All operations are atomic under one mutex (the
-// real HDFS namenode is likewise a single serialized namespace).
+// The DFS namespace: directories and files, where a file is a list of block
+// locations. Every entry lives in one map keyed by normalized path under
+// PathOrder ('/' sorts first), so iterating the map walks the tree
+// depth-first in name order and a directory's subtree is one contiguous
+// range. All operations are atomic under one mutex (the real HDFS namenode
+// is likewise a single serialized namespace).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "dfs/block.hpp"
+#include "dfs/path.hpp"
 
 namespace mri::dfs {
 
@@ -85,10 +88,14 @@ class NameNode {
     std::vector<BlockLocation> blocks;
   };
 
+  /// One file resolved in a single lookup: its normalized path, tier and
+  /// block map. Throws DfsError when no file lives at `path`.
+  FileInfo resolve(const std::string& path) const;
+
   /// Every file in the namespace with its tier and block locations, in
-  /// deterministic sorted tree-walk order — the iteration surface for the
-  /// integrity scrubber and the chaos corrupt-block victim pick (unlike the
-  /// flattened remove() output, per-file path/block alignment is kept).
+  /// depth-first name order — the iteration surface for the integrity
+  /// scrubber and the chaos corrupt-block victim pick (unlike the flattened
+  /// remove() output, per-file path/block alignment is kept).
   std::vector<FileInfo> snapshot_files() const;
 
   /// Sum of file sizes across the namespace: the logical bytes stored,
@@ -112,30 +119,23 @@ class NameNode {
       const std::function<int(const BlockLocation&, int cell)>& replicate);
 
  private:
-  struct Inode {
+  struct Entry {
     bool is_dir = true;
-    std::map<std::string, std::unique_ptr<Inode>> children;  // dirs only
-    std::vector<BlockLocation> blocks;                       // files only
-    std::uint64_t size = 0;
-    StorageTier tier = StorageTier::kDisk;                   // files only
+    StorageTier tier = StorageTier::kDisk;  // files only
+    std::uint64_t size = 0;                 // files only
+    std::vector<BlockLocation> blocks;      // files only
   };
+  using Namespace = std::map<std::string, Entry, PathOrder>;
 
-  Inode* find(const std::string& path) const;
-  Inode* find_or_create_dir(const std::string& path);
-  static void repair_inode(
-      Inode* inode, const std::string& path, int node, int target_replication,
-      const std::function<int(const BlockLocation&, int cell)>& replicate,
-      BlockRepairSummary* out);
-  static std::uint64_t sum_file_bytes(const Inode& node);
-  static void collect_files(const Inode& node, const std::string& path,
-                            std::vector<BlockLocation>* blocks,
-                            std::vector<std::string>* paths);
-  static void snapshot_inode(const Inode& node, const std::string& path,
-                             std::vector<FileInfo>* out);
-  static std::size_t count_files(const Inode& node);
+  /// The file entry at normalized `path`; throws DfsError when none.
+  const Entry& file(const std::string& path) const;
+  /// Creates normalized directory `path` and its missing ancestors.
+  void make_dirs(const std::string& path);
+  /// One past the last entry of the subtree rooted at `dir`.
+  Namespace::const_iterator subtree_end(Namespace::const_iterator dir) const;
 
   mutable std::mutex mu_;
-  std::unique_ptr<Inode> root_;
+  Namespace entries_;
 };
 
 }  // namespace mri::dfs

@@ -118,7 +118,9 @@ INSTANTIATE_TEST_SUITE_P(
         SweepParam{48, 12, 4, true, false, true},   // no block wrap
         SweepParam{48, 12, 4, true, true, false},   // untransposed U
         SweepParam{48, 12, 4, false, false, false},  // everything off
-        SweepParam{150, 40, 6, true, false, true}    // row bands, n > 128
+        SweepParam{150, 40, 6, true, false, true},   // row bands, n > 128
+        SweepParam{150, 40, 5, true, false, true},   // u_workers ∤ m0
+        SweepParam{31, 7, 7, true, false, true}      // ... and odd order
         ));
 
 TEST(EndToEnd, OverlapFinalStageMatchesSequential) {

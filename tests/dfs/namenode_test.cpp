@@ -111,6 +111,61 @@ TEST(NameNode, RenameOntoExistingThrows) {
   EXPECT_THROW(nn.rename("/a", "/b"), DfsError);
 }
 
+// Names whose bytes (' ', '-', '.') sort below '/': a plain byte order would
+// list "/d/a b" before "/d/a/x" and split /d/a's subtree in two.
+class TrickyNames : public ::testing::Test {
+ protected:
+  TrickyNames() {
+    for (const char* name : {"ab", "a.b", "a/x", "a-b", "a b"}) {
+      nn.commit_file(std::string("/d/") + name, {block(1, 1)});
+    }
+  }
+  NameNode nn;
+};
+
+const std::vector<std::string> kDepthFirst = {"/d/a/x", "/d/a b", "/d/a-b",
+                                              "/d/a.b", "/d/ab"};
+
+TEST_F(TrickyNames, SnapshotIsDepthFirst) {
+  std::vector<std::string> paths;
+  for (const auto& file : nn.snapshot_files()) paths.push_back(file.path);
+  EXPECT_EQ(paths, kDepthFirst);
+}
+
+TEST_F(TrickyNames, RecursiveRemoveReportsDepthFirst) {
+  std::vector<std::string> removed;
+  EXPECT_EQ(nn.remove("/d", /*recursive=*/true, &removed).size(), 5u);
+  EXPECT_EQ(removed, kDepthFirst);
+  EXPECT_EQ(nn.file_count(), 0u);
+}
+
+TEST_F(TrickyNames, RemoveTakesOnlyTheSubtree) {
+  std::vector<std::string> removed;
+  nn.remove("/d/a", /*recursive=*/true, &removed);
+  EXPECT_EQ(removed, std::vector<std::string>{"/d/a/x"});
+  EXPECT_FALSE(nn.exists("/d/a/x"));
+  EXPECT_EQ(nn.list("/d"),
+            (std::vector<std::string>{"a b", "a-b", "a.b", "ab"}));
+}
+
+TEST_F(TrickyNames, ListWalksTheSubtreeInNameOrder) {
+  EXPECT_EQ(nn.list("/d"),
+            (std::vector<std::string>{"a", "a b", "a-b", "a.b", "ab"}));
+  EXPECT_EQ(nn.list("/d/a"), std::vector<std::string>{"x"});
+  EXPECT_EQ(nn.list("/"), std::vector<std::string>{"d"});
+}
+
+TEST_F(TrickyNames, RenameMovesOnlyTheSubtree) {
+  nn.rename("/d/a", "/d/z");
+  EXPECT_TRUE(nn.is_file("/d/z/x"));
+  EXPECT_FALSE(nn.exists("/d/a"));
+  EXPECT_FALSE(nn.exists("/d/a/x"));
+  for (const char* kept : {"/d/a b", "/d/a-b", "/d/a.b", "/d/ab"}) {
+    EXPECT_TRUE(nn.is_file(kept)) << kept;
+  }
+  EXPECT_EQ(nn.file_count(), 5u);
+}
+
 TEST(NameNode, FileCount) {
   NameNode nn;
   EXPECT_EQ(nn.file_count(), 0u);

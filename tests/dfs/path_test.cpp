@@ -43,5 +43,20 @@ TEST(Path, Components) {
   EXPECT_TRUE(components("/").empty());
 }
 
+TEST(Path, OrderSortsSlashFirst) {
+  const PathOrder less;
+  EXPECT_TRUE(less("/a", "/a/x"));     // a directory precedes its subtree
+  EXPECT_TRUE(less("/a/x", "/a b"));   // ... and the subtree its siblings
+  EXPECT_TRUE(less("/a/x", "/a-b"));
+  EXPECT_TRUE(less("/a/x", "/a.b"));
+  EXPECT_TRUE(less("/a b", "/ab"));    // other bytes keep their order
+  EXPECT_FALSE(less("/a", "/a"));
+}
+
+TEST(Path, HashIsFnv1a) {
+  EXPECT_EQ(path_hash(""), 14695981039346656037ull);
+  EXPECT_EQ(path_hash("a"), 0xaf63dc4c8601ec8cull);
+}
+
 }  // namespace
 }  // namespace mri::dfs
