@@ -707,10 +707,13 @@ int run(int argc, char** argv) {
       kernels::counters_snapshot() - kernel_before;
   if (effective_engine == "mapreduce") {
     // Wall-clock kernel identity: printed (and kept in the in-memory
-    // report) for CostModel calibration, never in the JSON export.
+    // report) for CostModel calibration, never in the JSON export. The
+    // printed name includes the ISA path; the report's does not, since
+    // every path gives the same bits.
     std::printf("kernel: %s backend, %.3g GFLOP/s achieved over %llu GEMM + "
                 "%llu TRSM call(s) (CostModel assumes %.3g FLOP/s)\n",
-                kernels::backend_name(kernels::default_backend()),
+                kernels::backend_description(kernels::default_backend())
+                    .c_str(),
                 kernel_delta.gflops(),
                 static_cast<unsigned long long>(kernel_delta.gemm_calls),
                 static_cast<unsigned long long>(kernel_delta.trsm_calls),

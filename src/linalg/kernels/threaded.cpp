@@ -1,9 +1,8 @@
 // Intra-task threading: row-partitioned std::thread fan-out over a serial
 // backend. A row of C depends only on the matching row of A (and all of B),
-// so threads never share output rows; chunk boundaries are aligned to the
-// serial microkernels' row-group size (4), which keeps every row on the
-// exact code path it would take serially — results are bitwise identical to
-// the serial backend's.
+// so threads never share output rows, and since every serial backend gives
+// a row the same bits whichever rows share its call, any split is bitwise
+// identical to the serial run.
 #include <thread>
 #include <vector>
 
@@ -13,15 +12,11 @@ namespace mri::kernels::detail {
 
 namespace {
 
-constexpr std::int64_t kRowAlign = 4;  // gemm_simd's 4-row microkernel
-
 int worker_count(int threads, std::int64_t rows) {
   int t = threads > 0 ? threads
                       : static_cast<int>(std::thread::hardware_concurrency());
   if (t < 1) t = 1;
-  // No point spawning more workers than aligned row chunks.
-  const std::int64_t chunks = (rows + kRowAlign - 1) / kRowAlign;
-  if (t > chunks) t = static_cast<int>(chunks);
+  if (t > rows) t = static_cast<int>(rows);  // no point in idle workers
   return t;
 }
 
@@ -32,10 +27,8 @@ void fan_out(int threads, std::int64_t m, RowSlice&& slice) {
     slice(0, m);
     return;
   }
-  // Aligned, near-even partition: each worker gets chunk_rows rows rounded
-  // up to the alignment; the last worker takes the remainder.
-  const std::int64_t chunk_rows =
-      ((m + t - 1) / t + kRowAlign - 1) / kRowAlign * kRowAlign;
+  // Near-even partition; the last worker takes the remainder.
+  const std::int64_t chunk_rows = (m + t - 1) / t;
   std::vector<std::thread> workers;
   workers.reserve(static_cast<std::size_t>(t));
   for (std::int64_t r0 = 0; r0 < m; r0 += chunk_rows) {

@@ -1,5 +1,6 @@
 #include "matrix/ops.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace mri {
@@ -70,9 +71,23 @@ void subtract_in_place(Matrix* a, const Matrix& b) {
 }
 
 Matrix transpose(const Matrix& a) {
-  Matrix t(a.cols(), a.rows());
-  for (Index i = 0; i < a.rows(); ++i)
-    for (Index j = 0; j < a.cols(); ++j) t(j, i) = a(i, j);
+  // 32x32 tiles: each tile's 32 source and 32 destination rows stay in L1,
+  // where a whole-row walk writes down a column of t one cache line apiece.
+  constexpr Index kTile = 32;
+  const Index rows = a.rows();
+  const Index cols = a.cols();
+  Matrix t(cols, rows);
+  const double* src = a.data().data();
+  double* dst = t.data().data();
+  for (Index i0 = 0; i0 < rows; i0 += kTile) {
+    const Index i1 = std::min(i0 + kTile, rows);
+    for (Index j0 = 0; j0 < cols; j0 += kTile) {
+      const Index j1 = std::min(j0 + kTile, cols);
+      for (Index i = i0; i < i1; ++i) {
+        for (Index j = j0; j < j1; ++j) dst[j * rows + i] = src[i * cols + j];
+      }
+    }
+  }
   return t;
 }
 

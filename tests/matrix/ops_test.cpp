@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "matrix/generate.hpp"
 
@@ -130,6 +131,19 @@ TEST(Ops, SubtractInPlace) {
 TEST(Ops, TransposeIsInvolution) {
   const Matrix a = random_matrix(6, 11, 8, -1, 1);
   EXPECT_EQ(transpose(transpose(a)), a);
+}
+
+TEST(Ops, TransposeMatchesElementLoop) {
+  // Empty, single-row, single-column, partial-tile and tall shapes.
+  const std::pair<Index, Index> shapes[] = {
+      {0, 5}, {1, 300}, {300, 1}, {97, 130}, {2048, 33}};
+  for (const auto& [rows, cols] : shapes) {
+    const Matrix a = random_matrix(rows, cols, 9, -1, 1);
+    Matrix want(cols, rows);
+    for (Index i = 0; i < rows; ++i)
+      for (Index j = 0; j < cols; ++j) want(j, i) = a(i, j);
+    EXPECT_EQ(transpose(a), want) << rows << "x" << cols;
+  }
 }
 
 TEST(Ops, MaxAbs) {
