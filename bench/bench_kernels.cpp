@@ -9,11 +9,15 @@
 // GFLOP/s: items_processed counts n³ multiply-adds, so items_per_second is
 // directly comparable across backends (CI asserts the selected non-naive
 // backend reaches >= 3x naive on the 1024² GEMM, the transposed-B SIMD GEMM
-// >= 0.75x the SIMD GEMM there, the SIMD GEMM at n=30 >= 0.5x its rate at
-// n=32, and the Eq. 4 column slice >= 0.3x the SIMD GEMM). The byte loops
+// >= 0.75x the SIMD GEMM there — read from BM_GemmBtOverGemm, which times
+// the two interleaved — the SIMD GEMM at n=30 >= 0.5x its rate at n=32, and
+// the Eq. 4 column slice >= 0.3x the SIMD GEMM). The threaded rows are timed
+// in real time: their work runs on other threads, so the calling thread's
+// CPU time would overstate their rate many times over. The byte loops
 // report bytes_per_second (CI asserts each dispatched path reaches >= 5x its
 // portable one).
 #include <benchmark/benchmark.h>
+#include <time.h>
 
 #include "dfs/dfs.hpp"
 #include "dfs/ec/gf256.hpp"
@@ -59,7 +63,7 @@ BENCHMARK_CAPTURE(BM_Gemm, simd, kernels::Backend::kSimd)
     ->Arg(30)->Arg(32)->Arg(64)->Arg(127)->Arg(256)->Arg(511)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Gemm, threaded, kernels::Backend::kThreaded)
-    ->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
+    ->Arg(256)->Arg(1024)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void BM_GemmTransposedB(benchmark::State& state, kernels::Backend backend) {
   run_gemm(state, backend, /*transposed_b=*/true);
@@ -71,6 +75,49 @@ BENCHMARK_CAPTURE(BM_GemmTransposedB, tiled, kernels::Backend::kTiled)
 BENCHMARK_CAPTURE(BM_GemmTransposedB, simd, kernels::Backend::kSimd)
     ->Arg(30)->Arg(64)->Arg(127)->Arg(256)->Arg(511)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
+
+double thread_cpu_seconds() {
+  timespec ts;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+// The SIMD GEMM with Bᵀ over the SIMD GEMM, timed call by call in one loop
+// (alternating which goes first), so a host whose load changes between two
+// separately timed rows cannot move the ratio. Counter bt_over_gemm is the
+// transposed-B rate over the plain rate.
+void BM_GemmBtOverGemm(benchmark::State& state) {
+  const Index n = state.range(0);
+  const Matrix a = random_matrix(n, 1);
+  const Matrix b = random_matrix(n, 2);
+  Matrix c(n, n);
+  MatmulOptions plain;
+  plain.backend = kernels::Backend::kSimd;
+  MatmulOptions transposed = plain;
+  transposed.transposed_b = true;
+  double plain_s = 0.0;
+  double transposed_s = 0.0;
+  const auto timed = [&](const MatmulOptions& opts, double* seconds) {
+    const double t0 = thread_cpu_seconds();
+    matmul_into(a, b, &c, kernels::GemmMode::kAssign, opts);
+    benchmark::DoNotOptimize(c.data().data());
+    benchmark::ClobberMemory();
+    *seconds += thread_cpu_seconds() - t0;
+  };
+  bool plain_first = true;
+  for (auto _ : state) {
+    if (plain_first) {
+      timed(plain, &plain_s);
+      timed(transposed, &transposed_s);
+    } else {
+      timed(transposed, &transposed_s);
+      timed(plain, &plain_s);
+    }
+    plain_first = !plain_first;
+  }
+  state.counters["bt_over_gemm"] = plain_s / transposed_s;
+}
+BENCHMARK(BM_GemmBtOverGemm)->Arg(1024)->Unit(benchmark::kMillisecond);
 
 void BM_TrsmLowerLeft(benchmark::State& state, kernels::Backend backend) {
   const Index n = state.range(0);

@@ -1,7 +1,5 @@
 #include "common/thread_pool.hpp"
 
-#include <algorithm>
-
 namespace mri {
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
@@ -48,7 +46,7 @@ void ThreadPool::parallel_for(std::size_t count,
   // Nested parallelism: a worker waiting on futures that need this same
   // pool's workers deadlocks once all workers block. Run inline instead.
   if (in_worker_thread()) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
+    serial_for(count, fn);
     return;
   }
   // Each task hands its exception back as a value: get() moves it out of
@@ -76,9 +74,17 @@ void ThreadPool::parallel_for(std::size_t count,
   if (first_error) std::rethrow_exception(first_error);
 }
 
-ThreadPool& global_pool() {
-  static ThreadPool pool(std::max(1u, std::thread::hardware_concurrency()));
-  return pool;
+void serial_for(std::size_t count,
+                const std::function<void(std::size_t)>& fn) {
+  std::exception_ptr first_error;
+  for (std::size_t i = 0; i < count; ++i) {
+    try {
+      fn(i);
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace mri

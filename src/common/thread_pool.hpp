@@ -1,9 +1,11 @@
-// Fixed-size thread pool used by the MapReduce runtime and the MPI simulator
-// to execute tasks with real computation.
+// Fixed-size thread pool used by the MapReduce runtime to execute map and
+// reduce tasks with real computation.
 //
 // The pool is deliberately simple: submit() returns a std::future, workers
-// pull from a single locked queue. Task granularity in mrinverse is coarse
-// (whole map/reduce tasks), so queue contention is negligible.
+// pull from a single locked queue. Each task pays a queue hand-off and a
+// worker wake-up, which only large tasks amortize: small inversions run their
+// tasks on the calling thread instead (serial_for; the size rule lives in
+// core/inverter.hpp).
 #pragma once
 
 #include <condition_variable>
@@ -52,9 +54,10 @@ class ThreadPool {
   bool in_worker_thread() const;
 
   /// Runs `fn(i)` for i in [0, count) across the pool and waits for all.
-  /// Rethrows the first exception encountered. Safe to call from inside a
-  /// worker thread: the iterations then run inline on the caller (waiting
-  /// on pool futures from a worker would deadlock).
+  /// Every iteration runs even when some throw; the lowest-index exception
+  /// is rethrown afterwards. Safe to call from inside a worker thread: the
+  /// iterations then run through serial_for on the caller (waiting on pool
+  /// futures from a worker would deadlock).
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
 
  private:
@@ -67,8 +70,9 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
-/// A process-wide pool sized to the hardware; used when callers do not care
-/// about pool identity.
-ThreadPool& global_pool();
+/// Runs `fn(i)` for i in [0, count) on the calling thread, in index order,
+/// with parallel_for's error behaviour: every iteration runs even when some
+/// throw, and the lowest-index exception is rethrown afterwards.
+void serial_for(std::size_t count, const std::function<void(std::size_t)>& fn);
 
 }  // namespace mri

@@ -13,6 +13,16 @@
 
 namespace mri::core {
 
+namespace {
+
+Index square_order(const dfs::Dfs& fs, const std::string& input_path) {
+  const MatrixShape shape = read_matrix_shape(fs, input_path);
+  MRI_REQUIRE(shape.rows == shape.cols, "input matrix is not square");
+  return shape.rows;
+}
+
+}  // namespace
+
 MapReduceInverter::MapReduceInverter(const Cluster* cluster, dfs::Dfs* fs,
                                      ThreadPool* pool,
                                      FailureInjector* failures,
@@ -26,21 +36,25 @@ MapReduceInverter::MapReduceInverter(const Cluster* cluster, dfs::Dfs* fs,
 
 // One run on a graph this inverter owns. Members construct in order: the
 // spin engine (RAII scope) registers itself with the DFS (tier listener)
-// and the chaos engine (lineage kill handler) for exactly this run, the
-// runner executes on it, and on destruction the graph drains its worker
-// before the engine restores both.
+// and the chaos engine (lineage kill handler) for exactly this run, so it
+// sees the one read of the input's shape; the order read picks the runner's
+// pool; and on destruction the graph runs any job left before the engine
+// restores both.
 struct MapReduceInverter::OwnedGraph {
-  OwnedGraph(const MapReduceInverter& inv, const InversionOptions& options)
+  OwnedGraph(const MapReduceInverter& inv, const InversionOptions& options,
+             const std::string& input_path)
       : spin(options.engine == EngineKind::kSpin
                  ? std::make_unique<engine::SpinEngine>(
                        inv.fs_, inv.chaos_, &inv.cluster_->cost_model(),
                        inv.metrics_, options.cache_capacity_bytes)
                  : nullptr),
-        runner(inv.cluster_, inv.fs_, inv.pool_, inv.failures_, inv.metrics_,
-               inv.chaos_, spin.get()),
+        n(square_order(*inv.fs_, input_path)),
+        runner(inv.cluster_, inv.fs_, task_pool_for(n, inv.pool_),
+               inv.failures_, inv.metrics_, inv.chaos_, spin.get()),
         graph(&runner) {}
 
   std::unique_ptr<engine::SpinEngine> spin;
+  Index n;
   mr::JobRunner runner;
   mr::JobGraph graph;
 };
@@ -62,8 +76,8 @@ MapReduceInverter::Result MapReduceInverter::invert(
 
 MapReduceInverter::Result MapReduceInverter::invert_dfs(
     const std::string& input_path, const InversionOptions& options) {
-  OwnedGraph run(*this, options);
-  Result result = invert_with(run.graph, input_path, options);
+  OwnedGraph run(*this, options, input_path);
+  Result result = invert_order(run.graph, input_path, run.n, options);
   if (run.spin != nullptr) {
     result.engine_active = true;
     result.engine_stats = run.spin->stats();
@@ -79,9 +93,13 @@ MapReduceInverter::Result MapReduceInverter::invert_on(
 MapReduceInverter::Result MapReduceInverter::invert_with(
     mr::JobGraph& graph, const std::string& input_path,
     const InversionOptions& options) {
-  const MatrixShape shape = read_matrix_shape(*fs_, input_path);
-  MRI_REQUIRE(shape.rows == shape.cols, "input matrix is not square");
-  const Index n = shape.rows;
+  return invert_order(graph, input_path, square_order(*fs_, input_path),
+                      options);
+}
+
+MapReduceInverter::Result MapReduceInverter::invert_order(
+    mr::JobGraph& graph, const std::string& input_path, Index n,
+    const InversionOptions& options) {
   const int m0 = cluster_->size();
 
   Result result;
@@ -211,8 +229,8 @@ MapReduceInverter::SolveResult MapReduceInverter::solve(
   // One graph for the whole solve: the multiply is submitted against the
   // inversion's final job, so every job lives on the same cluster timeline
   // (no manual clock shifting) and can lease slots from the shared pool.
-  OwnedGraph run(*this, options);
-  Result inv = invert_with(run.graph, input_path, options);
+  OwnedGraph run(*this, options, input_path);
+  Result inv = invert_order(run.graph, input_path, run.n, options);
 
   std::vector<std::string> control_files;
   for (int j = 0; j < cluster_->size(); ++j) {

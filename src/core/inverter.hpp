@@ -36,11 +36,25 @@
 
 namespace mri::core {
 
+/// Largest matrix order whose inversion runs its map and reduce tasks on the
+/// calling thread instead of the pool. Up to here every measured inversion
+/// ran faster that way than with its tasks handed to a 4-thread pool; the
+/// measurements are in DESIGN.md, "DAG job executor".
+inline constexpr Index kCallerThreadMaxOrder = 512;
+
+/// The pool an order-`n` inversion runs its tasks on: null (the calling
+/// thread) up to kCallerThreadMaxOrder, `pool` above it.
+inline ThreadPool* task_pool_for(Index n, ThreadPool* pool) {
+  return n <= kCallerThreadMaxOrder ? nullptr : pool;
+}
+
 class MapReduceInverter {
  public:
   /// All pointers are borrowed. `failures`, `metrics` and `chaos` may be
   /// null. A chaos engine must be bound to the DFS (Dfs::bind_chaos()) by
-  /// the caller so node kills reach the block layer.
+  /// the caller so node kills reach the block layer. invert(), invert_dfs()
+  /// and solve() run their tasks on `pool` or the calling thread, chosen by
+  /// task_pool_for(); invert_with() and invert_on() use the graph's runner.
   MapReduceInverter(const Cluster* cluster, dfs::Dfs* fs, ThreadPool* pool,
                     FailureInjector* failures = nullptr,
                     MetricsRegistry* metrics = nullptr,
@@ -123,6 +137,10 @@ class MapReduceInverter {
   /// Writes square `a` to <work_dir>/a.bin, replacing any earlier input,
   /// and returns that path.
   std::string ingest(const Matrix& a, const InversionOptions& options);
+
+  /// invert_with() on an input whose order `n` the caller has read.
+  Result invert_order(mr::JobGraph& graph, const std::string& input_path,
+                      Index n, const InversionOptions& options);
 
   const Cluster* cluster_;
   dfs::Dfs* fs_;

@@ -226,8 +226,15 @@ class Dfs {
   };
 
   /// Sequential reader over a committed file; must not outlive its Dfs.
+  /// Every read charges `account` at once; the metrics registry gets the
+  /// reader's total in one charge when the reader is destroyed.
   class Reader {
    public:
+    ~Reader();
+    Reader(Reader&& other) noexcept;
+    Reader& operator=(Reader&&) = delete;
+    Reader(const Reader&) = delete;
+
     std::uint64_t size() const { return size_; }
     std::uint64_t remaining() const { return size_ - position_; }
 
@@ -263,6 +270,7 @@ class Dfs {
     std::size_t block_index_ = 0;
     std::uint64_t block_offset_ = 0;
     IoStats* account_;
+    IoStats unposted_;  // read so far, not yet charged to the registry
     const Dfs* fs_;
     bool record_transfers_;
   };

@@ -13,7 +13,8 @@
 namespace mri::dfs {
 
 /// Normalizes to "/a/b/c" form: leading slash, no repeated or trailing
-/// slashes. The root is "/". "." and ".." components are rejected.
+/// slashes. The root is "/". "." and ".." components are rejected. A path
+/// already in that form comes back unchanged without being rebuilt.
 std::string normalize(std::string_view path);
 
 /// Joins two fragments and normalizes ("/Root" + "A1/A.0" -> "/Root/A1/A.0").

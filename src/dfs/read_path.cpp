@@ -2,6 +2,7 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <utility>
 
 #include "common/error.hpp"
 #include "dfs/dfs.hpp"
@@ -20,6 +21,27 @@ Dfs::Reader::Reader(const Dfs* fs, std::vector<BlockData> blocks,
       fs_(fs),
       record_transfers_(fs->racked_topology()) {}
 
+Dfs::Reader::Reader(Reader&& other) noexcept
+    : blocks_(std::move(other.blocks_)),
+      sources_(std::move(other.sources_)),
+      mem_local_(std::move(other.mem_local_)),
+      size_(other.size_),
+      position_(other.position_),
+      block_index_(other.block_index_),
+      block_offset_(other.block_offset_),
+      account_(other.account_),
+      unposted_(std::exchange(other.unposted_, IoStats{})),
+      fs_(other.fs_),
+      record_transfers_(other.record_transfers_) {}
+
+Dfs::Reader::~Reader() {
+  // One registry charge per reader instead of one locked add per read.
+  // Every field is an integer count, so the totals are the same.
+  if (unposted_.bytes_read != 0 || unposted_.bytes_read_memory != 0) {
+    fs_->charge(unposted_, nullptr);
+  }
+}
+
 void Dfs::Reader::account(std::uint64_t bytes, std::uint64_t memory_bytes) {
   IoStats io;
   io.bytes_read = bytes;
@@ -27,7 +49,8 @@ void Dfs::Reader::account(std::uint64_t bytes, std::uint64_t memory_bytes) {
   // Node-local memory-tier chunks are a cache hit: charged at memory
   // bandwidth, no disk or network component.
   io.bytes_read_memory = memory_bytes;
-  fs_->charge(io, account_);
+  if (account_ != nullptr) *account_ += io;
+  unposted_ += io;
 }
 
 std::size_t Dfs::Reader::read(std::span<std::byte> dst) {

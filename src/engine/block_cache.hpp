@@ -5,11 +5,11 @@
 // budget at a job boundary the least-recently-used unpinned entries are
 // evicted (spilled to that node's local disk by the engine, which owns the
 // DFS call). Eviction decisions are taken ONLY at job boundaries — the
-// engine's begin_job runs on the serialized job worker thread — so the
-// victim set is a deterministic function of the job sequence, never of task
-// interleaving. Recency is an epoch (the job ordinal): every touch within
-// one job writes the same epoch, so racy touches from concurrent tasks are
-// order-confluent.
+// engine's begin_job runs on the thread that places the graph's jobs, one
+// job at a time — so the victim set is a deterministic function of the job
+// sequence, never of task interleaving. Recency is an epoch (the job
+// ordinal): every touch within one job writes the same epoch, so racy
+// touches from concurrent tasks are order-confluent.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +65,7 @@ class BlockCache {
   /// LRU eviction pass: for every node over capacity, selects unpinned
   /// entries in ascending (epoch, path) order until the node fits, removes
   /// them from the cache and returns them (sorted by path) for the caller
-  /// to spill. Deterministic; call only from the serialized job worker.
+  /// to spill. Deterministic; call only from the job-boundary hook.
   std::vector<Eviction> collect_evictions();
 
   CacheStats stats() const;

@@ -75,9 +75,10 @@ class SpinEngine final : public dfs::TierListener {
   SpinEngine& operator=(const SpinEngine&) = delete;
 
   /// Job-boundary hook, called by JobRunner::execute before the job's tasks
-  /// run (on the serialized job worker thread). Advances the cache epoch
-  /// and performs the LRU eviction pass; returns the spill accounting so
-  /// the runner can charge it to the admitting job's attempt timing.
+  /// run (on the thread that places the graph's jobs, one at a time).
+  /// Advances the cache epoch and performs the LRU eviction pass; returns
+  /// the spill accounting so the runner can charge it to the admitting
+  /// job's attempt timing.
   IoStats begin_job(const std::string& name);
 
   /// Absolute simulated time until which lineage recovery occupies the

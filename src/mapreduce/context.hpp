@@ -65,7 +65,7 @@ class TaskContext {
   /// moves these into the scheduler attempt so flows get charged through
   /// the network simulator. The context installs the log for its own
   /// lifetime, which is exactly the task body — tasks run wholly on one
-  /// pool thread.
+  /// thread (a pool worker, or the caller when the runner has no pool).
   std::vector<net::Transfer> take_transfers() {
     return std::move(transfer_log_.log().transfers);
   }

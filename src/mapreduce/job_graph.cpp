@@ -18,18 +18,12 @@ JobGraph::JobGraph(JobRunner* runner, JobGraphOptions options)
     pool_ = owned_pool_.get();
   }
   frontier_ = options_.origin_seconds;
-  worker_ = std::thread([this] { worker_loop(); });
 }
 
 JobGraph::~JobGraph() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_work_.notify_all();
-  // The worker drains every submitted job before exiting (see worker_loop),
-  // so abandoned jobs still execute and their outcome is knowable here.
-  worker_.join();
+  // A graph torn down with submitted-but-never-placed jobs still runs them:
+  // their errors, and their DFS side effects, must not be silently lost.
+  if (!nodes_.empty()) execute_through(nodes_.size() - 1);
   for (const auto& node : nodes_) {
     if (node->error == nullptr || node->error_consumed) continue;
     if (options_.abandoned_error_handler != nullptr) {
@@ -48,39 +42,14 @@ JobGraph::~JobGraph() {
   }
 }
 
-void JobGraph::worker_loop() {
-  for (;;) {
-    Node* node = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_work_.wait(lock, [this] {
-        return stop_ || next_exec_ < nodes_.size();
-      });
-      // Drain before honouring stop_: a destructor tearing the graph down
-      // must not discard submitted-but-never-executed jobs (their errors —
-      // and their DFS side effects — would be silently lost). The predicate
-      // only passes with nothing left to run when stop_ is set.
-      if (next_exec_ >= nodes_.size()) return;
-      node = nodes_[next_exec_].get();
-      ++next_exec_;
-    }
-    // Dependencies are always earlier submissions and the worker drains in
-    // submission order, so a job's inputs exist in the DFS by the time it
-    // runs. The real work happens outside the lock.
-    ExecutedJob work;
-    std::exception_ptr error;
+void JobGraph::execute_through(std::size_t id) {
+  for (; executed_ <= id; ++executed_) {
+    Node& node = *nodes_[executed_];
     try {
-      work = runner_->execute(node->spec);
+      node.work = runner_->execute(node.spec);
     } catch (...) {
-      error = std::current_exception();
+      node.error = std::current_exception();
     }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      node->work = std::move(work);
-      node->error = error;
-      node->executed = true;
-    }
-    cv_done_.notify_all();
   }
 }
 
@@ -96,12 +65,8 @@ JobHandle JobGraph::submit(JobSpec spec, std::vector<JobHandle> deps) {
   node->submit_frontier = frontier_;
   JobHandle handle;
   handle.id = static_cast<int>(nodes_.size());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    nodes_.push_back(std::move(node));
-  }
+  nodes_.push_back(std::move(node));
   jobs_cache_dirty_ = true;
-  cv_work_.notify_all();
   return handle;
 }
 
@@ -122,8 +87,7 @@ void JobGraph::place_closure(const std::vector<int>& targets) {
   }
 
   // Place in canonical order: among ready jobs (all deps placed), earliest
-  // ready time first, submission index breaking ties. This keeps simulated
-  // timings a function of the DAG alone, not of worker-thread timing.
+  // ready time first, submission index breaking ties.
   std::sort(pending.begin(), pending.end());
   while (!pending.empty()) {
     int best = -1;
@@ -152,19 +116,17 @@ void JobGraph::place_closure(const std::vector<int>& targets) {
     MRI_CHECK_MSG(best >= 0, "dependency cycle in job graph");
     pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(best_at));
 
+    // Run the job just before placing it: every earlier placement's
+    // finish() has applied its chaos events, so the job reads the DFS as
+    // the simulated timeline left it.
+    execute_through(static_cast<std::size_t>(best));
     Node& node = *nodes_[static_cast<std::size_t>(best)];
-    ExecutedJob work;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_done_.wait(lock, [&node] { return node.executed; });
-      if (node.error != nullptr) {
-        node.error_consumed = true;  // surfaced here, not abandoned
-        std::rethrow_exception(node.error);
-      }
-      work = std::move(node.work);
+    if (node.error != nullptr) {
+      node.error_consumed = true;  // surfaced here, not abandoned
+      std::rethrow_exception(node.error);
     }
-    node.result =
-        runner_->finish(std::move(work), pool_, best_ready, options_.tenant);
+    node.result = runner_->finish(std::move(node.work), pool_, best_ready,
+                                  options_.tenant);
     node.finish_time = best_ready + node.result.sim_seconds;
     node.placed = true;
     io_ += node.result.io;

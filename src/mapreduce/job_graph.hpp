@@ -1,18 +1,23 @@
-// Async DAG job executor over one JobRunner and one shared cluster.
+// DAG job executor over one JobRunner and one shared cluster.
 //
-// submit() enqueues a job (with explicit dependencies on earlier handles)
-// for real execution on a background thread and returns immediately;
-// wait() blocks for the job's results and places it — together with any
-// not-yet-placed ancestors — on the simulated timeline. Concurrently
-// eligible jobs share the cluster through a SlotPool: each phase leases the
-// slots other jobs still occupy at its start, so independent jobs overlap
-// where free slots exist and total_sim_seconds() is the DAG makespan, not a
-// serial sum.
+// submit() records a job (with explicit dependencies on earlier handles) and
+// returns immediately; wait() places the job — together with any not-yet-
+// placed ancestors — on the simulated timeline. Each job's real work (the
+// runner's execute()) runs on the calling thread just before the job is
+// placed, after every earlier submission has run. Concurrently eligible jobs
+// share the cluster through a SlotPool: each phase leases the slots other
+// jobs still occupy at its start, so independent jobs overlap where free
+// slots exist and total_sim_seconds() is the DAG makespan, not a serial sum.
 //
 // Determinism and sequential equivalence:
-//   * Simulated placement happens only on the driver thread, in a canonical
-//     order — ready jobs by (ready time, submission index) — so timings are
-//     a pure function of the submitted DAG, never of real thread timing.
+//   * Real execution is in submission order, so a job's inputs (written by
+//     its dependencies, which are earlier submissions) exist when it runs,
+//     and the DFS-side consequences of every earlier placement (finish()
+//     applies chaos events up to the job's end) are in place before its
+//     reads.
+//   * Placement is in a canonical order — ready jobs by (ready time,
+//     submission index) — so timings are a pure function of the submitted
+//     DAG.
 //   * A job's ready time is max(master frontier at submit, dependencies'
 //     finish times); the master frontier advances only when the driver
 //     wait()s for a job or charges add_master_work(). A strictly sequential
@@ -26,13 +31,11 @@
 // see DESIGN.md.
 #pragma once
 
-#include <condition_variable>
+#include <cstddef>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "mapreduce/runtime.hpp"
@@ -72,21 +75,21 @@ class JobGraph {
  public:
   explicit JobGraph(JobRunner* runner) : JobGraph(runner, JobGraphOptions{}) {}
   JobGraph(JobRunner* runner, JobGraphOptions options);
-  /// Joins the worker after draining every submitted job (abandoned jobs
+  /// Executes every submitted job that has not run yet (abandoned jobs
   /// still execute so their outcome is known), then reports any errors that
   /// were never consumed by wait() through the abandoned-error handler.
   ~JobGraph();
   JobGraph(const JobGraph&) = delete;
   JobGraph& operator=(const JobGraph&) = delete;
 
-  /// Enqueues `spec` for execution after `deps` (all must be handles from
-  /// this graph). Real execution starts immediately in the background —
-  /// submission order — independent of the simulated schedule.
+  /// Records `spec` to run after `deps` (all must be handles from this
+  /// graph). Nothing executes until a wait() or run_all() places the job or
+  /// a later submission, or the graph is destroyed.
   JobHandle submit(JobSpec spec, std::vector<JobHandle> deps = {});
 
-  /// Blocks until `h` has executed, places it (and any unplaced ancestors)
-  /// on the simulated timeline, advances the master frontier to its finish,
-  /// and returns its result. Rethrows the job's JobError if it failed.
+  /// Executes and places `h` (and any unplaced ancestors) on the simulated
+  /// timeline, advances the master frontier to its finish, and returns its
+  /// result. Rethrows the job's JobError if it failed.
   const JobResult& wait(JobHandle h);
 
   /// wait()s for every submitted job; the frontier becomes the makespan.
@@ -117,18 +120,17 @@ class JobGraph {
     JobSpec spec;
     std::vector<int> deps;
     double submit_frontier = 0.0;  // master frontier when submitted
-    // Worker -> driver handoff, guarded by mu_.
-    bool executed = false;
-    ExecutedJob work;
+    ExecutedJob work;              // set once the job has executed
     std::exception_ptr error;
     bool error_consumed = false;  // rethrown by wait(); not "abandoned"
-    // Driver-thread-only simulated placement.
     bool placed = false;
     double finish_time = 0.0;
     JobResult result;
   };
 
-  void worker_loop();
+  /// Executes, in submission order, every job up to and including `id`
+  /// that has not run yet, keeping each one's work or error on its node.
+  void execute_through(std::size_t id);
   /// Places the unplaced ancestor closure of `targets` (inclusive) on the
   /// timeline in (ready time, submission index) order.
   void place_closure(const std::vector<int>& targets);
@@ -138,8 +140,9 @@ class JobGraph {
   JobGraphOptions options_;
   std::unique_ptr<SlotPool> owned_pool_;  // null when options_.shared_pool set
   SlotPool* pool_;
-  std::vector<std::unique_ptr<Node>> nodes_;  // guarded by mu_ (growth)
-  double frontier_ = 0.0;       // driver-only: master timeline position
+  std::vector<std::unique_ptr<Node>> nodes_;
+  std::size_t executed_ = 0;    // nodes_[0, executed_) have run
+  double frontier_ = 0.0;       // master timeline position
   double master_seconds_ = 0.0;
   IoStats io_;
   int failures_ = 0;
@@ -147,13 +150,6 @@ class JobGraph {
   std::vector<MasterSpan> master_spans_;
   mutable std::vector<JobResult> jobs_cache_;
   mutable bool jobs_cache_dirty_ = false;
-
-  std::mutex mu_;
-  std::condition_variable cv_work_;  // worker: new submissions / stop
-  std::condition_variable cv_done_;  // driver: a job finished executing
-  std::size_t next_exec_ = 0;        // next node the worker runs
-  bool stop_ = false;
-  std::thread worker_;
 };
 
 }  // namespace mri::mr

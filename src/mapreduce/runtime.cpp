@@ -1,7 +1,7 @@
 #include "mapreduce/runtime.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <functional>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -17,8 +17,8 @@ JobRunner::JobRunner(const Cluster* cluster, dfs::Dfs* fs, ThreadPool* pool,
                      ChaosEngine* chaos, engine::SpinEngine* engine)
     : cluster_(cluster), fs_(fs), pool_(pool), failures_(failures),
       metrics_(metrics), chaos_(chaos), engine_(engine) {
-  MRI_REQUIRE(cluster != nullptr && fs != nullptr && pool != nullptr,
-              "JobRunner needs a cluster, a DFS and a thread pool");
+  MRI_REQUIRE(cluster != nullptr && fs != nullptr,
+              "JobRunner needs a cluster and a DFS");
 }
 
 namespace {
@@ -103,6 +103,15 @@ ExecutedJob JobRunner::execute(const JobSpec& spec) {
   IoStats engine_spill;
   if (engine_ != nullptr) engine_spill = engine_->begin_job(spec.name);
 
+  const auto run_tasks = [this](int count,
+                                const std::function<void(std::size_t)>& fn) {
+    if (pool_ != nullptr) {
+      pool_->parallel_for(static_cast<std::size_t>(count), fn);
+    } else {
+      serial_for(static_cast<std::size_t>(count), fn);
+    }
+  };
+
   // ---- map phase (real execution) ----------------------------------------
   const int num_maps = result.map_tasks;
   std::vector<IoStats> map_io(static_cast<std::size_t>(num_maps));
@@ -112,7 +121,7 @@ ExecutedJob JobRunner::execute(const JobSpec& spec) {
       static_cast<std::size_t>(num_maps));
 
   try {
-    pool_->parallel_for(static_cast<std::size_t>(num_maps), [&](std::size_t t) {
+    run_tasks(num_maps, [&](std::size_t t) {
       const int task = static_cast<int>(t);
       TaskContext ctx(fs_, task, task % cluster_->size(), num_maps,
                       result.reduce_tasks, cluster_->size());
@@ -166,19 +175,18 @@ ExecutedJob JobRunner::execute(const JobSpec& spec) {
     std::vector<std::vector<net::Transfer>> reduce_transfers(
         static_cast<std::size_t>(num_reduces));
     try {
-      pool_->parallel_for(
-          static_cast<std::size_t>(num_reduces), [&](std::size_t r) {
-            const int task = static_cast<int>(r);
-            TaskContext ctx(fs_, task, task % cluster_->size(), num_maps,
-                            num_reduces, cluster_->size());
-            auto reducer = spec.reducer_factory();
-            MRI_CHECK_MSG(reducer != nullptr, "reducer factory returned null");
-            for (const auto& [key, values] : shuffled.partitions[r]) {
-              reducer->reduce(key, values, ctx);
-            }
-            reduce_io[r] = ctx.io();
-            reduce_transfers[r] = ctx.take_transfers();
-          });
+      run_tasks(num_reduces, [&](std::size_t r) {
+        const int task = static_cast<int>(r);
+        TaskContext ctx(fs_, task, task % cluster_->size(), num_maps,
+                        num_reduces, cluster_->size());
+        auto reducer = spec.reducer_factory();
+        MRI_CHECK_MSG(reducer != nullptr, "reducer factory returned null");
+        for (const auto& [key, values] : shuffled.partitions[r]) {
+          reducer->reduce(key, values, ctx);
+        }
+        reduce_io[r] = ctx.io();
+        reduce_transfers[r] = ctx.take_transfers();
+      });
     } catch (const Error& e) {
       throw JobError("reduce phase of job '" + spec.name +
                      "' failed: " + e.what());

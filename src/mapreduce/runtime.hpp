@@ -1,5 +1,6 @@
-// JobRunner: executes one MapReduce job for real (thread pool) and charges
-// simulated time (scheduler + cost model).
+// JobRunner: executes one MapReduce job for real (on a thread pool, or on
+// the calling thread when given none) and charges simulated time (scheduler
+// + cost model).
 //
 // Execution order per job:
 //   1. map tasks run in parallel — each reads its input file, runs the user
@@ -44,8 +45,11 @@ struct ExecutedJob {
 
 class JobRunner {
  public:
-  /// All pointers are borrowed and must outlive the runner. `failures`,
-  /// `metrics` and `chaos` may be null. With a chaos engine attached,
+  /// All pointers are borrowed and must outlive the runner. `pool`,
+  /// `failures`, `metrics` and `chaos` may be null; with no pool, execute()
+  /// runs every task on the calling thread, in task order, with the pool's
+  /// error behaviour (serial_for), so results and DFS side effects are the
+  /// same either way. With a chaos engine attached,
   /// finish() overlays its fault schedule on both phases (node outages,
   /// stragglers), re-executes completed map tasks whose outputs died with a
   /// node before the reduce phase consumed them, and advances the engine to
@@ -65,8 +69,7 @@ class JobRunner {
   JobResult run(const JobSpec& spec);
 
   /// Phase 1: performs the job's real work. Throws JobError if a task
-  /// throws. Charges no simulated time; safe to call off the driver thread
-  /// (JobGraph calls it from its execution thread).
+  /// throws. Charges no simulated time.
   ExecutedJob execute(const JobSpec& spec);
 
   /// Phase 2: places both phases on the simulated timeline starting at

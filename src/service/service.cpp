@@ -168,7 +168,8 @@ ServiceResult InversionService::run(std::vector<InversionRequest> requests) {
     opts.work_dir = dfs::join(options_.inversion.work_dir, leaf);
     if (r.nb > 0) opts.nb = r.nb;
 
-    mr::JobRunner runner(cluster_, fs_, pool_, failures_, metrics_, chaos_);
+    mr::JobRunner runner(cluster_, fs_, core::task_pool_for(r.order, pool_),
+                         failures_, metrics_, chaos_);
     mr::JobGraphOptions graph_options;
     graph_options.shared_pool = &slot_pool;
     graph_options.origin_seconds = now;

@@ -6,6 +6,9 @@
 #include <limits>
 #include <set>
 #include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/cli.hpp"
 #include "common/json.hpp"
@@ -108,6 +111,70 @@ TEST(ThreadPool, NestedParallelForRunsInline) {
   });
   EXPECT_EQ(count.load(), 32);
   EXPECT_FALSE(pool.in_worker_thread());
+}
+
+// Runs 6 iterations through `run` where iterations 2 and 4 throw: every
+// iteration must still run, and iteration 2's error must be the one that
+// surfaces.
+template <typename Run>
+void expect_all_run_lowest_error_surfaces(Run run) {
+  std::vector<std::atomic<int>> ran(6);
+  std::string message;
+  try {
+    run(6, [&](std::size_t i) {
+      ran[i].fetch_add(1);
+      if (i == 2 || i == 4) {
+        std::string what = "iteration ";
+        what += std::to_string(i);
+        throw std::runtime_error(what);
+      }
+    });
+  } catch (const std::runtime_error& e) {
+    message = e.what();
+  }
+  EXPECT_EQ(message, "iteration 2");
+  for (std::size_t i = 0; i < ran.size(); ++i) {
+    EXPECT_EQ(ran[i].load(), 1) << "iteration " << i;
+  }
+}
+
+TEST(ThreadPool, FailingIterationsRunAllAndRethrowTheLowest) {
+  ThreadPool pool(3);
+  SCOPED_TRACE("top-level");
+  expect_all_run_lowest_error_surfaces(
+      [&](std::size_t count, const std::function<void(std::size_t)>& fn) {
+        pool.parallel_for(count, fn);
+      });
+}
+
+TEST(ThreadPool, NestedFailingIterationsRunAllAndRethrowTheLowest) {
+  // The nested branch runs inline on the worker; it must behave like the
+  // pooled branch, not stop at the first throw.
+  ThreadPool pool(2);
+  pool.submit([&] {
+        SCOPED_TRACE("nested");
+        ASSERT_TRUE(pool.in_worker_thread());
+        expect_all_run_lowest_error_surfaces(
+            [&](std::size_t count,
+                const std::function<void(std::size_t)>& fn) {
+              pool.parallel_for(count, fn);
+            });
+      })
+      .get();
+}
+
+TEST(SerialFor, RunsInOrderOnTheCallerAndRethrowsTheLowest) {
+  expect_all_run_lowest_error_surfaces(
+      [](std::size_t count, const std::function<void(std::size_t)>& fn) {
+        serial_for(count, fn);
+      });
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  serial_for(5, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 }
 
 // ---- cli --------------------------------------------------------------------

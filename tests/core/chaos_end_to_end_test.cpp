@@ -1,9 +1,11 @@
 // End-to-end chaos acceptance (§7.4): a deterministic run with one node
 // killed mid-inversion completes with a correct inverse and non-zero
 // recovery accounting, two same-seed runs are bit-identical, and losing
-// every replica of a block fails fast with UnrecoverableBlock.
+// every replica of a block fails fast with UnrecoverableBlock. Running the
+// tasks on the calling thread instead of the pool changes none of it.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -11,6 +13,8 @@
 #include "common/thread_pool.hpp"
 #include "core/inverter.hpp"
 #include "dfs/dfs.hpp"
+#include "mapreduce/job_graph.hpp"
+#include "mapreduce/runtime.hpp"
 #include "mapreduce/trace_export.hpp"
 #include "matrix/generate.hpp"
 #include "matrix/ops.hpp"
@@ -145,6 +149,94 @@ TEST(ChaosEndToEnd, LosingEveryReplicaFailsFast) {
       << "unreplicated blocks died with the node; the run cannot succeed";
   EXPECT_NE(lost.error.find("nrecoverable"), std::string::npos)
       << "failure must surface UnrecoverableBlock, got: " << lost.error;
+}
+
+// ---- pool vs calling thread -------------------------------------------------
+
+struct RunnerOutcome {
+  std::string error;
+  std::vector<mr::JobResult> jobs;
+  std::string report_json;
+  std::string trace_json;
+  std::vector<double> inverse;
+  std::size_t file_count = 0;
+  IoStats io;
+};
+
+/// Inverts an order-`order` matrix through a runner built here, with the
+/// 4-thread pool or (`on_caller`) none, so the size rule does not choose.
+RunnerOutcome run_on(bool on_caller, Index order,
+                     const std::vector<ChaosEvent>& events,
+                     int replication = 3) {
+  MetricsRegistry metrics;
+  Cluster cluster(kNodes, model());
+  dfs::DfsConfig cfg;
+  cfg.replication = replication;
+  dfs::Dfs fs(kNodes, cfg, &metrics);
+  ThreadPool pool(4);
+  ChaosEngine chaos;
+  for (const ChaosEvent& e : events) chaos.add_event(e);
+  fs.bind_chaos(&chaos, model().network_bandwidth);
+  MapReduceInverter inverter(&cluster, &fs, &pool, nullptr, &metrics, &chaos);
+  mr::JobRunner runner(&cluster, &fs, on_caller ? nullptr : &pool, nullptr,
+                       &metrics, &chaos);
+  InversionOptions options;
+  options.nb = kNb;
+  const Matrix a = random_matrix(order, 5);
+
+  RunnerOutcome out;
+  {
+    mr::JobGraph graph(&runner);
+    try {
+      MapReduceInverter::Result result = inverter.invert_on(graph, a, options);
+      out.jobs = result.jobs;
+      const RunReport report =
+          mr::build_run_report(result.jobs, cluster, &metrics,
+                               result.master_spans, &chaos, nullptr, &fs);
+      out.report_json = run_report_json(report);
+      out.trace_json = chrome_trace_json(report);
+      out.inverse.assign(result.inverse.data().begin(),
+                         result.inverse.data().end());
+    } catch (const std::exception& e) {
+      out.error = e.what();
+    }
+  }
+  out.file_count = fs.file_count();
+  out.io = metrics.io_totals();
+  return out;
+}
+
+TEST(CallerThread, SameReportTraceAndInverseBytesAsThePool) {
+  const RunnerOutcome pooled = run_on(false, 128, {});
+  const RunnerOutcome caller = run_on(true, 128, {});
+  ASSERT_TRUE(pooled.error.empty()) << pooled.error;
+  ASSERT_TRUE(caller.error.empty()) << caller.error;
+  EXPECT_EQ(pooled.report_json, caller.report_json);
+  EXPECT_EQ(pooled.trace_json, caller.trace_json);
+  ASSERT_EQ(pooled.inverse.size(), caller.inverse.size());
+  EXPECT_EQ(std::memcmp(pooled.inverse.data(), caller.inverse.data(),
+                        pooled.inverse.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(pooled.file_count, caller.file_count);
+  EXPECT_EQ(pooled.io, caller.io);
+}
+
+TEST(CallerThread, FailingRunLeavesTheSameErrorFilesAndTotalsAsThePool) {
+  // Unreplicated blocks die with a node killed as the partition job ends,
+  // before any LU job runs.
+  const RunnerOutcome clean = run_on(true, 128, {}, /*replication=*/1);
+  ASSERT_TRUE(clean.error.empty()) << clean.error;
+  const mr::JobResult& partition = clean.jobs.front();
+  const std::vector<ChaosEvent> kill = {
+      {ChaosEventKind::kKillNode,
+       partition.start_seconds + partition.sim_seconds, kNodes - 1, 1.0}};
+  const RunnerOutcome pooled = run_on(false, 128, kill, 1);
+  const RunnerOutcome caller = run_on(true, 128, kill, 1);
+  EXPECT_NE(pooled.error.find("nrecoverable"), std::string::npos)
+      << pooled.error;
+  EXPECT_EQ(pooled.error, caller.error);
+  EXPECT_EQ(pooled.file_count, caller.file_count);
+  EXPECT_EQ(pooled.io, caller.io);
 }
 
 }  // namespace

@@ -4,6 +4,11 @@
 // optimization toggles.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <span>
+#include <string>
+#include <thread>
+
 #include "core/inverter.hpp"
 #include "linalg/solve.hpp"
 #include "matrix/generate.hpp"
@@ -11,6 +16,25 @@
 
 namespace mri {
 namespace {
+
+/// Counts DFS opens by whether they came from the thread that built it (a
+/// tier listener sees every open).
+class OpenThreadCounter : public dfs::TierListener {
+ public:
+  void on_commit(const std::string&, dfs::StorageTier, std::uint64_t, int,
+                 std::span<const std::byte>, const IoStats*) override {}
+  void on_open(const std::string&, dfs::StorageTier, std::uint64_t) override {
+    (std::this_thread::get_id() == caller_ ? on_caller : off_caller)
+        .fetch_add(1);
+  }
+  void on_remove(const std::string&) override {}
+
+  std::atomic<int> on_caller{0};
+  std::atomic<int> off_caller{0};
+
+ private:
+  const std::thread::id caller_ = std::this_thread::get_id();
+};
 
 struct PipelineFixture {
   PipelineFixture(int m0, CostModel model = CostModel::ec2_medium())
@@ -29,6 +53,28 @@ struct PipelineFixture {
     return inverter.invert(a, opts);
   }
 };
+
+TEST(SizeRule, TheBoundRunsOnTheCallerAndTheBoundPlusOneOnThePool) {
+  ThreadPool pool(2);
+  EXPECT_EQ(core::task_pool_for(core::kCallerThreadMaxOrder, &pool), nullptr);
+  EXPECT_EQ(core::task_pool_for(core::kCallerThreadMaxOrder + 1, &pool),
+            &pool);
+  const auto opens_off_caller = [](Index n) {
+    PipelineFixture fx(4);
+    OpenThreadCounter counter;
+    fx.fs.set_tier_listener(&counter);
+    core::InversionOptions opts;
+    opts.nb = 128;
+    const Matrix a = random_matrix(n, 7);
+    const auto result = fx.run(a, opts);
+    fx.fs.set_tier_listener(nullptr);
+    EXPECT_LT(inversion_residual(a, result.inverse), 1e-8);
+    EXPECT_GT(counter.on_caller.load(), 0);
+    return counter.off_caller.load();
+  };
+  EXPECT_EQ(opens_off_caller(core::kCallerThreadMaxOrder), 0);
+  EXPECT_GT(opens_off_caller(core::kCallerThreadMaxOrder + 1), 0);
+}
 
 TEST(EndToEnd, SmallMatrixSingleNode) {
   PipelineFixture fx(1);

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <thread>
+#include <vector>
 
 #include "common/thread_pool.hpp"
 
@@ -126,6 +128,54 @@ TEST(Dfs, ShortReadThrows) {
   auto r = fs.open("/small");
   std::array<std::byte, 10> buf{};
   EXPECT_THROW(r.read_exact(buf), DfsError);
+}
+
+TEST(Dfs, RegistryGetsEveryReadOnceItsReaderIsGone) {
+  // Readers charge the task account on every read and the registry once,
+  // when destroyed. After many small reads — through a moved reader, one
+  // dropped mid-file and one dropped while an exception unwinds — the
+  // registry's read totals equal the sum of the task accounts.
+  MetricsRegistry metrics;
+  DfsConfig cfg;
+  cfg.block_size = 64;  // reads cross block boundaries
+  Dfs fs(3, cfg, &metrics);
+  std::vector<double> values(100);
+  for (std::size_t i = 0; i < values.size(); ++i) values[i] = 0.5 * i;
+  fs.write_doubles("/v", values);
+  const IoStats before = metrics.io_totals();
+
+  IoStats tasks;
+  {
+    auto r = fs.open("/v", &tasks);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      EXPECT_EQ(r.read_double(), values[i]);
+      EXPECT_EQ(tasks.bytes_read, (i + 1) * sizeof(double))
+          << "the task account is charged on every read";
+    }
+  }
+  {
+    auto r = fs.open("/v", &tasks);
+    r.read_double();
+    Dfs::Reader moved(std::move(r));
+    EXPECT_EQ(moved.read_double(), values[1]);
+  }
+  {
+    auto r = fs.open("/v", &tasks);
+    for (int i = 0; i < 7; ++i) r.read_double();
+  }
+  try {
+    auto r = fs.open("/v", &tasks);
+    r.read_double();
+    std::array<std::byte, 8000> too_many{};
+    r.read_exact(too_many);  // reads the other 99 doubles, then throws
+    ADD_FAILURE() << "short read did not throw";
+  } catch (const DfsError&) {
+  }
+
+  EXPECT_EQ(tasks.bytes_read, (100 + 2 + 7 + 100) * sizeof(double));
+  IoStats registry = metrics.io_totals();
+  registry -= before;
+  EXPECT_EQ(registry, tasks);
 }
 
 TEST(Dfs, ReadAllDoublesRejectsMisaligned) {

@@ -3,14 +3,19 @@
 // concurrency, and the default floor-mod partitioner.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "mapreduce/job_graph.hpp"
 #include "mapreduce/runtime.hpp"
 #include "mapreduce/shuffle.hpp"
 #include "mapreduce/trace_export.hpp"
+#include "sim/chaos.hpp"
 
 namespace mri::mr {
 namespace {
@@ -57,11 +62,15 @@ CostModel flops_model() {
 }
 
 struct GraphFixture {
-  explicit GraphFixture(int nodes, CostModel model = flops_model())
+  /// `on_caller`: the runner gets no pool, so tasks run on the thread that
+  /// places the job.
+  explicit GraphFixture(int nodes, CostModel model = flops_model(),
+                        bool on_caller = false)
       : cluster(nodes, model),
         fs(nodes, dfs::DfsConfig{}, &metrics),
         pool(4),
-        runner(&cluster, &fs, &pool, nullptr, &metrics) {
+        runner(&cluster, &fs, on_caller ? nullptr : &pool, nullptr,
+               &metrics) {
     for (int i = 0; i < nodes; ++i)
       { const std::string n = std::to_string(i); fs.write_text("/in/" + n, "x" + n); }
   }
@@ -134,6 +143,50 @@ JobSpec count_job(std::string name, std::vector<std::string> inputs,
   spec.reducer_factory = [out_dir] {
     return std::make_unique<CountReducer>(out_dir);
   };
+  return spec;
+}
+
+// A job whose map tasks (and `reduces` reduce tasks, fed one pair per map
+// task) call `probe` from inside the task body. Each map task burns 2 s.
+JobSpec probe_job(std::string name, std::vector<std::string> inputs,
+                  std::function<void(TaskContext&)> probe, int reduces = 0) {
+  class ProbeMapper : public Mapper {
+   public:
+    explicit ProbeMapper(std::function<void(TaskContext&)> p)
+        : p_(std::move(p)) {}
+    void map(std::int64_t key, const std::string&, TaskContext& ctx) override {
+      p_(ctx);
+      IoStats io;
+      io.mults = 2'000'000'000;
+      ctx.add_flops(io);
+      ctx.emit(key, "");
+    }
+
+   private:
+    std::function<void(TaskContext&)> p_;
+  };
+  class ProbeReducer : public Reducer {
+   public:
+    explicit ProbeReducer(std::function<void(TaskContext&)> p)
+        : p_(std::move(p)) {}
+    void reduce(std::int64_t, const std::vector<std::string>&,
+                TaskContext& ctx) override {
+      p_(ctx);
+    }
+
+   private:
+    std::function<void(TaskContext&)> p_;
+  };
+  JobSpec spec;
+  spec.name = std::move(name);
+  spec.input_files = std::move(inputs);
+  spec.mapper_factory = [probe] { return std::make_unique<ProbeMapper>(probe); };
+  if (reduces > 0) {
+    spec.num_reduce_tasks = reduces;
+    spec.reducer_factory = [probe] {
+      return std::make_unique<ProbeReducer>(probe);
+    };
+  }
   return spec;
 }
 
@@ -296,6 +349,90 @@ TEST(JobGraph, DiamondDependenciesScheduleCorrectly) {
   for (const JobResult& j : p.jobs()) serial_sum += j.sim_seconds;
   EXPECT_LT(p.total_sim_seconds(), serial_sum - 1.0);
   EXPECT_EQ(p.job_count(), 4);
+}
+
+// ---- real execution on the waiting thread ----------------------------------
+
+TEST(JobGraphExecution, WithNoPoolEveryTaskRunsOnTheWaitingThread) {
+  GraphFixture fx(4, flops_model(), /*on_caller=*/true);
+  std::mutex mu;
+  std::vector<std::thread::id> ran_on;
+  const auto note = [&](TaskContext&) {
+    std::lock_guard<std::mutex> lock(mu);
+    ran_on.push_back(std::this_thread::get_id());
+  };
+  JobGraph p(&fx.runner);
+  const JobHandle a = p.submit(probe_job("a", fx.inputs(4), note, 2));
+  const JobHandle b = p.submit(probe_job("b", fx.inputs(3), note, 3), {a});
+  p.wait(b);
+  // One probe per map task and per reduce() call (one key per map task).
+  ASSERT_EQ(ran_on.size(), 14u);
+  for (const std::thread::id id : ran_on) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+}
+
+TEST(JobGraphExecution, JobsExecuteInSubmissionOrder) {
+  // a -> {b, c} -> d, then e with no dependencies. run_all() places e
+  // second (it is ready at 0, b and c only once a finishes), but real
+  // execution still follows submission order.
+  GraphFixture fx(4);
+  std::mutex mu;
+  std::vector<std::string> executed;
+  const auto job = [&](const std::string& name) {
+    return probe_job(name, fx.inputs(2), [&mu, &executed, name](
+                                             TaskContext& ctx) {
+      if (ctx.task_index() != 0) return;
+      std::lock_guard<std::mutex> lock(mu);
+      executed.push_back(name);
+    });
+  };
+  JobGraph p(&fx.runner);
+  const JobHandle a = p.submit(job("a"));
+  const JobHandle b = p.submit(job("b"), {a});
+  const JobHandle c = p.submit(job("c"), {a});
+  const JobHandle d = p.submit(job("d"), {b, c});
+  const JobHandle e = p.submit(job("e"));
+  EXPECT_TRUE(executed.empty()) << "submit() must not execute";
+  p.run_all();
+  EXPECT_EQ(executed, (std::vector<std::string>{"a", "b", "c", "d", "e"}));
+  EXPECT_EQ(p.wait(e).start_seconds, 0.0);
+  EXPECT_GT(p.wait(b).start_seconds, 0.0);
+  EXPECT_EQ(p.wait(d).start_seconds,
+            p.wait(b).start_seconds + p.wait(b).sim_seconds);
+}
+
+TEST(JobGraphExecution, JobAfterAKillReadsThePostKillDfs) {
+  // The kill lands inside job a's run; a's finish() applies it to the DFS.
+  // Job b executes only after a is placed, so it sees the node dead.
+  MetricsRegistry metrics;
+  Cluster cluster(4, flops_model());
+  dfs::Dfs fs(4, dfs::DfsConfig{}, &metrics);
+  ChaosEngine chaos;
+  chaos.add_event({ChaosEventKind::kKillNode, 1.0, 3, 1.0});
+  fs.bind_chaos(&chaos);
+  ThreadPool pool(4);
+  JobRunner runner(&cluster, &fs, &pool, nullptr, &metrics, &chaos);
+  std::vector<std::string> inputs;
+  for (int i = 0; i < 2; ++i) {
+    inputs.push_back("/in/" + std::to_string(i));
+    fs.write_text(inputs.back(), "x");
+  }
+  std::atomic<int> live_in_a{0}, live_in_b{0};
+  JobGraph p(&runner);
+  const JobHandle a = p.submit(probe_job(
+      "a", inputs,
+      [&](TaskContext& ctx) { live_in_a = ctx.fs().live_datanodes(); }));
+  const JobHandle b = p.submit(
+      probe_job("b", inputs,
+                [&](TaskContext& ctx) {
+                  live_in_b = ctx.fs().live_datanodes();
+                }),
+      {a});
+  p.wait(b);
+  EXPECT_GT(p.wait(a).start_seconds + p.wait(a).sim_seconds, 1.0);
+  EXPECT_EQ(live_in_a.load(), 4);
+  EXPECT_EQ(live_in_b.load(), 3);
 }
 
 // ---- master work ------------------------------------------------------------

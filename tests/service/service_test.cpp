@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -284,6 +287,38 @@ TEST(InversionService, RequestsProduceVerifiableInverses) {
   EXPECT_GT(result.report.jobs, 0);
   EXPECT_GT(result.report.busy_slot_seconds, 0.0);
   EXPECT_EQ(result.report.failures_recovered, 0);
+}
+
+TEST(InversionService, SmallRequestsRunTheirTasksOnTheCallingThread) {
+  // The per-request runner follows the inverter's size rule: order-24
+  // requests never touch the pool. A tier listener sees every DFS open.
+  class OpenThreadCounter : public dfs::TierListener {
+   public:
+    void on_commit(const std::string&, dfs::StorageTier, std::uint64_t, int,
+                   std::span<const std::byte>, const IoStats*) override {}
+    void on_open(const std::string&, dfs::StorageTier,
+                 std::uint64_t) override {
+      (std::this_thread::get_id() == caller_ ? on_caller : off_caller)
+          .fetch_add(1);
+    }
+    void on_remove(const std::string&) override {}
+    std::atomic<int> on_caller{0};
+    std::atomic<int> off_caller{0};
+
+   private:
+    const std::thread::id caller_ = std::this_thread::get_id();
+  };
+  ASSERT_LE(kOrder, core::kCallerThreadMaxOrder);
+  ServiceFixture fx;
+  OpenThreadCounter counter;
+  fx.fs.set_tier_listener(&counter);
+  const ServiceResult result = fx.run(
+      fx.options({{"alice", 1}, {"bob", 1}}),
+      {request("alice", 0.0, 11), request("bob", 0.0, 12)});
+  fx.fs.set_tier_listener(nullptr);
+  EXPECT_EQ(result.admitted, 2);
+  EXPECT_GT(counter.on_caller.load(), 0);
+  EXPECT_EQ(counter.off_caller.load(), 0);
 }
 
 // ---- chaos: service-level retry and abandonment -----------------------------
