@@ -1,47 +1,8 @@
 #include "core/factor_io.hpp"
 
-#include "matrix/dfs_io.hpp"
+#include "common/error.hpp"
 
 namespace mri::core {
-
-void write_packed_lu(dfs::Dfs& fs, const std::string& path, const Matrix& packed,
-                     IoStats* account) {
-  MRI_REQUIRE(packed.square(), "packed LU must be square");
-  write_matrix(fs, path, packed, account);
-}
-
-Matrix read_packed_lu(const dfs::Dfs& fs, const std::string& path,
-                      IoStats* account) {
-  Matrix m = read_matrix(fs, path, account);
-  MRI_CHECK_MSG(m.square(), "packed LU file is not square: " << path);
-  return m;
-}
-
-Matrix unpack_unit_lower(const Matrix& packed) {
-  const Index n = packed.rows();
-  Matrix l(n, n);
-  for (Index i = 0; i < n; ++i) {
-    for (Index j = 0; j < i; ++j) l(i, j) = packed(i, j);
-    l(i, i) = 1.0;
-  }
-  return l;
-}
-
-Matrix unpack_upper(const Matrix& packed) {
-  const Index n = packed.rows();
-  Matrix u(n, n);
-  for (Index i = 0; i < n; ++i)
-    for (Index j = i; j < n; ++j) u(i, j) = packed(i, j);
-  return u;
-}
-
-Matrix unpack_upper_transposed(const Matrix& packed) {
-  const Index n = packed.rows();
-  Matrix ut(n, n);
-  for (Index i = 0; i < n; ++i)
-    for (Index j = i; j < n; ++j) ut(j, i) = packed(i, j);
-  return ut;
-}
 
 namespace {
 constexpr std::uint64_t kTriMagic = 0x4D52494E56545249ull;  // "MRINVTRI"
@@ -52,7 +13,7 @@ void write_lower_packed(dfs::Dfs& fs, const std::string& path, const Matrix& m,
                         dfs::StorageTier tier) {
   MRI_REQUIRE(m.square(), "triangular-packed matrix must be square");
   const Index n = m.rows();
-  dfs::Dfs::Writer w = fs.create(path, account, /*overwrite=*/false, tier);
+  dfs::Dfs::Writer w = fs.create(path, account, tier);
   w.write_u64(kTriMagic);
   w.write_u64(static_cast<std::uint64_t>(n));
   w.write_u64(unit_diag ? 1 : 0);
@@ -82,7 +43,7 @@ Matrix read_lower_packed(const dfs::Dfs& fs, const std::string& path,
 void write_permutation(dfs::Dfs& fs, const std::string& path,
                        const Permutation& perm, IoStats* account,
                        dfs::StorageTier tier) {
-  dfs::Dfs::Writer w = fs.create(path, account, /*overwrite=*/false, tier);
+  dfs::Dfs::Writer w = fs.create(path, account, tier);
   w.write_u64(static_cast<std::uint64_t>(perm.size()));
   for (Index i = 0; i < perm.size(); ++i) {
     w.write_u64(static_cast<std::uint64_t>(perm[i]));

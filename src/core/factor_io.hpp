@@ -1,9 +1,11 @@
 // Compact DFS formats for the LU factors and permutations.
 //
-// A leaf's factors are stored the way Algorithm 1 leaves them: one packed
-// square file (U on/above the diagonal, L strictly below — exactly n² doubles,
-// no zero padding), plus a tiny permutation file. This keeps the pipeline's
-// total factor output at the paper's (3/2)n² write volume (Table 1).
+// A leaf's factors are stored as the paper's separate l and u files, each
+// triangular-packed: l holds L's strictly-lower entries (unit diagonal
+// implicit) and ut holds Uᵀ with its diagonal, so the pair is exactly n²
+// doubles with no zero padding, plus a tiny permutation file. This keeps
+// the pipeline's total factor output at the paper's (3/2)n² write volume
+// (Table 1).
 #pragma once
 
 #include <string>
@@ -14,12 +16,6 @@
 #include "sim/io_stats.hpp"
 
 namespace mri::core {
-
-/// Writes the packed LU matrix (square, n² doubles).
-void write_packed_lu(dfs::Dfs& fs, const std::string& path, const Matrix& packed,
-                     IoStats* account = nullptr);
-Matrix read_packed_lu(const dfs::Dfs& fs, const std::string& path,
-                      IoStats* account = nullptr);
 
 /// Triangular-packed files — the paper's separate per-leaf l / u files.
 /// With `unit_diag` the diagonal is implicit (strictly-lower entries only,
@@ -34,12 +30,6 @@ void write_lower_packed(dfs::Dfs& fs, const std::string& path, const Matrix& m,
 /// diagonal restored when the file was written with one).
 Matrix read_lower_packed(const dfs::Dfs& fs, const std::string& path,
                          IoStats* account = nullptr);
-
-/// Unpacks the packed form into the unit-lower L or the upper U.
-Matrix unpack_unit_lower(const Matrix& packed);
-Matrix unpack_upper(const Matrix& packed);
-/// Uᵀ directly from the packed form (the §6.3 transposed layout).
-Matrix unpack_upper_transposed(const Matrix& packed);
 
 /// Permutation files: n entries of the paper's array S.
 void write_permutation(dfs::Dfs& fs, const std::string& path,

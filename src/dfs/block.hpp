@@ -1,9 +1,11 @@
 // DFS data blocks.
 //
-// A file is a sequence of blocks; each block's payload is stored once and
-// shared (shared_ptr) between its replicas — replication is placement
-// metadata plus accounted network/disk cost, not a physical copy, which keeps
-// the simulator's memory footprint equal to the logical data size.
+// A file is a sequence of blocks, and each block is one record: where its
+// copies live, the bytes they serve and their expected checksums. A
+// replicated block's payload is stored once and served by every replica —
+// replication is placement metadata plus accounted network/disk cost, not a
+// physical copy, which keeps the simulator's memory footprint equal to the
+// logical data size.
 #pragma once
 
 #include <cstddef>
@@ -35,6 +37,15 @@ struct BlockLocation {
   /// RS stripe shape; 0,0 means a plain replicated block.
   int ec_k = 0;
   int ec_m = 0;
+  /// A replicated block's payload, served by every replica; null once the
+  /// last replica is gone.
+  BlockData data;
+  /// An erasure-coded block's cell payloads, parallel to `replicas`; null
+  /// where the cell is lost.
+  std::vector<BlockData> cells;
+  /// Expected CRC32C per cell (one for a replicated block), filled on
+  /// commit when checksums are verified and empty otherwise.
+  std::vector<std::uint32_t> crcs;
 
   bool is_ec() const { return ec_k > 0; }
   /// Per-cell payload length: the block payload split into ec_k equal cells

@@ -47,10 +47,6 @@ Dfs::Dfs(int num_datanodes, DfsConfig config, MetricsRegistry* metrics)
                                         "the cluster has only "
                                      << num_datanodes);
   }
-  datanodes_.reserve(static_cast<std::size_t>(num_datanodes));
-  for (int i = 0; i < num_datanodes; ++i) {
-    datanodes_.push_back(std::make_unique<DataNode>(i));
-  }
   dead_.assign(static_cast<std::size_t>(num_datanodes), false);
   read_errors_.assign(static_cast<std::size_t>(num_datanodes), 0);
   if (config.hot_cache_bytes > 0) {
@@ -91,20 +87,10 @@ void Dfs::charge_verified(std::int64_t cells, std::uint64_t bytes,
   charge(io, account);
 }
 
-void Dfs::drop_blocks(const std::vector<BlockLocation>& blocks) {
-  for (const auto& block : blocks) {
-    checksums_.forget(block.id);
-    for (int node : block.replicas) {
-      if (node < 0) continue;  // lost EC cell sentinel
-      datanodes_[static_cast<std::size_t>(node)]->evict(block.id);
-    }
-  }
-}
-
 void Dfs::remove(const std::string& path, bool recursive) {
   TierListener* listener = tier_listener_.load(std::memory_order_acquire);
   std::vector<std::string> removed_paths;
-  drop_blocks(namenode_.remove(
+  checksums_.forget(namenode_.remove(
       path, recursive,
       listener != nullptr || hot_ != nullptr ? &removed_paths : nullptr));
   if (hot_ != nullptr) hot_->forget(removed_paths);
@@ -116,15 +102,13 @@ void Dfs::remove(const std::string& path, bool recursive) {
 // ---------------------------------------------------------------------------
 // Writer
 
-Dfs::Writer::Writer(Dfs* fs, std::string path, bool overwrite, IoStats* account,
+Dfs::Writer::Writer(Dfs* fs, std::string path, IoStats* account,
                     StorageTier tier)
-    : fs_(fs), path_(std::move(path)), overwrite_(overwrite),
-      account_(account), tier_(tier) {}
+    : fs_(fs), path_(std::move(path)), account_(account), tier_(tier) {}
 
 Dfs::Writer::Writer(Writer&& other) noexcept
     : fs_(other.fs_),
       path_(std::move(other.path_)),
-      overwrite_(other.overwrite_),
       account_(other.account_),
       tier_(other.tier_),
       buffer_(std::move(other.buffer_)),
@@ -163,17 +147,17 @@ void Dfs::Writer::write_text(std::string_view text) {
 void Dfs::Writer::close() {
   if (closed_) return;
   closed_ = true;
-  fs_->commit(path_, std::move(buffer_), overwrite_, account_, tier_);
+  fs_->commit(path_, std::move(buffer_), account_, tier_);
 }
 
 Dfs::Writer Dfs::create(const std::string& path, IoStats* account,
-                        bool overwrite, StorageTier tier) {
-  return Writer(this, normalize(path), overwrite, account, tier);
+                        StorageTier tier) {
+  return Writer(this, normalize(path), account, tier);
 }
 
 void Dfs::commit(const std::string& path, std::vector<std::byte> buffer,
-                 bool overwrite, IoStats* account, StorageTier tier,
-                 bool charged, bool notify) {
+                 IoStats* account, StorageTier tier, bool charged,
+                 bool notify) {
   const std::uint64_t total = buffer.size();
   // Replicas go to live nodes only; with no dead nodes this degenerates to
   // round-robin over all datanodes, bit-identical to the chaos-free layout.
@@ -260,8 +244,6 @@ void Dfs::commit(const std::string& path, std::vector<std::byte> buffer,
     const int first =
         is_live(writer) ? writer
                         : live[static_cast<std::size_t>(base % live.size())];
-    // copies[i] is what loc.replicas[i] stores.
-    std::vector<BlockData> copies;
     if (ec_file) {
       // One block = one RS stripe: k data cells (zero-padded to equal
       // length) plus m parity cells, each on its own node.
@@ -269,7 +251,7 @@ void Dfs::commit(const std::string& path, std::vector<std::byte> buffer,
       loc.ec_m = config_.ec.m;
       const int cells = config_.ec.cells();
       const auto cell_len = static_cast<std::size_t>(loc.cell_bytes());
-      copies.reserve(static_cast<std::size_t>(cells));
+      loc.cells.reserve(static_cast<std::size_t>(cells));
       std::vector<const std::uint8_t*> data_ptrs;
       for (int i = 0; i < loc.ec_k; ++i) {
         auto cell =
@@ -281,12 +263,12 @@ void Dfs::commit(const std::string& path, std::vector<std::byte> buffer,
         }
         data_ptrs.push_back(
             reinterpret_cast<const std::uint8_t*>(cell->data()));
-        copies.push_back(std::move(cell));
+        loc.cells.push_back(std::move(cell));
       }
       for (const auto& p : codec->encode(data_ptrs, cell_len)) {
         auto cell = std::make_shared<std::vector<std::byte>>(cell_len);
         std::memcpy(cell->data(), p.data(), cell_len);
-        copies.push_back(std::move(cell));
+        loc.cells.push_back(std::move(cell));
       }
       // Placement: every cell on a distinct node. Rack-aware: first cell
       // writer-local (reads of healthy stripes start with a local cell),
@@ -395,24 +377,21 @@ void Dfs::commit(const std::string& path, std::vector<std::byte> buffer,
                                                  net::TransferKind::kWrite});
         }
       }
-      copies.assign(loc.replicas.size(), payload);
-    }
-    for (std::size_t i = 0; i < copies.size(); ++i) {
-      datanodes_[static_cast<std::size_t>(loc.replicas[i])]->put(loc.id,
-                                                                 copies[i]);
+      loc.data = payload;
     }
     if (config_.verify_checksums) {
       // Write-path checksumming (HDFS computes block checksums client-side
       // on write): one CRC32C per replicated block, one per EC cell.
-      const std::size_t cells = ec_file ? copies.size() : 1;
-      std::vector<std::uint32_t> crcs;
-      crcs.reserve(cells);
-      for (std::size_t i = 0; i < cells; ++i) {
-        crcs.push_back(crc32c(std::span<const std::byte>(*copies[i])));
-        checksummed_bytes += copies[i]->size();
+      const auto checksum = [&](const BlockData& bytes) {
+        loc.crcs.push_back(crc32c(std::span<const std::byte>(*bytes)));
+        checksummed_bytes += bytes->size();
+      };
+      if (ec_file) {
+        for (const BlockData& cell : loc.cells) checksum(cell);
+      } else {
+        checksum(loc.data);
       }
-      checksums_.record(loc.id, std::move(crcs));
-      checksummed_cells += static_cast<std::int64_t>(cells);
+      checksummed_cells += static_cast<std::int64_t>(loc.crcs.size());
     }
     if (hot_candidate) {
       full_blocks.push_back(payload);
@@ -425,7 +404,7 @@ void Dfs::commit(const std::string& path, std::vector<std::byte> buffer,
   const int home =
       locations.empty() ? task : locations.front().replicas.front();
   const std::uint64_t stripes = locations.size();
-  namenode_.commit_file(path, std::move(locations), overwrite, tier);
+  namenode_.commit_file(path, std::move(locations), tier);
 
   if (hot_candidate) {
     hot_->admit(path, total, std::move(full_blocks), std::move(full_block_ids));
@@ -490,11 +469,11 @@ void Dfs::restore_file(const std::string& path,
     // Drop the empty-replica skeleton (and any surviving replicas of a
     // partially lost file) without firing on_remove: the engine drives this
     // restore and keeps its lineage record alive.
-    drop_blocks(namenode_.remove(norm, false, nullptr));
+    checksums_.forget(namenode_.remove(norm, false, nullptr));
   }
   std::vector<std::byte> buffer(payload.begin(), payload.end());
-  commit(norm, std::move(buffer), /*overwrite=*/false, /*account=*/nullptr,
-         tier, /*charged=*/false, /*notify=*/false);
+  commit(norm, std::move(buffer), /*account=*/nullptr, tier,
+         /*charged=*/false, /*notify=*/false);
 }
 
 // ---------------------------------------------------------------------------
@@ -521,12 +500,6 @@ void Dfs::write_text(const std::string& path, std::string_view text,
 
 std::string Dfs::read_text(const std::string& path, IoStats* account) const {
   return open(path, account).read_all_text();
-}
-
-std::uint64_t Dfs::physical_bytes_stored() const {
-  std::uint64_t total = 0;
-  for (const auto& node : datanodes_) total += node->bytes_stored();
-  return total;
 }
 
 std::vector<StorageReconstructionEvent> Dfs::storage_events() const {

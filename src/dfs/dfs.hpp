@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "dfs/block.hpp"
-#include "dfs/datanode.hpp"
 #include "dfs/ec/policy.hpp"
 #include "dfs/hot_cache.hpp"
 #include "dfs/integrity/checksum_store.hpp"
@@ -155,7 +154,7 @@ class Dfs {
       MetricsRegistry* metrics = nullptr);
 
   const DfsConfig& config() const { return config_; }
-  int num_datanodes() const { return static_cast<int>(datanodes_.size()); }
+  int num_datanodes() const { return static_cast<int>(dead_.size()); }
 
   /// Attaches a network topology. A racked topology with rack-aware
   /// placement switches block placement to the HDFS default policy (first
@@ -184,9 +183,6 @@ class Dfs {
     return namenode_.file_size(path);
   }
   void remove(const std::string& path, bool recursive = false);
-  void rename(const std::string& from, const std::string& to) {
-    namenode_.rename(from, to);
-  }
   std::size_t file_count() const { return namenode_.file_count(); }
   /// The namenode's block map for one file (replica placement included) —
   /// read-only introspection for tests and tooling, e.g. verifying that
@@ -214,11 +210,9 @@ class Dfs {
 
    private:
     friend class Dfs;
-    Writer(Dfs* fs, std::string path, bool overwrite, IoStats* account,
-           StorageTier tier);
+    Writer(Dfs* fs, std::string path, IoStats* account, StorageTier tier);
     Dfs* fs_;
     std::string path_;
-    bool overwrite_;
     IoStats* account_;
     StorageTier tier_;
     std::vector<std::byte> buffer_;
@@ -276,7 +270,7 @@ class Dfs {
   };
 
   Writer create(const std::string& path, IoStats* account = nullptr,
-                bool overwrite = false, StorageTier tier = StorageTier::kDisk);
+                StorageTier tier = StorageTier::kDisk);
   Reader open(const std::string& path, IoStats* account = nullptr) const;
 
   /// The tier a committed file lives on.
@@ -318,7 +312,9 @@ class Dfs {
   /// Physical bytes resident across all datanodes (includes replication and
   /// parity — replicas share payload in memory but are accounted at full
   /// size here; EC files store k data + m parity cells).
-  std::uint64_t physical_bytes_stored() const;
+  std::uint64_t physical_bytes_stored() const {
+    return namenode_.total_physical_bytes();
+  }
 
   /// Logical bytes registered in the namespace (sum of file sizes) —
   /// independent of replication factor and parity overhead. The ratio
@@ -397,8 +393,8 @@ class Dfs {
 
  private:
   void commit(const std::string& path, std::vector<std::byte> buffer,
-              bool overwrite, IoStats* account, StorageTier tier,
-              bool charged = true, bool notify = true);
+              IoStats* account, StorageTier tier, bool charged = true,
+              bool notify = true);
 
   /// Adds `io` to `account` (may be null) and to the metrics registry.
   void charge(const IoStats& io, IoStats* account) const;
@@ -407,9 +403,6 @@ class Dfs {
   /// checksum CPU to `account` (may be null) and the metrics registry.
   void charge_verified(std::int64_t cells, std::uint64_t bytes,
                        IoStats* account) const;
-
-  /// Forgets removed blocks' checksums and evicts every stored copy.
-  void drop_blocks(const std::vector<BlockLocation>& blocks);
 
   /// The node of the calling thread's TransferLog, or -1 when no log is
   /// installed or its node is outside this DFS.
@@ -469,7 +462,7 @@ class Dfs {
                              std::vector<net::Transfer>* flows) const;
 
   /// CRC32C-verifies the bytes a read of (loc, node) would serve against
-  /// the recorded write-path checksum, charging the checksum CPU. Returns
+  /// the block's write-path checksum, charging the checksum CPU. Returns
   /// true when the copy is corrupt. `slot` is the EC cell index (-1 =
   /// whole replicated block).
   bool verify_copy(const BlockLocation& loc, int node, int slot) const;
@@ -492,11 +485,10 @@ class Dfs {
   std::shared_ptr<const net::Topology> topology_;
   MetricsRegistry* metrics_;
   NameNode namenode_;
-  std::vector<std::unique_ptr<DataNode>> datanodes_;
   std::atomic<TierListener*> tier_listener_{nullptr};
   std::atomic<BlockId> next_block_id_{1};
-  mutable std::mutex chaos_mu_;  // guards dead_ and read_errors_
-  std::vector<bool> dead_;
+  mutable std::mutex chaos_mu_;  // guards dead_'s flags and read_errors_
+  std::vector<bool> dead_;       // one flag per datanode; its size is fixed
   mutable std::vector<int> read_errors_;  // per-node armed failing reads
 
   const CostModel* cost_model_ = nullptr;  // set by bind_chaos
@@ -504,9 +496,10 @@ class Dfs {
   mutable std::mutex storage_mu_;  // guards storage_events_
   std::vector<StorageReconstructionEvent> storage_events_;
 
-  // Block-integrity layer (see DfsConfig::verify_checksums): checksums,
-  // corrupt marks and counters. Mutable because verification, detection
-  // and read-repair all happen on the const read path.
+  // Block-integrity layer (see DfsConfig::verify_checksums): corrupt marks
+  // and counters (the expected CRCs live in each BlockLocation). Mutable
+  // because verification, detection and read-repair all happen on the
+  // const read path.
   mutable ChecksumStore checksums_;
   double next_scrub_at_ = 0.0;  // driver-thread only (chaos advance)
 

@@ -30,10 +30,6 @@ NodeKillOutcome Dfs::kill_datanode(int node, double at) {
   const net::Topology* topo = racked_topology() ? topology_.get() : nullptr;
   std::vector<net::Transfer> repairs;
   std::uint64_t ec_fanin_bytes = 0;  // survivor-cell reads feeding decodes
-  // Erasure-coded reconstruction of stripe cell `cell`: decode it from the
-  // first k surviving cells onto the smallest-id live node not already
-  // holding a cell of the stripe (k-cell fan-in traffic + decode CPU,
-  // priced below), replacing the replicated copy path.
   // The smallest-id live node not already holding a copy or cell of `loc`,
   // preferring one in `rack` (>= 0) when there is one; -1 when none.
   const auto pick_target = [this, topo](const BlockLocation& loc, int rack) {
@@ -54,21 +50,20 @@ NodeKillOutcome Dfs::kill_datanode(int node, double at) {
   // first k surviving cells onto the smallest-id live node not already
   // holding a cell of the stripe (k-cell fan-in traffic + decode CPU,
   // priced below), replacing the replicated copy path.
-  const auto reconstruct = [&](const BlockLocation& loc, int cell) -> int {
+  const auto reconstruct = [&](const BlockLocation& loc,
+                                int cell) -> PlacedCopy {
     const int target = pick_target(loc, -1);
-    if (target < 0) return -1;  // nowhere to rebuild; stay degraded
+    if (target < 0) return {};  // nowhere to rebuild; stay degraded
     std::vector<char> surviving(loc.replicas.size());
     for (std::size_t slot = 0; slot < loc.replicas.size(); ++slot) {
       surviving[slot] = loc.replicas[slot] >= 0;
     }
     const StripeCells s =
         decode_cells(loc, surviving, {cell}, /*serve_marks=*/false);
-    if (static_cast<int>(s.fetched.size()) < loc.ec_k) return -1;
+    if (static_cast<int>(s.fetched.size()) < loc.ec_k) return {};
     const auto cell_len = static_cast<std::size_t>(loc.cell_bytes());
     auto payload = std::make_shared<std::vector<std::byte>>(cell_len);
     std::memcpy(payload->data(), s.rebuilt.front().data(), cell_len);
-    datanodes_[static_cast<std::size_t>(target)]->put(loc.id,
-                                                      std::move(payload));
     for (int slot : s.fetched) {
       const int holder = loc.replicas[static_cast<std::size_t>(slot)];
       if (topo != nullptr) {
@@ -77,32 +72,32 @@ NodeKillOutcome Dfs::kill_datanode(int node, double at) {
       }
       ec_fanin_bytes += cell_len;
     }
-    return target;
+    return {target, std::move(payload)};
   };
-  const auto replicate = [&](const BlockLocation& loc, int cell) -> int {
+  // Re-replication adds a target to the block's replicas; the payload they
+  // all serve stays where it is, in the block record.
+  const auto replicate = [&](const BlockLocation& loc,
+                             int cell) -> PlacedCopy {
     if (cell >= 0) return reconstruct(loc, cell);
     const auto source_it =
         std::find_if(loc.replicas.begin(), loc.replicas.end(),
                      [this](int r) { return !datanode_dead(r); });
-    if (source_it == loc.replicas.end()) return -1;
+    if (source_it == loc.replicas.end()) return {};
     const int source = *source_it;
     const int target = pick_target(
         loc, topo != nullptr && topo->options().rack_aware_placement
                  ? topo->rack_of(source)
                  : -1);
-    if (target < 0) return -1;
-    datanodes_[static_cast<std::size_t>(target)]->put(
-        loc.id, datanodes_[static_cast<std::size_t>(source)]->get(loc.id));
+    if (target < 0) return {};
     if (topo != nullptr) {
       repairs.push_back(net::Transfer{source, target, loc.length,
                                       net::TransferKind::kRepair});
     }
-    return target;
+    return {target, nullptr};
   };
 
   const BlockRepairSummary repaired =
       namenode_.repair_after_node_loss(node, config_.replication, replicate);
-  datanodes_[static_cast<std::size_t>(node)]->clear();
 
   // Copies that died with the node take their rot with them: clear their
   // corrupt marks, and drop any hot-cache poison whose block no longer has
@@ -287,16 +282,16 @@ void Dfs::corrupt_block(int node, double at, std::uint64_t salt) {
 }
 
 bool Dfs::verify_copy(const BlockLocation& loc, int node, int slot) const {
-  BlockData data = datanodes_[static_cast<std::size_t>(node)]->get(loc.id);
+  BlockData data =
+      slot < 0 ? loc.data : loc.cells[static_cast<std::size_t>(slot)];
   charge_verified(1, data->size(), nullptr);
-  const auto expected = checksums_.expected(loc.id, slot < 0 ? 0 : slot);
-  if (!expected) return false;  // committed before checksumming was enabled
   // Recompute the CRC over the bytes a read would actually serve: the
   // pristine payload, or its bit-flipped overlay when the copy is marked.
   if (auto mark = checksums_.corrupt_mark(loc.id, node)) {
     data = corrupt_copy(data, mark->salt);
   }
-  return crc32c(std::span<const std::byte>(*data)) != *expected;
+  return crc32c(std::span<const std::byte>(*data)) !=
+         loc.crcs[slot < 0 ? 0 : static_cast<std::size_t>(slot)];
 }
 
 double Dfs::repair_corrupt_copy(const BlockLocation& loc,

@@ -8,27 +8,14 @@
 
 namespace mri::dfs {
 
-void ChecksumStore::record(BlockId block, std::vector<std::uint32_t> cell_crcs) {
+void ChecksumStore::forget(const std::vector<BlockLocation>& blocks) {
   std::lock_guard<std::mutex> lock(mu_);
-  crcs_[block] = std::move(cell_crcs);
-}
-
-void ChecksumStore::forget(BlockId block) {
-  std::lock_guard<std::mutex> lock(mu_);
-  crcs_.erase(block);
-  auto it = marks_.lower_bound({block, std::numeric_limits<int>::min()});
-  while (it != marks_.end() && it->first.first == block) it = marks_.erase(it);
-}
-
-std::optional<std::uint32_t> ChecksumStore::expected(BlockId block,
-                                                     int cell) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = crcs_.find(block);
-  if (it == crcs_.end()) return std::nullopt;
-  if (cell < 0 || static_cast<std::size_t>(cell) >= it->second.size()) {
-    return std::nullopt;
+  for (const BlockLocation& block : blocks) {
+    auto it = marks_.lower_bound({block.id, std::numeric_limits<int>::min()});
+    while (it != marks_.end() && it->first.first == block.id) {
+      it = marks_.erase(it);
+    }
   }
-  return it->second[static_cast<std::size_t>(cell)];
 }
 
 bool ChecksumStore::mark_corrupt(BlockId block, int node, std::uint64_t salt,

@@ -1,11 +1,11 @@
-// Per-block checksum registry and corruption bookkeeping.
+// Corruption bookkeeping and the integrity counters.
 //
 // The DFS keeps one payload object per block and shares it across replicas
 // (replication is metadata, not copies), so a corrupted *replica* cannot be
 // modelled by mutating bytes — it is a per-(block, node) mark. The store
-// maps every committed block to its expected per-cell CRC32C values (one
-// cell for replicated blocks, k+m cells for an erasure-coded stripe) and
-// tracks which (block, node) copies have been silently corrupted by chaos.
+// tracks which (block, node) copies have been silently corrupted by chaos;
+// each block's expected per-cell CRC32C values (one cell for replicated
+// blocks, k+m cells for an erasure-coded stripe) live in its BlockLocation.
 //
 // A read that lands on a marked copy *succeeds* — that is the point of
 // silent corruption. With verification off the reader receives a
@@ -80,21 +80,12 @@ struct IntegrityStats {
   std::vector<ScrubPassEvent> scrubs;
 };
 
-/// Thread-safe map of block -> expected cell CRCs plus corrupt-copy marks,
-/// and the integrity counters the Dfs accumulates over them (one mutex
-/// guards all three).
+/// Thread-safe corrupt-copy marks and the integrity counters the Dfs
+/// accumulates over them (one mutex guards both).
 class ChecksumStore {
  public:
-  /// Records the expected CRCs for a freshly committed block (replaces any
-  /// previous entry — overwrite commits new payloads under the same path).
-  void record(BlockId block, std::vector<std::uint32_t> cell_crcs);
-
-  /// Drops a removed block's checksums and any marks on its copies.
-  void forget(BlockId block);
-
-  /// Expected CRC of `cell` (0 for replicated blocks), or nullopt when the
-  /// block was committed before checksumming was enabled.
-  std::optional<std::uint32_t> expected(BlockId block, int cell) const;
+  /// Drops any marks on the copies of removed `blocks`.
+  void forget(const std::vector<BlockLocation>& blocks);
 
   /// Marks the copy of `block` on `node` as silently corrupted and counts
   /// the injection. Returns false when the copy was already marked (first
@@ -129,7 +120,6 @@ class ChecksumStore {
 
  private:
   mutable std::mutex mu_;
-  std::map<BlockId, std::vector<std::uint32_t>> crcs_;
   std::map<std::pair<BlockId, int>, CorruptMark> marks_;
   IntegrityStats stats_;
 };

@@ -51,7 +51,7 @@ void NameNode::mkdirs(const std::string& path) {
 }
 
 void NameNode::commit_file(const std::string& raw_path,
-                           std::vector<BlockLocation> blocks, bool overwrite,
+                           std::vector<BlockLocation> blocks,
                            StorageTier tier) {
   const std::string path = normalize(raw_path);
   MRI_REQUIRE(path != "/", "cannot create a file at the root path");
@@ -60,9 +60,7 @@ void NameNode::commit_file(const std::string& raw_path,
   std::lock_guard<std::mutex> lock(mu_);
   make_dirs(parent(path));
   auto [it, inserted] = entries_.try_emplace(path);
-  if (!inserted && (!overwrite || it->second.is_dir)) {
-    throw DfsError("path already exists: " + path);
-  }
+  if (!inserted) throw DfsError("path already exists: " + path);
   it->second = std::move(file);
 }
 
@@ -165,33 +163,13 @@ std::vector<BlockLocation> NameNode::remove(
   std::vector<BlockLocation> removed;
   for (auto it = first; it != last; ++it) {
     if (it->second.is_dir) continue;
-    removed.insert(removed.end(), it->second.blocks.begin(),
-                   it->second.blocks.end());
+    removed.insert(removed.end(),
+                   std::make_move_iterator(it->second.blocks.begin()),
+                   std::make_move_iterator(it->second.blocks.end()));
     if (removed_paths != nullptr) removed_paths->push_back(it->first);
   }
   entries_.erase(first, last);
   return removed;
-}
-
-void NameNode::rename(const std::string& raw_from, const std::string& raw_to) {
-  const std::string from = normalize(raw_from);
-  const std::string to = normalize(raw_to);
-  MRI_REQUIRE(from != "/" && to != "/", "cannot rename the DFS root");
-  MRI_REQUIRE(to.rfind(from + "/", 0) != 0,
-              "cannot rename a directory into itself: " << from << " -> " << to);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto first = entries_.find(from);
-  if (first == entries_.end()) throw DfsError("no such path: " + from);
-  if (entries_.count(to) > 0) throw DfsError("target already exists: " + to);
-  make_dirs(parent(to));
-  // Re-key the whole subtree; extracted nodes keep their block lists.
-  const auto last = subtree_end(first);
-  std::vector<Namespace::node_type> moved;
-  while (first != last) moved.push_back(entries_.extract(first++));
-  for (auto& node : moved) {
-    node.key() = to + node.key().substr(from.size());
-    entries_.insert(std::move(node));
-  }
 }
 
 std::size_t NameNode::file_count() const {
@@ -203,7 +181,8 @@ std::size_t NameNode::file_count() const {
 
 BlockRepairSummary NameNode::repair_after_node_loss(
     int node, int target_replication,
-    const std::function<int(const BlockLocation&, int cell)>& replicate) {
+    const std::function<PlacedCopy(const BlockLocation&, int cell)>&
+        replicate) {
   MRI_REQUIRE(target_replication >= 1, "target replication must be >= 1");
   std::lock_guard<std::mutex> lock(mu_);
   BlockRepairSummary out;
@@ -215,9 +194,10 @@ BlockRepairSummary NameNode::repair_after_node_loss(
         // Slot order is cell identity: mark this node's cells lost in place
         // instead of erasing them.
         int newly_lost = 0;
-        for (int& holder : loc.replicas) {
-          if (holder == node) {
-            holder = -1;
+        for (std::size_t slot = 0; slot < loc.replicas.size(); ++slot) {
+          if (loc.replicas[slot] == node) {
+            loc.replicas[slot] = -1;
+            loc.cells[slot] = nullptr;
             ++newly_lost;
           }
         }
@@ -236,9 +216,10 @@ BlockRepairSummary NameNode::repair_after_node_loss(
         // found no eligible target) while the stripe is still decodable.
         for (std::size_t cell = 0; cell < loc.replicas.size(); ++cell) {
           if (loc.replicas[cell] >= 0) continue;
-          const int placed = replicate(loc, static_cast<int>(cell));
-          if (placed < 0) continue;  // no eligible node; stay degraded
-          loc.replicas[cell] = placed;
+          PlacedCopy placed = replicate(loc, static_cast<int>(cell));
+          if (placed.node < 0) continue;  // no eligible node; stay degraded
+          loc.replicas[cell] = placed.node;
+          loc.cells[cell] = std::move(placed.cell);
           ++out.ec_cells_reconstructed;
           out.ec_reconstructed_bytes += loc.cell_bytes();
         }
@@ -250,12 +231,13 @@ BlockRepairSummary NameNode::repair_after_node_loss(
       if (loc.replicas.empty()) {
         // Last replica gone: keep the block registered so reads fail fast
         // with UnrecoverableBlock rather than "no such file".
+        loc.data = nullptr;
         ++out.blocks_lost;
         had_loss = true;
         continue;
       }
       while (static_cast<int>(loc.replicas.size()) < target_replication) {
-        const int placed = replicate(loc, -1);
+        const int placed = replicate(loc, -1).node;
         if (placed < 0) break;  // no eligible node left; stay under-replicated
         loc.replicas.push_back(placed);
         ++out.re_replicated_blocks;
@@ -271,6 +253,20 @@ std::uint64_t NameNode::total_logical_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::uint64_t total = 0;
   for (const auto& [path, entry] : entries_) total += entry.size;
+  return total;
+}
+
+std::uint64_t NameNode::total_physical_bytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::uint64_t total = 0;
+  for (const auto& [path, entry] : entries_) {
+    for (const BlockLocation& loc : entry.blocks) {
+      const auto copies = std::count_if(loc.replicas.begin(),
+                                        loc.replicas.end(),
+                                        [](int holder) { return holder >= 0; });
+      total += loc.cell_bytes() * static_cast<std::uint64_t>(copies);
+    }
+  }
   return total;
 }
 

@@ -36,6 +36,14 @@ struct BlockRepairSummary {
   std::vector<std::string> lost_files;
 };
 
+/// A copy the node-loss repair callback placed: the node now holding it (-1
+/// when no eligible node was left) and, for an erasure-coded cell, the
+/// rebuilt payload the namenode stores in the cell's slot.
+struct PlacedCopy {
+  int node = -1;
+  BlockData cell;
+};
+
 class NameNode {
  public:
   NameNode();
@@ -44,10 +52,9 @@ class NameNode {
   void mkdirs(const std::string& path);
 
   /// Registers a file with its committed blocks. Parent directories are
-  /// created implicitly (matching HDFS create semantics). Overwrite of an
-  /// existing file is an error unless `overwrite`.
+  /// created implicitly (matching HDFS create semantics). Files are
+  /// write-once: committing over an existing path is an error.
   void commit_file(const std::string& path, std::vector<BlockLocation> blocks,
-                   bool overwrite = false,
                    StorageTier tier = StorageTier::kDisk);
 
   /// The tier the file was committed on (or moved to by set_file_tier).
@@ -67,16 +74,13 @@ class NameNode {
   std::vector<std::string> list(const std::string& dir) const;
 
   /// Removes a file, or a directory (recursively when `recursive`).
-  /// Returns the block locations of every removed file so the caller can
-  /// evict them from datanodes; `removed_paths` (may be null) receives the
+  /// Returns the block records of every removed file so the caller can
+  /// forget their corrupt marks; `removed_paths` (may be null) receives the
   /// full path of every removed file for cache/lineage invalidation.
   std::vector<BlockLocation> remove(const std::string& path,
                                     bool recursive = false,
                                     std::vector<std::string>* removed_paths =
                                         nullptr);
-
-  /// Atomic rename of a file or directory.
-  void rename(const std::string& from, const std::string& to);
 
   /// Number of files in the whole namespace (used by §6.1 tests).
   std::size_t file_count() const;
@@ -102,21 +106,26 @@ class NameNode {
   /// independent of replication factor or parity overhead.
   std::uint64_t total_logical_bytes() const;
 
+  /// Bytes held by every live copy: a replicated block's length per
+  /// replica plus an erasure-coded block's cell length per surviving cell.
+  std::uint64_t total_physical_bytes() const;
+
   /// Node-loss repair (HDFS block management): removes `node` from every
   /// file's replica lists, then restores each under-replicated block toward
-  /// `target_replication` by calling `replicate(loc, cell)`, which copies
-  /// the payload from a surviving replica of `loc` (cell == -1, plain
-  /// replication) or reconstructs stripe cell `cell` from k survivors
-  /// (erasure-coded blocks) onto a new node and returns that node's id (or
-  /// -1 when no eligible node is left — the block stays degraded). For EC
-  /// blocks the dead node's slots are set to -1 (slot order is cell
-  /// identity) and every hole is rebuilt while >= k cells survive; with
-  /// fewer survivors the stripe is lost. Blocks whose last replica died
-  /// remain registered so reads surface UnrecoverableBlock instead of "no
-  /// such file". Runs atomically under the namespace lock.
+  /// `target_replication` by calling `replicate(loc, cell)`, which places a
+  /// copy of `loc` (cell == -1, plain replication) or reconstructs stripe
+  /// cell `cell` from k survivors (erasure-coded blocks) on a new node and
+  /// returns it (node -1 when no eligible node is left — the block stays
+  /// degraded). For EC blocks the dead node's slots are set to -1 and their
+  /// cells dropped (slot order is cell identity), and every hole is rebuilt
+  /// while >= k cells survive; with fewer survivors the stripe is lost.
+  /// Blocks whose last replica died drop their payload but remain
+  /// registered so reads surface UnrecoverableBlock instead of "no such
+  /// file". Runs atomically under the namespace lock.
   BlockRepairSummary repair_after_node_loss(
       int node, int target_replication,
-      const std::function<int(const BlockLocation&, int cell)>& replicate);
+      const std::function<PlacedCopy(const BlockLocation&, int cell)>&
+          replicate);
 
  private:
   struct Entry {

@@ -72,18 +72,6 @@ std::string basename(std::string_view path) {
   return norm.substr(norm.rfind('/') + 1);
 }
 
-std::vector<std::string> components(std::string_view path) {
-  const std::string norm = normalize(path);
-  std::vector<std::string> parts;
-  for (std::size_t pos = 1; pos < norm.size();) {
-    std::size_t end = norm.find('/', pos);
-    if (end == std::string::npos) end = norm.size();
-    parts.emplace_back(norm, pos, end - pos);
-    pos = end + 1;
-  }
-  return parts;
-}
-
 std::uint64_t path_hash(std::string_view path, std::uint64_t basis) {
   for (const char c : path) {
     basis = (basis ^ static_cast<unsigned char>(c)) * 1099511628211ull;

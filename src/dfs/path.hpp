@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace mri::dfs {
 
@@ -25,9 +24,6 @@ std::string parent(std::string_view path);
 
 /// Final component ("/Root/A1/A.0" -> "A.0"; "/" -> "").
 std::string basename(std::string_view path);
-
-/// Splits a normalized path into components ("/Root/A1" -> {"Root","A1"}).
-std::vector<std::string> components(std::string_view path);
 
 /// FNV-1a hash of a path from `basis`: block placement and the corrupt-
 /// block bit pattern seed from it, so both are functions of the name alone.

@@ -201,9 +201,7 @@ BlockData Dfs::read_replica(const NameNode::FileInfo& file, std::size_t index,
     if (!config_.verify_checksums) {
       // Silent corruption doing its job: the read *succeeds*, with wrong
       // bytes (a deterministic bit-flipped view of the payload).
-      return corrupt_copy(
-          datanodes_[static_cast<std::size_t>(chosen)]->get(loc.id),
-          mark->salt);
+      return corrupt_copy(loc.data, mark->salt);
     }
     // Verification catches the mismatch before any bytes reach the caller:
     // read-repair the copy in place from a healthy source, then serve the
@@ -215,7 +213,7 @@ BlockData Dfs::read_replica(const NameNode::FileInfo& file, std::size_t index,
                         /*by_scrubber=*/false, nullptr);
   }
   if (config_.verify_checksums) verify_copy(loc, chosen, -1);
-  return datanodes_[static_cast<std::size_t>(chosen)]->get(loc.id);
+  return loc.data;
 }
 
 Dfs::StripeCells Dfs::decode_cells(const BlockLocation& loc,
@@ -229,12 +227,11 @@ Dfs::StripeCells Dfs::decode_cells(const BlockLocation& loc,
                              static_cast<int>(s.fetched.size()) < loc.ec_k;
        ++slot) {
     if (!usable[slot]) continue;
-    const int holder = loc.replicas[slot];
-    BlockData cell = datanodes_[static_cast<std::size_t>(holder)]->get(loc.id);
+    BlockData cell = loc.cells[slot];
     // With verification off a corrupt cell is still usable — the fetch
     // succeeds and silently delivers the bit-flipped view.
     if (serve_marks) {
-      if (auto mark = checksums_.corrupt_mark(loc.id, holder)) {
+      if (auto mark = checksums_.corrupt_mark(loc.id, loc.replicas[slot])) {
         cell = corrupt_copy(cell, mark->salt);
       }
     }

@@ -53,16 +53,6 @@ Matrix gauss_jordan_invert(Matrix a) {
   return inv;
 }
 
-IoStats gauss_jordan_cost(Index n) {
-  IoStats io;
-  const auto cube = static_cast<std::uint64_t>(n) *
-                    static_cast<std::uint64_t>(n) *
-                    static_cast<std::uint64_t>(n);
-  io.mults = cube;
-  io.adds = cube;
-  return io;
-}
-
 std::int64_t gauss_jordan_pipeline_steps(Index n) { return n; }
 
 }  // namespace mri

@@ -6,15 +6,11 @@
 #pragma once
 
 #include "matrix/matrix.hpp"
-#include "sim/io_stats.hpp"
 
 namespace mri {
 
 /// Returns A⁻¹. Throws NumericalError if A is numerically singular.
 Matrix gauss_jordan_invert(Matrix a);
-
-/// n³ mults + n³ adds (paper §2).
-IoStats gauss_jordan_cost(Index n);
 
 /// Number of sequential elimination steps — i.e. the length of the
 /// MapReduce pipeline a Gauss-Jordan implementation would need (paper §4.2).

@@ -67,14 +67,4 @@ Matrix qr_invert(const Matrix& a) {
 
 std::int64_t qr_pipeline_steps(Index n) { return n; }
 
-IoStats qr_cost(Index n) {
-  IoStats io;
-  const auto cube = static_cast<std::uint64_t>(n) *
-                    static_cast<std::uint64_t>(n) *
-                    static_cast<std::uint64_t>(n);
-  io.mults = 2 * cube / 3;
-  io.adds = 2 * cube / 3;
-  return io;
-}
-
 }  // namespace mri

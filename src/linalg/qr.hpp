@@ -7,7 +7,6 @@
 #pragma once
 
 #include "matrix/matrix.hpp"
-#include "sim/io_stats.hpp"
 
 namespace mri {
 
@@ -24,8 +23,5 @@ Matrix qr_invert(const Matrix& a);
 
 /// Pipeline length a QR MapReduce implementation would need (paper §4.2).
 std::int64_t qr_pipeline_steps(Index n);
-
-/// ~(4/3)n³ flops for Householder QR of an n x n matrix.
-IoStats qr_cost(Index n);
 
 }  // namespace mri

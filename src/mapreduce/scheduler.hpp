@@ -166,7 +166,6 @@ class SlotPool {
   /// least as many slots as tenants; replaces any previous shares. Resets
   /// activity refcounts.
   void set_shares(std::vector<TenantShare> shares);
-  bool has_shares() const { return !shares_.empty(); }
 
   /// Marks a tenant as having work in the system (queued or running); its
   /// slots stop being borrowable. Calls nest.

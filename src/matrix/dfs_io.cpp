@@ -1,6 +1,6 @@
 #include "matrix/dfs_io.hpp"
 
-#include "matrix/text_format.hpp"
+#include "common/error.hpp"
 
 namespace mri {
 
@@ -11,7 +11,7 @@ constexpr std::uint64_t kHeaderBytes = 3 * sizeof(std::uint64_t);
 
 void write_matrix(dfs::Dfs& fs, const std::string& path, const Matrix& m,
                   IoStats* account, dfs::StorageTier tier) {
-  dfs::Dfs::Writer w = fs.create(path, account, /*overwrite=*/false, tier);
+  dfs::Dfs::Writer w = fs.create(path, account, tier);
   w.write_u64(kMagic);
   w.write_u64(static_cast<std::uint64_t>(m.rows()));
   w.write_u64(static_cast<std::uint64_t>(m.cols()));
@@ -61,16 +61,6 @@ MatrixShape read_matrix_shape(const dfs::Dfs& fs, const std::string& path,
                               IoStats* account) {
   auto r = fs.open(path, account);
   return read_header(r, path);
-}
-
-void write_matrix_text(dfs::Dfs& fs, const std::string& path, const Matrix& m,
-                       IoStats* account) {
-  fs.write_text(path, matrix_to_text(m), account);
-}
-
-Matrix read_matrix_text(const dfs::Dfs& fs, const std::string& path,
-                        IoStats* account) {
-  return matrix_from_text(fs.read_text(path, account));
 }
 
 }  // namespace mri

@@ -36,12 +36,4 @@ struct MatrixShape {
 MatrixShape read_matrix_shape(const dfs::Dfs& fs, const std::string& path,
                               IoStats* account = nullptr);
 
-/// Writes `m` in the text format (paper's a.txt style input).
-void write_matrix_text(dfs::Dfs& fs, const std::string& path, const Matrix& m,
-                       IoStats* account = nullptr);
-
-/// Reads a text-format matrix file.
-Matrix read_matrix_text(const dfs::Dfs& fs, const std::string& path,
-                        IoStats* account = nullptr);
-
 }  // namespace mri

@@ -62,9 +62,6 @@ class Matrix {
   /// Writes `src` into this matrix with its (0,0) at (r0, c0).
   void set_block(Index r0, Index c0, const Matrix& src);
 
-  /// Copy of rows [r0, r1).
-  Matrix row_range(Index r0, Index r1) const { return block(r0, r1, 0, cols_); }
-
   bool same_shape(const Matrix& other) const {
     return rows_ == other.rows_ && cols_ == other.cols_;
   }

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "linalg/lu.hpp"
 #include "matrix/generate.hpp"
 #include "matrix/ops.hpp"
 
@@ -13,23 +12,6 @@ class FactorIoTest : public ::testing::Test {
  protected:
   dfs::Dfs fs{2};
 };
-
-TEST_F(FactorIoTest, PackedRoundTrip) {
-  const LuResult lu = lu_decompose(random_matrix(12, /*seed=*/1));
-  write_packed_lu(fs, "/lu.bin", lu.packed);
-  EXPECT_EQ(read_packed_lu(fs, "/lu.bin"), lu.packed);
-}
-
-TEST_F(FactorIoTest, UnpackMatchesLuResult) {
-  const LuResult lu = lu_decompose(random_matrix(10, /*seed=*/2));
-  EXPECT_EQ(unpack_unit_lower(lu.packed), lu.unit_lower());
-  EXPECT_EQ(unpack_upper(lu.packed), lu.upper());
-  EXPECT_EQ(unpack_upper_transposed(lu.packed), transpose(lu.upper()));
-}
-
-TEST_F(FactorIoTest, PackedMustBeSquare) {
-  EXPECT_THROW(write_packed_lu(fs, "/bad", Matrix(2, 3)), InvalidArgument);
-}
 
 TEST_F(FactorIoTest, LowerPackedRoundTripUnitDiag) {
   const Matrix l = random_unit_lower_triangular(11, /*seed=*/3);

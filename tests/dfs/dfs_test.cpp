@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -93,6 +96,57 @@ TEST(Dfs, RemoveEvictsBlocks) {
   EXPECT_EQ(fs.physical_bytes_stored(), 0u);
 }
 
+// physical_bytes_stored() counts a replicated block's length once per
+// replica, pinned after each kind of block mutation: 4 nodes, replication
+// 3, 64-byte blocks.
+TEST(Dfs, PhysicalBytesFollowEveryReplicatedBlockMutation) {
+  DfsConfig cfg;
+  cfg.block_size = 64;
+  Dfs fs(4, cfg);
+  fs.write_text("/d/f", std::string(100, 'a'));  // blocks of 64 and 36 bytes
+  EXPECT_EQ(fs.physical_bytes_stored(), 300u);
+  {
+    auto w = fs.create("/m/p", nullptr, StorageTier::kMemory);
+    w.write_text(std::string(50, 'm'));  // one unreplicated copy
+  }
+  EXPECT_EQ(fs.physical_bytes_stored(), 350u);
+  fs.spill_to_disk("/m/p");  // the copy stays on its node
+  EXPECT_EQ(fs.physical_bytes_stored(), 350u);
+
+  // Killing the spilled copy's node loses /m/p; every /d/f block it held is
+  // re-replicated, back to 3 copies on the 3 nodes left.
+  const int spill_node = fs.file_blocks("/m/p").front().replicas.front();
+  std::uint64_t on_spill_node = 0;
+  for (const BlockLocation& loc : fs.file_blocks("/d/f")) {
+    if (std::count(loc.replicas.begin(), loc.replicas.end(), spill_node)) {
+      on_spill_node += loc.length;
+    }
+  }
+  const NodeKillOutcome kill = fs.kill_datanode(spill_node);
+  EXPECT_GT(kill.re_replicated_blocks, 0);
+  EXPECT_EQ(kill.re_replicated_bytes, on_spill_node);
+  EXPECT_EQ(kill.blocks_lost, 1);
+  EXPECT_EQ(fs.physical_bytes_stored(), 300u);
+
+  const std::string spilled(50, 'm');
+  fs.restore_file("/m/p", std::as_bytes(std::span(spilled)),
+                  StorageTier::kMemory);
+  EXPECT_EQ(fs.physical_bytes_stored(), 350u);
+
+  // A second kill leaves each /d/f block 2 copies, with no third node to
+  // re-replicate onto.
+  const int holder = fs.file_blocks("/m/p").front().replicas.front();
+  int victim = 0;
+  while (fs.datanode_dead(victim) || victim == holder) ++victim;
+  fs.kill_datanode(victim);
+  EXPECT_EQ(fs.physical_bytes_stored(), 250u);
+
+  fs.remove("/d", /*recursive=*/true);
+  EXPECT_EQ(fs.physical_bytes_stored(), 50u);
+  fs.remove("/m/p");
+  EXPECT_EQ(fs.physical_bytes_stored(), 0u);
+}
+
 TEST(Dfs, WriterMoveAndExplicitClose) {
   Dfs fs(2);
   {
@@ -114,12 +168,19 @@ TEST(Dfs, WriterCommitsOnDestruction) {
   EXPECT_TRUE(fs.is_file("/auto"));
 }
 
+// Files are write-once: a second create of a path fails on close and leaves
+// the first file, and the bytes it stores, as they were.
 TEST(Dfs, DuplicateCreateThrowsOnClose) {
-  Dfs fs(2);
-  fs.write_text("/dup", "1");
+  Dfs fs(4);  // replication 3
+  fs.write_text("/dup", std::string(100, 'a'));
+  EXPECT_EQ(fs.physical_bytes_stored(), 300u);
   auto w = fs.create("/dup");
-  w.write_text("2");
+  w.write_text(std::string(100, 'b'));
   EXPECT_THROW(w.close(), DfsError);
+  EXPECT_EQ(fs.read_text("/dup"), std::string(100, 'a'));
+  EXPECT_EQ(fs.physical_bytes_stored(), 300u);
+  fs.remove("/dup");
+  EXPECT_EQ(fs.physical_bytes_stored(), 0u);
 }
 
 TEST(Dfs, ShortReadThrows) {
@@ -212,7 +273,7 @@ TEST(Dfs, MemoryTierSkipsDiskAndReplication) {
   MetricsRegistry metrics;
   Dfs fs(4, DfsConfig{}, &metrics);
   IoStats io;
-  auto w = fs.create("/hot", &io, /*overwrite=*/false, StorageTier::kMemory);
+  auto w = fs.create("/hot", &io, StorageTier::kMemory);
   w.write_text(std::string(900, 'm'));
   w.close();
   EXPECT_EQ(io.bytes_written, 0u);
@@ -225,14 +286,6 @@ TEST(Dfs, MemoryTierSkipsDiskAndReplication) {
   IoStats read_io;
   EXPECT_EQ(fs.read_text("/hot", &read_io).size(), 900u);
   EXPECT_EQ(read_io.bytes_read, 900u);
-}
-
-TEST(Dfs, RenameVisibleToReaders) {
-  Dfs fs(2);
-  fs.write_text("/tmp.part", "data");
-  fs.rename("/tmp.part", "/final");
-  EXPECT_EQ(fs.read_text("/final"), "data");
-  EXPECT_FALSE(fs.exists("/tmp.part"));
 }
 
 // ---- rack-aware placement and transfer recording ----------------------------

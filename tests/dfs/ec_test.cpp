@@ -362,13 +362,52 @@ TEST(DfsEc, NodeKillReconstructsCellsInsteadOfReplicating) {
             static_cast<std::uint64_t>(outcome.ec_cells_reconstructed));
 }
 
+// physical_bytes_stored() counts an erasure-coded block's cell length once
+// per surviving cell. RS(3,2) on 6 nodes with 60-byte blocks: a 100-byte
+// file is stripes of 60 and 40 bytes, with 20- and 14-byte cells.
+TEST(DfsEc, PhysicalBytesFollowReconstructionAndStripeLoss) {
+  Dfs fs(6, ec_config(3, 2, /*block_size=*/60));
+  const std::string data = payload(100);
+  fs.write_text("/ec/f", data);
+  EXPECT_EQ(fs.physical_bytes_stored(), 5u * 20 + 5u * 14);
+
+  // Each stripe leaves one node free, so the first kill rebuilds every cell
+  // it took there.
+  int stripes_on_node0 = 0;
+  for (const BlockLocation& loc : fs.file_blocks("/ec/f")) {
+    stripes_on_node0 += static_cast<int>(
+        std::count(loc.replicas.begin(), loc.replicas.end(), 0));
+  }
+  const NodeKillOutcome first = fs.kill_datanode(0);
+  EXPECT_GT(first.ec_cells_reconstructed, 0);
+  EXPECT_EQ(first.ec_cells_reconstructed, stripes_on_node0);
+  EXPECT_EQ(fs.physical_bytes_stored(), 5u * 20 + 5u * 14);
+  EXPECT_EQ(fs.read_text("/ec/f"), data);
+
+  // Now every stripe spans all 5 live nodes: later kills leave holes.
+  fs.kill_datanode(1);
+  EXPECT_EQ(fs.physical_bytes_stored(), 4u * 20 + 4u * 14);
+  fs.kill_datanode(2);
+  EXPECT_EQ(fs.physical_bytes_stored(), 3u * 20 + 3u * 14);
+  EXPECT_EQ(fs.read_text("/ec/f"), data) << "k cells still decode";
+
+  // Below k cells both stripes are lost; their survivors stay stored.
+  const NodeKillOutcome below_k = fs.kill_datanode(3);
+  EXPECT_EQ(below_k.blocks_lost, 2);
+  EXPECT_EQ(fs.physical_bytes_stored(), 2u * 20 + 2u * 14);
+  EXPECT_THROW(fs.read_text("/ec/f"), UnrecoverableBlock);
+
+  fs.remove("/ec/f");
+  EXPECT_EQ(fs.physical_bytes_stored(), 0u);
+}
+
 TEST(DfsEc, ReplicatedFilesStillReReplicateUnderEcPolicy) {
   // Memory-tier files are never striped; their single replica dies with the
   // node and surfaces via lost_files exactly as before.
   Dfs fs(6, ec_config(3, 2, /*block_size=*/64));
   {
     IoStats io;
-    auto w = fs.create("/mem/f", &io, false, StorageTier::kMemory);
+    auto w = fs.create("/mem/f", &io, StorageTier::kMemory);
     w.write_text(payload(100));
     w.close();
   }

@@ -7,12 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "dfs/integrity/checksum_store.hpp"
 #include "dfs/integrity/crc32c.hpp"
 #include "sim/chaos.hpp"
@@ -332,7 +334,7 @@ TEST(Integrity, MemoryTierCorruptionRoutesThroughLineage) {
   fs.set_tier_listener(&recorder);
   const std::string data = payload(120);
   {
-    Dfs::Writer w = fs.create("/mem/p", nullptr, false, StorageTier::kMemory);
+    Dfs::Writer w = fs.create("/mem/p", nullptr, StorageTier::kMemory);
     w.write_text(data);
     w.close();
   }
@@ -409,6 +411,56 @@ TEST(Integrity, SameSequenceIsBitIdenticalAcrossInstances) {
     EXPECT_EQ(sa.repairs[i].cell, sb.repairs[i].cell);
     EXPECT_EQ(sa.repairs[i].node, sb.repairs[i].node);
     EXPECT_EQ(sa.repairs[i].at, sb.repairs[i].at);
+  }
+}
+
+// Pool threads read replicated and RS(3,2) files at once while corrupt
+// copies sit on several nodes: every read returns the pristine bytes, and
+// each corruption is detected and repaired exactly once however the readers
+// race for it (clearing the mark is the claim). Whether a stripe read ran
+// degraded depends on that race, so degraded_reads is not checked here.
+TEST(Integrity, ConcurrentReadersRepairEachCorruptionOnce) {
+  DfsConfig striped = verified(3, 256);
+  striped.storage_policy = StoragePolicy::kErasureCoded;
+  striped.ec.k = 3;
+  striped.ec.m = 2;
+  Dfs replicated_fs(6, verified(3, 256));
+  Dfs striped_fs(6, striped);
+  constexpr int kFiles = 8;
+  std::vector<std::string> paths;
+  std::vector<std::string> contents;
+  for (int f = 0; f < kFiles; ++f) {
+    std::string path = "/c/f";
+    path += std::to_string(f);
+    paths.push_back(path);
+    contents.push_back(payload(700 + 37 * static_cast<std::size_t>(f)));
+    replicated_fs.write_text(path, contents.back());
+    striped_fs.write_text(path, contents.back());
+  }
+  // One primary copy per node of the replicated files; two cells of the
+  // striped ones, so every stripe keeps k clean cells.
+  for (int node = 0; node < 6; ++node) replicated_fs.corrupt_block(node, 1.0);
+  striped_fs.corrupt_block(1, 1.0);
+  striped_fs.corrupt_block(4, 1.0);
+  ASSERT_EQ(replicated_fs.integrity_stats().corruptions_injected, 6);
+  ASSERT_EQ(striped_fs.integrity_stats().corruptions_injected, 2);
+
+  // Consecutive reads share a file, so the pool's threads start on the
+  // same corrupt copies together.
+  constexpr std::size_t kReadsPerFile = 6;
+  std::atomic<int> wrong{0};
+  ThreadPool pool(4);
+  pool.parallel_for(2 * kFiles * kReadsPerFile, [&](std::size_t i) {
+    const Dfs& fs = i % 2 == 0 ? replicated_fs : striped_fs;
+    const std::size_t f = i / (2 * kReadsPerFile);
+    if (fs.read_text(paths[f]) != contents[f]) ++wrong;
+  });
+  EXPECT_EQ(wrong.load(), 0);
+  for (const Dfs* fs : {&replicated_fs, &striped_fs}) {
+    const IntegrityStats stats = fs->integrity_stats();
+    EXPECT_EQ(stats.corruptions_detected, stats.corruptions_injected);
+    EXPECT_EQ(static_cast<std::int64_t>(stats.repairs.size()),
+              stats.corruptions_injected);
   }
 }
 

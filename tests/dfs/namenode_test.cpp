@@ -8,7 +8,11 @@ namespace mri::dfs {
 namespace {
 
 BlockLocation block(BlockId id, std::uint64_t len) {
-  return BlockLocation{id, len, {0}};
+  BlockLocation loc;
+  loc.id = id;
+  loc.length = len;
+  loc.replicas = {0};
+  return loc;
 }
 
 TEST(NameNode, MkdirsIsIdempotent) {
@@ -31,7 +35,8 @@ TEST(NameNode, DuplicateCreateThrows) {
   NameNode nn;
   nn.commit_file("/f", {});
   EXPECT_THROW(nn.commit_file("/f", {}), DfsError);
-  EXPECT_NO_THROW(nn.commit_file("/f", {}, /*overwrite=*/true));
+  nn.mkdirs("/d");
+  EXPECT_THROW(nn.commit_file("/d", {}), DfsError);
 }
 
 TEST(NameNode, CannotCreateDirOverFile) {
@@ -83,34 +88,6 @@ TEST(NameNode, RemoveRootRefused) {
   EXPECT_THROW(nn.remove("/", true), InvalidArgument);
 }
 
-TEST(NameNode, Rename) {
-  NameNode nn;
-  nn.commit_file("/a/f", {block(1, 5)});
-  nn.rename("/a/f", "/b/g");
-  EXPECT_FALSE(nn.exists("/a/f"));
-  EXPECT_EQ(nn.file_size("/b/g"), 5u);
-}
-
-TEST(NameNode, RenameDirectory) {
-  NameNode nn;
-  nn.commit_file("/a/x/f", {});
-  nn.rename("/a", "/z");
-  EXPECT_TRUE(nn.is_file("/z/x/f"));
-}
-
-TEST(NameNode, RenameIntoItselfRefused) {
-  NameNode nn;
-  nn.mkdirs("/a");
-  EXPECT_THROW(nn.rename("/a", "/a/b"), InvalidArgument);
-}
-
-TEST(NameNode, RenameOntoExistingThrows) {
-  NameNode nn;
-  nn.commit_file("/a", {});
-  nn.commit_file("/b", {});
-  EXPECT_THROW(nn.rename("/a", "/b"), DfsError);
-}
-
 // Names whose bytes (' ', '-', '.') sort below '/': a plain byte order would
 // list "/d/a b" before "/d/a/x" and split /d/a's subtree in two.
 class TrickyNames : public ::testing::Test {
@@ -153,17 +130,6 @@ TEST_F(TrickyNames, ListWalksTheSubtreeInNameOrder) {
             (std::vector<std::string>{"a", "a b", "a-b", "a.b", "ab"}));
   EXPECT_EQ(nn.list("/d/a"), std::vector<std::string>{"x"});
   EXPECT_EQ(nn.list("/"), std::vector<std::string>{"d"});
-}
-
-TEST_F(TrickyNames, RenameMovesOnlyTheSubtree) {
-  nn.rename("/d/a", "/d/z");
-  EXPECT_TRUE(nn.is_file("/d/z/x"));
-  EXPECT_FALSE(nn.exists("/d/a"));
-  EXPECT_FALSE(nn.exists("/d/a/x"));
-  for (const char* kept : {"/d/a b", "/d/a-b", "/d/a.b", "/d/ab"}) {
-    EXPECT_TRUE(nn.is_file(kept)) << kept;
-  }
-  EXPECT_EQ(nn.file_count(), 5u);
 }
 
 TEST(NameNode, FileCount) {

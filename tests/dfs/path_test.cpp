@@ -98,11 +98,6 @@ TEST(Path, Basename) {
   EXPECT_EQ(basename("/"), "");
 }
 
-TEST(Path, Components) {
-  EXPECT_EQ(components("/a/b"), (std::vector<std::string>{"a", "b"}));
-  EXPECT_TRUE(components("/").empty());
-}
-
 TEST(Path, OrderSortsSlashFirst) {
   const PathOrder less;
   EXPECT_TRUE(less("/a", "/a/x"));     // a directory precedes its subtree

@@ -164,7 +164,7 @@ TEST(MemoryTierAccounting, MemoryWriteChargesOnlyMemoryBytes) {
   IoStats io;
   {
     dfs::ScopedTransferLog task(1);
-    auto w = fs.create("/mem/part", &io, false, dfs::StorageTier::kMemory);
+    auto w = fs.create("/mem/part", &io, dfs::StorageTier::kMemory);
     std::vector<double> payload(64, 1.5);
     w.write_doubles(payload);
     w.close();
@@ -186,7 +186,7 @@ TEST(MemoryTierAccounting, NodeLocalReadChargesMemoryBandwidthOnly) {
   const std::vector<double> payload(32, 2.0);
   {
     dfs::ScopedTransferLog task(2);
-    auto w = fs.create("/mem/part", nullptr, false, dfs::StorageTier::kMemory);
+    auto w = fs.create("/mem/part", nullptr, dfs::StorageTier::kMemory);
     w.write_doubles(payload);
     w.close();
   }
@@ -213,7 +213,7 @@ TEST(MemoryTierAccounting, SpillChargesSpilledBytesAndFlipsTier) {
   dfs::Dfs fs(4);
   {
     dfs::ScopedTransferLog task(0);
-    auto w = fs.create("/mem/part", nullptr, false, dfs::StorageTier::kMemory);
+    auto w = fs.create("/mem/part", nullptr, dfs::StorageTier::kMemory);
     w.write_text("spill me to disk");
     w.close();
   }
@@ -251,7 +251,7 @@ TEST(SpinEngine, MemoryCommitPopulatesCacheAndLineage) {
   IoStats io;
   {
     dfs::ScopedTransferLog task(1);
-    auto w = fs.create("/mem/out", &io, false, dfs::StorageTier::kMemory);
+    auto w = fs.create("/mem/out", &io, dfs::StorageTier::kMemory);
     w.write_text("partition payload");
     w.close();
   }
@@ -283,7 +283,7 @@ TEST(SpinEngine, JobBoundaryEvictionSpillsToDiskAndChargesAdmitter) {
   eng.begin_job("j1");
   {
     dfs::ScopedTransferLog task(0);
-    auto w = fs.create("/mem/big", nullptr, false, dfs::StorageTier::kMemory);
+    auto w = fs.create("/mem/big", nullptr, dfs::StorageTier::kMemory);
     w.write_doubles(std::vector<double>(32, 1.0));  // 256 bytes > 64
     w.close();
   }
@@ -314,7 +314,7 @@ TEST(SpinEngine, NodeKillRebuildsLostPartitionsFromLineage) {
   eng.begin_job("produce");
   {
     dfs::ScopedTransferLog task(2);
-    auto w = fs.create("/mem/lost", nullptr, false, dfs::StorageTier::kMemory);
+    auto w = fs.create("/mem/lost", nullptr, dfs::StorageTier::kMemory);
     w.write_doubles(payload);
     w.close();
   }
@@ -324,7 +324,7 @@ TEST(SpinEngine, NodeKillRebuildsLostPartitionsFromLineage) {
   {
     dfs::ScopedTransferLog task(1);
     (void)fs.read_doubles("/mem/lost");
-    auto w = fs.create("/mem/kept", nullptr, false, dfs::StorageTier::kMemory);
+    auto w = fs.create("/mem/kept", nullptr, dfs::StorageTier::kMemory);
     w.write_doubles(payload);
     w.close();
   }

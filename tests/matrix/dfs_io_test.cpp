@@ -56,12 +56,6 @@ TEST_F(DfsIoTest, RejectsCorruptMagic) {
   EXPECT_THROW(read_matrix(fs, "/bad.bin"), Error);
 }
 
-TEST_F(DfsIoTest, TextRoundTrip) {
-  const Matrix m = random_matrix(6, 6, /*seed=*/4, -1, 1);
-  write_matrix_text(fs, "/m.txt", m);
-  EXPECT_EQ(read_matrix_text(fs, "/m.txt"), m);
-}
-
 TEST_F(DfsIoTest, WriteChargesReplication) {
   IoStats io;
   write_matrix(fs, "/m.bin", Matrix(10, 10), &io);
