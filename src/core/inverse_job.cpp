@@ -82,12 +82,6 @@ IoStats column_inverse_cost(Index n, const std::vector<Index>& ids) {
   return io;
 }
 
-IoStats penalized(IoStats io, double factor) {
-  io.mults = static_cast<std::uint64_t>(static_cast<double>(io.mults) * factor);
-  io.adds = static_cast<std::uint64_t>(static_cast<double>(io.adds) * factor);
-  return io;
-}
-
 // ---- indexed block files (final output format) ---------------------------
 //
 // u64 K1 | u64 K2 | K1 row ids | K2 column ids (already permuted) | K1*K2

@@ -10,12 +10,6 @@ namespace mri::core {
 
 namespace {
 
-IoStats penalized(IoStats io, double factor) {
-  io.mults = static_cast<std::uint64_t>(static_cast<double>(io.mults) * factor);
-  io.adds = static_cast<std::uint64_t>(static_cast<double>(io.adds) * factor);
-  return io;
-}
-
 class LuMapper : public mr::Mapper {
  public:
   explicit LuMapper(LuJobContextPtr ctx) : ctx_(std::move(ctx)) {}

@@ -6,6 +6,7 @@
 
 #include "dfs/dfs.hpp"
 #include "matrix/matrix.hpp"
+#include "sim/io_stats.hpp"
 
 namespace mri::core {
 
@@ -98,5 +99,13 @@ struct InversionOptions {
   /// and the MapInput control files stay.
   std::string work_dir = "/Root";
 };
+
+/// `io` with its flops scaled by `factor`: the §6.3 column-access penalty
+/// (CostModel::column_stride_penalty) a kernel pays on untransposed U.
+inline IoStats penalized(IoStats io, double factor) {
+  io.mults = static_cast<std::uint64_t>(static_cast<double>(io.mults) * factor);
+  io.adds = static_cast<std::uint64_t>(static_cast<double>(io.adds) * factor);
+  return io;
+}
 
 }  // namespace mri::core

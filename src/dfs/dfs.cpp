@@ -232,9 +232,14 @@ void Dfs::commit(const std::string& path, std::vector<std::byte> buffer,
   // Split into blocks; zero-length files get zero blocks.
   while (offset < buffer.size()) {
     const std::size_t len = std::min(config_.block_size, buffer.size() - offset);
-    auto payload = std::make_shared<std::vector<std::byte>>(
-        buffer.begin() + static_cast<std::ptrdiff_t>(offset),
-        buffer.begin() + static_cast<std::ptrdiff_t>(offset + len));
+    // The whole-block copy: a replicated block's one payload, or the bytes
+    // the hot cache keeps for a candidate. An EC block stores cells only.
+    BlockData payload;
+    if (!ec_file || hot_candidate) {
+      payload = std::make_shared<std::vector<std::byte>>(
+          buffer.begin() + static_cast<std::ptrdiff_t>(offset),
+          buffer.begin() + static_cast<std::ptrdiff_t>(offset + len));
+    }
     BlockLocation loc;
     loc.id = next_block_id_.fetch_add(1);
     loc.length = len;

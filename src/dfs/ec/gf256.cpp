@@ -93,10 +93,6 @@ std::uint8_t gf_inv(std::uint8_t a) {
   return t.exp_[255 - t.log_[a]];
 }
 
-std::uint8_t gf_div(std::uint8_t a, std::uint8_t b) {
-  return gf_mul(a, gf_inv(b));
-}
-
 void gf_mul_add(std::uint8_t coeff, const std::uint8_t* src, std::uint8_t* dst,
                 std::size_t len) {
   if (coeff == 0) return;

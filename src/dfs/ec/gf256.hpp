@@ -21,9 +21,6 @@ std::uint8_t gf_mul(std::uint8_t a, std::uint8_t b);
 /// Multiplicative inverse; a must be non-zero (checked).
 std::uint8_t gf_inv(std::uint8_t a);
 
-/// a / b (= a * inv(b)); b must be non-zero (checked).
-std::uint8_t gf_div(std::uint8_t a, std::uint8_t b);
-
 /// dst[i] ^= coeff * src[i] for i in [0, len) — the inner loop of both
 /// encode and decode (a row saxpy over the field).
 void gf_mul_add(std::uint8_t coeff, const std::uint8_t* src, std::uint8_t* dst,

@@ -77,8 +77,7 @@ void gemm_bt_simd_on(SimdIsa isa, GemmMode mode, std::int64_t m,
                      std::int64_t lda, const double* bt, std::int64_t ldbt,
                      double* c, std::int64_t ldc);
 
-/// Diagonal block size of the blocked TRSMs: trsm_lower_left's rows and
-/// trsm_upper_right_from_transpose's columns. trsm_lower_block_avx512 sizes
+/// Diagonal block size of trsm_lower_left. trsm_lower_block_avx512 sizes
 /// its strip buffer by it.
 inline constexpr std::int64_t kTrsmBlock = 64;
 

@@ -365,43 +365,4 @@ void KernelContext::trsm_lower_left(bool unit_diag, std::int64_t m,
   }
 }
 
-void KernelContext::trsm_upper_right_from_transpose(std::int64_t m,
-                                                    std::int64_t n,
-                                                    const double* ut,
-                                                    std::int64_t ldut,
-                                                    double* b,
-                                                    std::int64_t ldb) const {
-  if (m <= 0 || n <= 0) return;
-  ScopedKernelTimer timer;
-  g_trsm_calls.fetch_add(1, std::memory_order_relaxed);
-  g_flops.fetch_add(static_cast<std::uint64_t>(n) *
-                        static_cast<std::uint64_t>(n) *
-                        static_cast<std::uint64_t>(m),
-                    std::memory_order_relaxed);
-
-  const Backend resolved = detail::resolve(backend);
-  const std::int64_t nb = resolved == Backend::kNaive ? n : detail::kTrsmBlock;
-  for (std::int64_t d0 = 0; d0 < n; d0 += nb) {
-    const std::int64_t d1 = std::min<std::int64_t>(d0 + nb, n);
-    // In-block left-to-right substitution; columns < d0 were already
-    // subtracted by earlier trailing updates.
-    for (std::int64_t i = 0; i < m; ++i) {
-      double* xi = b + i * ldb;
-      for (std::int64_t j = d0; j < d1; ++j) {
-        const double* utj = ut + j * ldut;  // row j of Uᵀ = column j of U
-        double sum = xi[j];
-        for (std::int64_t p = d0; p < j; ++p) sum -= xi[p] * utj[p];
-        xi[j] = sum / utj[j];
-      }
-    }
-    // B[:, d1:] -= X[:, d0:d1] · U[d0:d1, d1:], with U's block read as rows
-    // of Uᵀ (gemm_bt streams ut rows — the transposed-U layout's payoff).
-    if (d1 < n) {
-      detail::dispatch_gemm_bt(resolved, threads, GemmMode::kSubtract, m,
-                               n - d1, d1 - d0, b + d0, ldb,
-                               ut + d1 * ldut + d0, ldut, b + d1, ldb);
-    }
-  }
-}
-
 }  // namespace mri::kernels

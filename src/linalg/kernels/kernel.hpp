@@ -1,8 +1,12 @@
 // Hardware-speed dense kernels behind one dispatch seam.
 //
 // Every dense GEMM/TRSM in the repo funnels through KernelContext instead of
-// hand-rolled loop variants scattered per call site. A kernel *backend* is a
-// runtime-selected implementation of the same arithmetic:
+// hand-rolled loop variants scattered per call site. There is one TRSM, the
+// left solve trsm_lower_left: the LU trailing updates, the solves and the
+// Eq. 4 inversions call it, in the single-node code and the ScaLAPACK
+// baseline alike, and the right solve X·U = B runs it on the transposed
+// system (linalg/triangular). A kernel *backend* is a runtime-selected
+// implementation of the same arithmetic:
 //
 //   kNaive    — textbook ijk dot-product order (the §6.3 ablation baseline:
 //               walks columns of B, pays the page/TLB penalty);
@@ -131,14 +135,6 @@ struct KernelContext {
   void trsm_lower_left(bool unit_diag, std::int64_t m, std::int64_t n,
                        const double* l, std::int64_t ldl, double* b,
                        std::int64_t ldb) const;
-
-  /// In-place right solve X · U = B: b (m x n) becomes X, with ut (n x n)
-  /// holding Uᵀ row-major (row j of ut is column j of U, diagonal included,
-  /// non-unit). Blocked with gemm_bt trailing updates so the hot path
-  /// streams ut rows, matching the paper's transposed-U storage argument.
-  void trsm_upper_right_from_transpose(std::int64_t m, std::int64_t n,
-                                       const double* ut, std::int64_t ldut,
-                                       double* b, std::int64_t ldb) const;
 };
 
 /// Modelled flop cost of a dense (r x k) · (k x c) multiply. The same for

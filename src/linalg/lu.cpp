@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <utility>
+#include <vector>
 
 #include "linalg/kernels/kernel.hpp"
 
@@ -33,20 +34,21 @@ namespace {
 // enough that the panel stays cache-resident.
 constexpr Index kLuPanel = 64;
 
-// Unblocked partial-pivoted factorization of panel columns [j0, j1) over
-// rows [j0, n). Row swaps apply to the WHOLE matrix (already-factored L
-// columns on the left, not-yet-updated trailing columns on the right) so
-// the packed format stays consistent; the rank-1 updates are restricted to
-// the panel's columns — the trailing block is updated later by one GEMM.
-void factor_panel(Matrix* a_ptr, Permutation* perm, Index j0, Index j1) {
+}  // namespace
+
+void lu_factor_panel(Matrix* a_ptr, Index row, Index col, Index width,
+                     Index* ipiv) {
   Matrix& a = *a_ptr;
   const Index n = a.rows();
-  for (Index i = j0; i < j1; ++i) {
-    // Partial pivoting: pick the row with the largest |entry| in column i.
+  const Index end = col + width;
+  for (Index k = 0; k < width; ++k) {
+    const Index i = row + k;
+    const Index c = col + k;
+    // Partial pivoting: pick the row with the largest |entry| in column c.
     Index pivot = i;
-    double best = std::abs(a(i, i));
+    double best = std::abs(a(i, c));
     for (Index j = i + 1; j < n; ++j) {
-      const double v = std::abs(a(j, i));
+      const double v = std::abs(a(j, c));
       if (v > best) {
         best = v;
         pivot = j;
@@ -56,31 +58,28 @@ void factor_panel(Matrix* a_ptr, Permutation* perm, Index j0, Index j1) {
       throw NumericalError("singular matrix: no usable pivot in column " +
                            std::to_string(i));
     }
+    ipiv[k] = pivot;
     if (pivot != i) {
       std::swap_ranges(a.row(i).begin(), a.row(i).end(), a.row(pivot).begin());
-      perm->swap(i, pivot);
     }
 
-    const double inv_pivot = 1.0 / a(i, i);
-    for (Index j = i + 1; j < n; ++j) a(j, i) *= inv_pivot;
+    const double inv_pivot = 1.0 / a(i, c);
+    for (Index j = i + 1; j < n; ++j) a(j, c) *= inv_pivot;
 
+    const double* ui = a.row(i).data();
     for (Index j = i + 1; j < n; ++j) {
-      const double lji = a(j, i);
+      const double lji = a(j, c);
       if (lji == 0.0) continue;
-      const double* ui = a.row(i).data();
       double* uj = a.row(j).data();
-      for (Index k = i + 1; k < j1; ++k) uj[k] -= lji * ui[k];
+      for (Index q = c + 1; q < end; ++q) uj[q] -= lji * ui[q];
     }
   }
 }
-
-}  // namespace
 
 LuResult lu_decompose(Matrix a) {
   MRI_REQUIRE(a.square(), "lu_decompose expects a square matrix, got "
                               << a.rows() << "x" << a.cols());
   const Index n = a.rows();
-  Permutation perm(n);
 
   // Blocked right-looking LU: factor a panel unblocked, solve the panel's U
   // row block with a unit-lower TRSM, then update the trailing submatrix
@@ -88,10 +87,11 @@ LuResult lu_decompose(Matrix a) {
   // the selected backend's speed. For n <= panel this degenerates to the
   // historical unblocked loop exactly.
   kernels::KernelContext ctx;
+  std::vector<Index> ipiv(static_cast<std::size_t>(n));
   double* ad = a.data().data();
   for (Index j0 = 0; j0 < n; j0 += kLuPanel) {
     const Index j1 = std::min<Index>(j0 + kLuPanel, n);
-    factor_panel(&a, &perm, j0, j1);
+    lu_factor_panel(&a, j0, j0, j1 - j0, ipiv.data() + j0);
     if (j1 < n) {
       // U12 = L11⁻¹ · A12 (L11 unit lower, in the panel's strictly-lower
       // part).
@@ -103,6 +103,8 @@ LuResult lu_decompose(Matrix a) {
     }
   }
 
+  Permutation perm(n);
+  for (Index i = 0; i < n; ++i) perm.swap(i, ipiv[static_cast<std::size_t>(i)]);
   return LuResult{std::move(a), std::move(perm)};
 }
 

@@ -1,5 +1,6 @@
 #include "linalg/solve.hpp"
 
+#include "linalg/kernels/kernel.hpp"
 #include "linalg/triangular.hpp"
 #include "matrix/ops.hpp"
 
@@ -17,27 +18,35 @@ Matrix solve_matrix(const Matrix& a, const Matrix& b) {
   MRI_REQUIRE(a.rows() == b.rows(), "solve shape mismatch: " << a.rows()
                                                              << " vs "
                                                              << b.rows());
-  LuResult lu = lu_decompose(a);
+  const LuResult lu = lu_decompose(a);
   // P·A·X = P·B  =>  L·U·X = P·B.
-  const Matrix pb = lu.perm.apply_to_rows(b);
-  const Matrix y = solve_lower(lu.unit_lower(), pb);
-  // Back substitution with U.
-  const Matrix u = lu.upper();
-  const Index n = u.rows(), m = y.cols();
-  Matrix x = y;
+  Matrix x = lu.perm.apply_to_rows(b);
+  lu_solve(lu.packed, &x);
+  return x;
+}
+
+void lu_solve(const Matrix& packed, Matrix* b) {
+  MRI_REQUIRE(packed.square() && packed.rows() == b->rows(),
+              "lu_solve shape mismatch: " << packed.rows() << "x"
+                                          << packed.cols() << " factors vs "
+                                          << b->rows() << " rows");
+  const Index n = packed.rows(), m = b->cols();
+  kernels::KernelContext ctx;
+  ctx.trsm_lower_left(/*unit_diag=*/true, n, m, packed.data().data(), n,
+                      b->data().data(), m);
+  // Back substitution with U, bottom row first.
   for (Index i = n - 1; i >= 0; --i) {
-    double* xi = x.row(i).data();
-    const double* ui = u.row(i).data();
+    double* xi = b->row(i).data();
+    const double* ui = packed.row(i).data();
     for (Index k = i + 1; k < n; ++k) {
       const double uik = ui[k];
       if (uik == 0.0) continue;
-      const double* xk = x.row(k).data();
+      const double* xk = b->row(k).data();
       for (Index j = 0; j < m; ++j) xi[j] -= uik * xk[j];
     }
     const double inv_d = 1.0 / ui[i];
     for (Index j = 0; j < m; ++j) xi[j] *= inv_d;
   }
-  return x;
 }
 
 std::vector<double> solve(const Matrix& a, const std::vector<double>& b) {

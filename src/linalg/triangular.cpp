@@ -63,19 +63,13 @@ Matrix solve_lower(const Matrix& l, const Matrix& b) {
 }
 
 Matrix solve_upper_right_from_transpose(const Matrix& ut, const Matrix& b) {
-  check_lower(ut);
   MRI_REQUIRE(ut.rows() == b.cols(),
               "solve_upper_right_from_transpose shape mismatch: " << ut.rows()
                                                                   << " vs "
                                                                   << b.cols());
-  // Right-solve against the transposed-stored factor: the kernel TRSM's
-  // trailing updates stream rows of Uᵀ (gemm_bt), preserving the §6.3
-  // layout argument on every backend.
-  Matrix x = b;
-  kernels::KernelContext ctx;
-  ctx.trsm_upper_right_from_transpose(b.rows(), ut.rows(), ut.data().data(),
-                                      ut.cols(), x.data().data(), x.cols());
-  return x;
+  // X·U = B is Uᵀ·Xᵀ = Bᵀ: a left solve against the stored lower factor,
+  // on the same staircase TRSM as every other solve.
+  return transpose(solve_lower(ut, transpose(b)));
 }
 
 IoStats triangular_inverse_cost(Index n) {

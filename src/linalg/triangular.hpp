@@ -34,8 +34,8 @@ Matrix invert_lower_columns(const Matrix& l, const std::vector<Index>& columns);
 Matrix solve_lower(const Matrix& l, const Matrix& b);
 
 /// Solves X·U = B for X given Uᵀ (lower triangular) — the L2' computation
-/// of Eq. 6 in the §6.3 layout: the inner loop streams rows of Uᵀ instead
-/// of striding columns of U.
+/// of Eq. 6 in the §6.3 layout. Runs as the left solve Uᵀ·Xᵀ = Bᵀ between
+/// two transposes, so rows of B that begin with zeros take the staircase.
 Matrix solve_upper_right_from_transpose(const Matrix& ut, const Matrix& b);
 
 /// Flop cost of inverting an n-order triangular matrix (~n³/6 each op).

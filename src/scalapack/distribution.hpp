@@ -2,7 +2,9 @@
 //
 // The global n x n matrix is cut into column blocks of width `block_width`
 // (the paper tunes ScaLAPACK with 128 x 128 blocks); block b lives on rank
-// b mod p. Helpers here are pure index arithmetic shared by pdgetrf/pdgetri.
+// b mod p. Each rank keeps its blocks side by side, ascending, in one
+// n x local_cols(rank) row-major slab, as ScaLAPACK's local array does.
+// Helpers here are pure index arithmetic shared by pdgetrf/pdgetri.
 #pragma once
 
 #include <vector>
@@ -39,14 +41,21 @@ struct Distribution {
     return out;
   }
 
+  /// Columns of `rank`'s local slab.
+  Index local_cols(int rank) const {
+    Index total = 0;
+    for (Index b : blocks_of(rank)) total += width(b);
+    return total;
+  }
+
+  /// First column of `block` in its owner's slab (the owner's earlier
+  /// blocks are all full width; only the last block can be ragged).
+  Index local_start(Index block) const { return block / ranks * block_width; }
+
   /// Total elements owned by `rank`.
   std::uint64_t elements_of(int rank) const {
-    std::uint64_t total = 0;
-    for (Index b : blocks_of(rank)) {
-      total += static_cast<std::uint64_t>(n) *
-               static_cast<std::uint64_t>(width(b));
-    }
-    return total;
+    return static_cast<std::uint64_t>(n) *
+           static_cast<std::uint64_t>(local_cols(rank));
   }
 
   /// Global column -> owning rank.

@@ -14,7 +14,7 @@ InvertResult invert(const Matrix& a, const Cluster& cluster,
   const Distribution dist(a.rows(), options.block_width, cluster.size());
 
   mpi::World world(cluster);
-  std::vector<LocalInverse> per_rank(static_cast<std::size_t>(cluster.size()));
+  std::vector<Matrix> per_rank(static_cast<std::size_t>(cluster.size()));
   std::mutex results_mu;
   SimReport lu_stage;
 
@@ -36,7 +36,7 @@ InvertResult invert(const Matrix& a, const Cluster& cluster,
     }
     comm.barrier();
 
-    LocalInverse inv = pdgetri(comm, dist, local);
+    Matrix inv = pdgetri(comm, dist, local);
 
     // Store this rank's share of the result (Table 2: write n² aggregate).
     comm.write_local(dist.elements_of(rank) * sizeof(double));

@@ -1,68 +1,41 @@
 #include "scalapack/pdgetrf.hpp"
 
-#include <cmath>
+#include <algorithm>
 
 #include "common/error.hpp"
+#include "linalg/kernels/kernel.hpp"
+#include "linalg/lu.hpp"
 
 namespace mri::scalapack {
 
 LocalFactors scatter_blocks(const Matrix& a, const Distribution& dist,
                             int rank) {
   MRI_REQUIRE(a.square() && a.rows() == dist.n, "matrix/distribution mismatch");
+  const std::vector<Index> blocks = dist.blocks_of(rank);
   LocalFactors local;
-  local.blocks.resize(static_cast<std::size_t>(dist.num_blocks()));
+  local.slab = Matrix(dist.n, dist.local_cols(rank));
   local.ipiv.assign(static_cast<std::size_t>(dist.n), 0);
-  for (Index b : dist.blocks_of(rank)) {
-    local.blocks[static_cast<std::size_t>(b)] =
-        a.block(0, dist.n, dist.block_start(b), dist.block_end(b));
+  for (Index i = 0; i < dist.n; ++i) {
+    for (Index b : blocks) {
+      std::copy_n(a.row(i).begin() + dist.block_start(b), dist.width(b),
+                  local.slab.row(i).begin() + dist.local_start(b));
+    }
   }
   return local;
 }
 
 namespace {
 
-/// Factorizes the panel (global columns [j0, j1), rows [j0, n)) in place on
-/// its owner. Records global pivot rows into ipiv[j0..j1) and counts flops.
-IoStats factor_panel(Matrix* panel, Index j0, Index j1, Index n,
-                     std::vector<Index>* ipiv) {
+/// Flops charged for factoring global columns [j0, j0 + w): each step
+/// scales the column below its pivot and rank-1 updates the rest of the
+/// panel.
+IoStats panel_cost(Index n, Index j0, Index w) {
   IoStats flops;
-  const Index w = j1 - j0;
   for (Index jj = 0; jj < w; ++jj) {
-    const Index j = j0 + jj;  // global elimination column
-    // Pivot search over rows j..n-1 of panel column jj.
-    Index pivot = j;
-    double best = std::abs((*panel)(j, jj));
-    for (Index i = j + 1; i < n; ++i) {
-      const double v = std::abs((*panel)(i, jj));
-      if (v > best) {
-        best = v;
-        pivot = i;
-      }
-    }
-    if (best == 0.0) {
-      throw NumericalError("pdgetrf: singular matrix at column " +
-                           std::to_string(j));
-    }
-    (*ipiv)[static_cast<std::size_t>(j)] = pivot;
-    if (pivot != j) {
-      std::swap_ranges(panel->row(j).begin(), panel->row(j).end(),
-                       panel->row(pivot).begin());
-    }
-    const double inv_p = 1.0 / (*panel)(j, jj);
-    for (Index i = j + 1; i < n; ++i) (*panel)(i, jj) *= inv_p;
-    flops.mults += static_cast<std::uint64_t>(n - j - 1);
-    // Rank-1 update of the remaining panel columns.
-    for (Index i = j + 1; i < n; ++i) {
-      const double lij = (*panel)(i, jj);
-      if (lij == 0.0) continue;
-      for (Index kk = jj + 1; kk < w; ++kk) {
-        (*panel)(i, kk) -= lij * (*panel)(j, kk);
-      }
-    }
-    flops.mults += static_cast<std::uint64_t>(n - j - 1) *
-                   static_cast<std::uint64_t>(w - jj - 1);
-    flops.adds += static_cast<std::uint64_t>(n - j - 1) *
-                  static_cast<std::uint64_t>(w - jj - 1);
+    const auto below = static_cast<std::uint64_t>(n - (j0 + jj) - 1);
+    const auto right = static_cast<std::uint64_t>(w - jj - 1);
+    flops.mults += below + below * right;
+    flops.adds += below * right;
   }
   return flops;
 }
@@ -73,100 +46,68 @@ void pdgetrf(mpi::Comm& comm, const Distribution& dist, LocalFactors* local) {
   MRI_REQUIRE(local != nullptr, "pdgetrf needs local factors");
   const Index n = dist.n;
   const int rank = comm.rank();
+  Matrix& slab = local->slab;
+  const Index cols = slab.cols();
+  double* a = slab.data().data();
   local->ipiv.assign(static_cast<std::size_t>(n), 0);
+  const kernels::KernelContext ctx;
 
   for (Index k = 0; k < dist.num_blocks(); ++k) {
     const Index j0 = dist.block_start(k);
     const Index j1 = dist.block_end(k);
     const Index w = j1 - j0;
     const int owner = dist.owner(k);
+    Index* ipiv = local->ipiv.data() + j0;
 
-    // --- panel factorization on the owner --------------------------------
+    // --- panel factorization on the owner; its row swaps cover the slab --
     std::vector<double> packet;  // pivots (w) + panel rows [j0, n) x w
     if (rank == owner) {
-      Matrix& panel = local->blocks[static_cast<std::size_t>(k)];
-      comm.compute(factor_panel(&panel, j0, j1, n, &local->ipiv));
+      const Index c0 = dist.local_start(k);
+      lu_factor_panel(&slab, j0, c0, w, ipiv);
+      comm.compute(panel_cost(n, j0, w));
       packet.reserve(static_cast<std::size_t>(w + (n - j0) * w));
-      for (Index j = j0; j < j1; ++j) {
-        packet.push_back(
-            static_cast<double>(local->ipiv[static_cast<std::size_t>(j)]));
-      }
+      packet.assign(ipiv, ipiv + w);
       for (Index i = j0; i < n; ++i) {
-        for (Index jj = 0; jj < w; ++jj) packet.push_back(panel(i, jj));
+        const auto row = slab.row(i).subspan(static_cast<std::size_t>(c0),
+                                             static_cast<std::size_t>(w));
+        packet.insert(packet.end(), row.begin(), row.end());
       }
     }
 
-    // --- broadcast panel + pivots ----------------------------------------
+    // --- broadcast panel + pivots; the others swap their slabs' rows -----
     if (dist.ranks > 1) comm.bcast(&packet, owner);
-    // Unpack pivots everywhere (the owner already has them).
-    Matrix panel_lu(n - j0, w);
     if (rank != owner) {
       for (Index jj = 0; jj < w; ++jj) {
-        local->ipiv[static_cast<std::size_t>(j0 + jj)] =
-            static_cast<Index>(packet[static_cast<std::size_t>(jj)]);
-      }
-      for (Index i = 0; i < n - j0; ++i) {
-        for (Index jj = 0; jj < w; ++jj) {
-          panel_lu(i, jj) = packet[static_cast<std::size_t>(w + i * w + jj)];
-        }
-      }
-    } else {
-      const Matrix& panel = local->blocks[static_cast<std::size_t>(k)];
-      for (Index i = j0; i < n; ++i) {
-        for (Index jj = 0; jj < w; ++jj) panel_lu(i - j0, jj) = panel(i, jj);
-      }
-    }
-
-    // --- apply row interchanges to all other owned blocks ----------------
-    for (Index b : dist.blocks_of(rank)) {
-      if (b == k) continue;  // the panel was swapped during factorization
-      Matrix& blk = local->blocks[static_cast<std::size_t>(b)];
-      for (Index j = j0; j < j1; ++j) {
-        const Index p = local->ipiv[static_cast<std::size_t>(j)];
-        if (p != j) {
-          std::swap_ranges(blk.row(j).begin(), blk.row(j).end(),
-                           blk.row(p).begin());
+        ipiv[jj] = static_cast<Index>(packet[static_cast<std::size_t>(jj)]);
+        if (ipiv[jj] != j0 + jj) {
+          std::swap_ranges(slab.row(j0 + jj).begin(), slab.row(j0 + jj).end(),
+                           slab.row(ipiv[jj]).begin());
         }
       }
     }
 
-    // --- trailing update on owned blocks to the right of the panel -------
+    // --- trailing update of the owned columns right of the panel ---------
     IoStats flops;
+    Index right = cols;  // first slab column right of the panel
     for (Index b : dist.blocks_of(rank)) {
       if (b <= k) continue;
-      Matrix& blk = local->blocks[static_cast<std::size_t>(b)];
-      const Index wt = dist.width(b);
-      // U rows: solve unit-lower L11 (top w x w of panel_lu) * X = blk rows
-      // [j0, j1): forward substitution in place.
-      for (Index i = 1; i < w; ++i) {
-        for (Index kk = 0; kk < i; ++kk) {
-          const double lik = panel_lu(i, kk);
-          if (lik == 0.0) continue;
-          const double* xk = blk.row(j0 + kk).data();
-          double* xi = blk.row(j0 + i).data();
-          for (Index j = 0; j < wt; ++j) xi[j] -= lik * xk[j];
-        }
-      }
-      flops.mults += static_cast<std::uint64_t>(w) *
-                     static_cast<std::uint64_t>(w) *
-                     static_cast<std::uint64_t>(wt) / 2;
-      // GEMM: blk rows [j1, n) -= L21 * X.
-      for (Index i = j1; i < n; ++i) {
-        double* bi = blk.row(i).data();
-        for (Index kk = 0; kk < w; ++kk) {
-          const double l = panel_lu(i - j0, kk);
-          if (l == 0.0) continue;
-          const double* xk = blk.row(j0 + kk).data();
-          for (Index j = 0; j < wt; ++j) bi[j] -= l * xk[j];
-        }
-      }
-      const std::uint64_t gemm = static_cast<std::uint64_t>(n - j1) *
-                                 static_cast<std::uint64_t>(w) *
-                                 static_cast<std::uint64_t>(wt);
-      flops.mults += gemm;
-      flops.adds += gemm + static_cast<std::uint64_t>(w) *
-                               static_cast<std::uint64_t>(w) *
-                               static_cast<std::uint64_t>(wt) / 2;
+      right = std::min(right, dist.local_start(b));
+      const auto wt = static_cast<std::uint64_t>(dist.width(b));
+      const auto ww = static_cast<std::uint64_t>(w);
+      const std::uint64_t trsm = ww * ww * wt / 2;
+      const std::uint64_t gemm = static_cast<std::uint64_t>(n - j1) * ww * wt;
+      flops.mults += trsm + gemm;
+      flops.adds += trsm + gemm;
+    }
+    if (right < cols) {
+      // U12 = L11⁻¹·A12 (L11 unit lower), then A22 -= L21·U12, with the
+      // panel's L read from the broadcast rows [j0, n) x w.
+      const double* l = packet.data() + w;
+      double* a12 = a + j0 * cols + right;
+      ctx.trsm_lower_left(/*unit_diag=*/true, w, cols - right, l, w, a12,
+                          cols);
+      ctx.gemm(kernels::GemmMode::kSubtract, n - j1, cols - right, w,
+               l + w * w, w, a12, cols, a12 + w * cols, cols);
     }
     comm.compute(flops);
   }

@@ -3,125 +3,88 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "linalg/solve.hpp"
+#include "matrix/permutation.hpp"
 
 namespace mri::scalapack {
 
 namespace {
 
-/// Serializes one rank's owned blocks in ascending block order.
-std::vector<double> pack_blocks(const Distribution& dist,
-                                const LocalFactors& local, int rank) {
-  std::vector<double> out;
-  out.reserve(static_cast<std::size_t>(dist.elements_of(rank)));
-  for (Index b : dist.blocks_of(rank)) {
-    const Matrix& blk = local.blocks[static_cast<std::size_t>(b)];
-    out.insert(out.end(), blk.data().begin(), blk.data().end());
-  }
-  return out;
-}
-
-/// Writes a serialized rank chunk into the full packed-LU matrix.
-void unpack_chunk(const Distribution& dist, int src_rank,
-                  const std::vector<double>& chunk, Matrix* full) {
-  std::size_t pos = 0;
-  for (Index b : dist.blocks_of(src_rank)) {
-    const Index c0 = dist.block_start(b);
-    const Index w = dist.width(b);
-    for (Index i = 0; i < dist.n; ++i) {
-      for (Index j = 0; j < w; ++j) (*full)(i, c0 + j) = chunk[pos++];
+/// Writes rank `src_rank`'s slab into its columns of the full matrix, one
+/// row segment per block.
+void unpack_slab(const Distribution& dist, int src_rank, const double* slab,
+                 Matrix* full) {
+  const std::vector<Index> blocks = dist.blocks_of(src_rank);
+  const Index cols = dist.local_cols(src_rank);
+  for (Index i = 0; i < dist.n; ++i) {
+    for (Index b : blocks) {
+      std::copy_n(slab + i * cols + dist.local_start(b), dist.width(b),
+                  full->row(i).begin() + dist.block_start(b));
     }
   }
-  MRI_CHECK(pos == chunk.size());
 }
 
 }  // namespace
 
-LocalInverse pdgetri(mpi::Comm& comm, const Distribution& dist,
-                     const LocalFactors& local) {
+Matrix pdgetri(mpi::Comm& comm, const Distribution& dist,
+               const LocalFactors& local) {
   const Index n = dist.n;
   const int p = comm.size();
   const int rank = comm.rank();
 
   // ---- ring allgather of the packed factors ------------------------------
   Matrix full(n, n);
-  std::vector<double> chunk = pack_blocks(dist, local, rank);
-  unpack_chunk(dist, rank, chunk, &full);
+  std::vector<double> chunk(local.slab.data().begin(),
+                            local.slab.data().end());
+  unpack_slab(dist, rank, chunk.data(), &full);
   for (int step = 0; step < p - 1; ++step) {
     const int src_of_chunk = ((rank - step) % p + p) % p;
     const int next = (rank + 1) % p;
     const int prev = (rank - 1 + p) % p;
     comm.send(next, std::move(chunk), /*tag=*/100 + step);
     chunk = comm.recv(prev, /*tag=*/100 + step);
-    unpack_chunk(dist, ((src_of_chunk - 1) % p + p) % p, chunk, &full);
+    unpack_slab(dist, ((src_of_chunk - 1) % p + p) % p, chunk.data(), &full);
   }
 
-  // ---- per-column substitution for owned output columns ------------------
-  LocalInverse inv;
-  inv.blocks.resize(static_cast<std::size_t>(dist.num_blocks()));
-  IoStats flops;
-  std::vector<double> x(static_cast<std::size_t>(n));
-  for (Index b : dist.blocks_of(rank)) {
-    Matrix out(n, dist.width(b));
-    for (Index jj = 0; jj < dist.width(b); ++jj) {
-      const Index c = dist.block_start(b) + jj;
-      // b = P e_c via the ipiv swap sequence.
-      std::fill(x.begin(), x.end(), 0.0);
-      x[static_cast<std::size_t>(c)] = 1.0;
-      for (Index j = 0; j < n; ++j) {
-        const Index pv = local.ipiv[static_cast<std::size_t>(j)];
-        if (pv != j) std::swap(x[static_cast<std::size_t>(j)],
-                               x[static_cast<std::size_t>(pv)]);
-      }
-      // Forward solve L y = x (L unit lower in `full`), skipping the
-      // leading zeros of x.
-      Index first = 0;
-      while (first < n && x[static_cast<std::size_t>(first)] == 0.0) ++first;
-      for (Index i = first + 1; i < n; ++i) {
-        double sum = x[static_cast<std::size_t>(i)];
-        const double* li = full.row(i).data();
-        for (Index k = first; k < i; ++k)
-          sum -= li[k] * x[static_cast<std::size_t>(k)];
-        x[static_cast<std::size_t>(i)] = sum;
-      }
-      if (first < n) {
-        const std::uint64_t tri =
-            static_cast<std::uint64_t>(n - first) *
-            static_cast<std::uint64_t>(n - first) / 2;
-        flops.mults += tri;
-        flops.adds += tri;
-      }
-      // Back solve U z = y.
-      for (Index i = n - 1; i >= 0; --i) {
-        double sum = x[static_cast<std::size_t>(i)];
-        const double* ui = full.row(i).data();
-        for (Index k = i + 1; k < n; ++k)
-          sum -= ui[k] * x[static_cast<std::size_t>(k)];
-        x[static_cast<std::size_t>(i)] = sum / ui[i];
-      }
-      flops.mults += static_cast<std::uint64_t>(n) *
-                     static_cast<std::uint64_t>(n) / 2;
-      flops.adds += static_cast<std::uint64_t>(n) *
-                    static_cast<std::uint64_t>(n) / 2;
-      for (Index i = 0; i < n; ++i) out(i, jj) = x[static_cast<std::size_t>(i)];
-    }
-    inv.blocks[static_cast<std::size_t>(b)] = std::move(out);
+  // ---- the owned columns of A⁻¹, all in one solve ------------------------
+  // P·e_c is e_r with r = row_of[c]: the ipiv swaps, applied in order, move
+  // row c of E to row r.
+  Permutation perm(n);
+  for (Index j = 0; j < n; ++j) {
+    perm.swap(j, local.ipiv[static_cast<std::size_t>(j)]);
   }
+  const Permutation row_of = perm.inverse();
+  // Each column is charged the substitution it stands for: forward from
+  // row r down, back over all n rows.
+  Matrix x(n, local.slab.cols());
+  IoStats flops;
+  const auto half_square = static_cast<std::uint64_t>(n) *
+                           static_cast<std::uint64_t>(n) / 2;
+  for (Index b : dist.blocks_of(rank)) {
+    for (Index jj = 0; jj < dist.width(b); ++jj) {
+      const Index r = row_of[dist.block_start(b) + jj];
+      x(r, dist.local_start(b) + jj) = 1.0;
+      const std::uint64_t forward = static_cast<std::uint64_t>(n - r) *
+                                    static_cast<std::uint64_t>(n - r) / 2;
+      flops.mults += forward + half_square;
+      flops.adds += forward + half_square;
+    }
+  }
+  lu_solve(full, &x);
   comm.compute(flops);
-  return inv;
+  return x;
 }
 
 Matrix gather_inverse(const Distribution& dist,
-                      const std::vector<LocalInverse>& per_rank) {
+                      const std::vector<Matrix>& per_rank) {
   MRI_REQUIRE(static_cast<int>(per_rank.size()) == dist.ranks,
               "per-rank results size mismatch");
   Matrix out(dist.n, dist.n);
   for (int r = 0; r < dist.ranks; ++r) {
-    for (Index b : dist.blocks_of(r)) {
-      const Matrix& blk = per_rank[static_cast<std::size_t>(r)]
-                              .blocks[static_cast<std::size_t>(b)];
-      MRI_CHECK_MSG(!blk.empty(), "missing inverse block " << b);
-      out.set_block(0, dist.block_start(b), blk);
-    }
+    const Matrix& slab = per_rank[static_cast<std::size_t>(r)];
+    MRI_CHECK_MSG(slab.rows() == dist.n && slab.cols() == dist.local_cols(r),
+                  "missing inverse slab of rank " << r);
+    unpack_slab(dist, r, slab.data().data(), &out);
   }
   return out;
 }

@@ -2,10 +2,12 @@
 //
 // After pdgetrf, each rank ring-allgathers the packed factors — the m0·n²
 // transfer volume the paper's Table 2 attributes to ScaLAPACK — and then
-// computes the inverse's columns it owns by per-column substitution:
-//   A·x = e_c  =>  apply ipiv to e_c, forward-solve L, back-solve U.
-// The leading-zero structure of the pivoted unit vectors makes the total
-// substitution work ≈ (2/3)n³, matching Table 2's flop row.
+// solves for all the inverse's columns it owns at once:
+//   A·X = E  =>  L·U·X = P·E,
+// one unit-lower TRSM and one back substitution (linalg's lu_solve). The
+// charge per column c is the substitution work: (n − r)²/2 forward, r being
+// the row P moves e_c's one to (the rows above it stay zero), plus n²/2
+// back, ≈ (2/3)n³ in total, Table 2's flop row.
 #pragma once
 
 #include "mpi/world.hpp"
@@ -13,17 +15,14 @@
 
 namespace mri::scalapack {
 
-struct LocalInverse {
-  /// Owned column blocks of A⁻¹ (same distribution as the input).
-  std::vector<Matrix> blocks;
-};
-
 /// Runs on one rank inside World::run, after pdgetrf on the same factors.
-LocalInverse pdgetri(mpi::Comm& comm, const Distribution& dist,
-                     const LocalFactors& local);
+/// Returns this rank's slab of A⁻¹ (the input's distribution).
+Matrix pdgetri(mpi::Comm& comm, const Distribution& dist,
+               const LocalFactors& local);
 
-/// Reassembles the distributed inverse (driver helper, no cost charged).
+/// Reassembles the distributed inverse from every rank's slab (no cost
+/// charged).
 Matrix gather_inverse(const Distribution& dist,
-                      const std::vector<LocalInverse>& per_rank);
+                      const std::vector<Matrix>& per_rank);
 
 }  // namespace mri::scalapack

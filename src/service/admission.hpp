@@ -2,8 +2,8 @@
 // per-tenant quotas. The service is work-conserving (a request only waits
 // when every execution slot is taken), so the queue bound is a bound on
 // backlog — at offered load beyond capacity, excess requests are rejected
-// at arrival instead of growing the queue without limit, and each tenant's
-// rejections are counted for its run report.
+// at arrival instead of growing the queue without limit; the service counts
+// each rejection for its run report.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +49,7 @@ class AdmissionController {
   }
 
   /// Admits the request into the wait queue when every bound allows it;
-  /// otherwise counts a rejection against `tenant` and returns false.
+  /// otherwise returns false.
   /// `memory_bytes` is the request's estimated memory-tier footprint,
   /// charged against the tenant's budget until release_memory() (pass 0 for
   /// disk-tier requests or when no budget is configured).
@@ -62,10 +62,7 @@ class AdmissionController {
         options_.memory_budget_bytes_per_tenant > 0 &&
         memory_of(tenant) + memory_bytes >
             options_.memory_budget_bytes_per_tenant;
-    if (global_full || tenant_full || memory_full) {
-      ++rejected_[tenant];
-      return false;
-    }
+    if (global_full || tenant_full || memory_full) return false;
     ++queued_;
     ++per_tenant_[tenant];
     memory_[tenant] += memory_bytes;
@@ -102,21 +99,11 @@ class AdmissionController {
     const auto it = per_tenant_.find(tenant);
     return it == per_tenant_.end() ? 0 : it->second;
   }
-  int rejected_of(const std::string& tenant) const {
-    const auto it = rejected_.find(tenant);
-    return it == rejected_.end() ? 0 : it->second;
-  }
-  int total_rejected() const {
-    int total = 0;
-    for (const auto& [tenant, n] : rejected_) total += n;
-    return total;
-  }
 
  private:
   AdmissionOptions options_;
   int queued_ = 0;
   std::map<std::string, int> per_tenant_;  // waiting requests per tenant
-  std::map<std::string, int> rejected_;
   /// In-flight memory-budget charges per tenant (admit -> release).
   std::map<std::string, std::uint64_t> memory_;
 };

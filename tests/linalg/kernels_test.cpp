@@ -426,32 +426,6 @@ TEST(Trsm, SimdDiagonalBlockMatchesTiledBytewise) {
   }
 }
 
-TEST(Trsm, UpperRightFromTransposeSolves) {
-  // X · U = B with ut = Uᵀ: check A·X reconstructs B for every backend, on
-  // a blocked-path size (> one 64-wide diagonal block) and a tiny one.
-  for (const Index n : {Index{3}, Index{100}}) {
-    const Index m = n == 3 ? 2 : 37;
-    Matrix ut = random_matrix(n, n, /*seed=*/n, -1, 1);
-    for (Index i = 0; i < n; ++i) ut(i, i) = 3.0 + static_cast<double>(i % 4);
-    const Matrix b = random_matrix(m, n, /*seed=*/n + 1, -1, 1);
-    const Matrix u = transpose(ut);  // actual upper-triangular factor
-    for (const Backend backend : kAllBackends) {
-      Matrix x = b;
-      KernelContext ctx;
-      ctx.backend = backend;
-      ctx.trsm_upper_right_from_transpose(m, n, ut.data().data(), ut.cols(),
-                                          x.data().data(), x.cols());
-      Matrix xu(m, n);
-      // Only the upper triangle of u participates.
-      for (Index i = 0; i < m; ++i)
-        for (Index k = 0; k < n; ++k)
-          for (Index j = k; j < n; ++j) xu(i, j) += x(i, k) * u(k, j);
-      EXPECT_LT(max_abs_diff(xu, b), 1e-8 * static_cast<double>(n))
-          << backend_name(backend) << " n=" << n;
-    }
-  }
-}
-
 TEST(KernelCounters, CountCallsAndFlops) {
   const Matrix a = random_matrix(8, 6, 1, -1, 1);
   const Matrix b = random_matrix(6, 10, 2, -1, 1);

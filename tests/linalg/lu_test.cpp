@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "matrix/generate.hpp"
 #include "matrix/ops.hpp"
@@ -60,6 +61,28 @@ TEST(Lu, PivotingPicksLargestMagnitude) {
   const Matrix l = lu.unit_lower();
   for (Index i = 0; i < 32; ++i)
     for (Index j = 0; j < i; ++j) EXPECT_LE(std::abs(l(i, j)), 1.0 + 1e-15);
+}
+
+TEST(Lu, PanelAtAColumnOffsetMatchesTheFullMatrix) {
+  // pdgetrf factors a panel inside a rank's slab, where its first column
+  // is not its first row. Global columns [8, 16), at local columns [4, 12)
+  // of a slab between other columns, factor over rows [8, 24) with the
+  // same pivots and bytes as on the full matrix, and the row swaps reach
+  // every column of the slab.
+  const Index n = 24, w = 8, row = 8;
+  Matrix full = random_pivot_hostile(n, /*seed=*/3);
+  Matrix slab(n, 16);
+  slab.set_block(0, 0, full.block(0, n, 0, 4));
+  slab.set_block(0, 4, full.block(0, n, 8, 16));
+  slab.set_block(0, 12, full.block(0, n, 20, 24));
+  std::vector<Index> ipiv_full(w), ipiv_slab(w);
+  lu_factor_panel(&full, row, row, w, ipiv_full.data());
+  lu_factor_panel(&slab, row, 4, w, ipiv_slab.data());
+  EXPECT_EQ(ipiv_slab, ipiv_full);
+  EXPECT_NE(ipiv_full[0], row);  // the first step swaps rows
+  EXPECT_EQ(slab.block(0, n, 0, 4), full.block(0, n, 0, 4));
+  EXPECT_EQ(slab.block(0, n, 4, 12), full.block(0, n, 8, 16));
+  EXPECT_EQ(slab.block(0, n, 12, 16), full.block(0, n, 20, 24));
 }
 
 TEST(Lu, SingularThrows) {

@@ -8,7 +8,9 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/random.hpp"
@@ -194,6 +196,51 @@ INSTANTIATE_TEST_SUITE_P(
     Orders, Eq4Oracle,
     ::testing::Combine(::testing::Values(1, 63, 64, 65, 130, 300),
                        ::testing::Bool()));
+
+// The right solve runs as Uᵀ·Xᵀ = Bᵀ on the staircase TRSM. Past one 64-row
+// diagonal block, on every backend, it matches the row-by-row oracle; rows
+// of B that begin with zeros (the staircase, which the TRSM skips) give rows
+// of X that are exactly zero there, an all-zero row included.
+TEST(Triangular, SolveUpperRightBlockedAndStaircase) {
+  for (const auto& [m, n] : {std::pair<Index, Index>{37, 100},
+                             std::pair<Index, Index>{130, 200}}) {
+    const Matrix ut = tame_lower(n, /*unit_diag=*/false, /*seed=*/n);
+    const Matrix u = transpose(ut);
+    const Matrix dense = random_matrix(m, n, /*seed=*/m, -1, 1);
+    Matrix stair = dense;
+    std::vector<Index> first(static_cast<std::size_t>(m), 0);
+    for (Index i = 0; i < m; ++i) {
+      first[static_cast<std::size_t>(i)] = i == m - 1 ? n : (i * 37) % n;
+      for (Index j = 0; j < first[static_cast<std::size_t>(i)]; ++j) {
+        stair(i, j) = 0.0;
+      }
+    }
+    const Matrix dense_oracle = solve_upper_right_oracle(u, dense);
+    const Matrix stair_oracle = solve_upper_right_oracle(u, stair);
+    const double tol = 1e-13 * static_cast<double>(n + 1);
+    for (const kernels::Backend backend :
+         {kernels::Backend::kNaive, kernels::Backend::kTiled,
+          kernels::Backend::kSimd, kernels::Backend::kThreaded}) {
+      const ScopedDefaultBackend scoped(backend);
+      const std::string what = std::string(kernels::backend_name(backend)) +
+                               " " + std::to_string(m) + "x" +
+                               std::to_string(n);
+      EXPECT_LT(max_abs_diff(solve_upper_right_from_transpose(ut, dense),
+                             dense_oracle),
+                tol)
+          << what;
+      const Matrix x = solve_upper_right_from_transpose(ut, stair);
+      EXPECT_LT(max_abs_diff(x, stair_oracle), tol) << what << " staircase";
+      Index nonzero = 0;
+      for (Index i = 0; i < m; ++i) {
+        for (Index j = 0; j < first[static_cast<std::size_t>(i)]; ++j) {
+          if (x(i, j) != 0.0) ++nonzero;
+        }
+      }
+      EXPECT_EQ(nonzero, 0) << what;
+    }
+  }
+}
 
 TEST(Triangular, NonUnitLowerDiagonal) {
   Matrix l(2, 2, {2, 0, 3, 4});
