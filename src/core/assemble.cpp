@@ -1,37 +1,67 @@
 #include "core/assemble.hpp"
 
 #include "core/factor_io.hpp"
-#include "matrix/ops.hpp"
 
 namespace mri::core {
 
-Matrix assemble_l(const dfs::Dfs& fs, const LuNode& node, IoStats* account) {
+namespace {
+
+// Both factors fill one matrix of the root's order: each node writes its
+// diagonal blocks (the children, recursively) and its off-diagonal block at
+// offset `at`, reading every file straight into place.
+
+void fill_l(const dfs::Dfs& fs, const LuNode& node, Matrix* l, Index at,
+            IoStats* account) {
+  const RowDest here{l->data().data() + at * l->cols() + at, l->cols(), {}};
   if (node.leaf) {
-    return read_lower_packed(fs, node.l_path, account);
+    read_lower_packed(fs, node.l_path, node.n, here, account);
+    return;
   }
   MRI_CHECK(node.first && node.second);
+  fill_l(fs, *node.first, l, at, account);
+  fill_l(fs, *node.second, l, at + node.h, account);
+  // L2 = P2·L2', constructed as it is read (§5.3): row i of L2 is row S2[i]
+  // of L2', so row j of L2' lands in row S2⁻¹[j].
+  const Permutation to = node.second->perm.inverse();
+  node.l2.read_into(fs, 0, node.n - node.h, 0, node.h,
+                    RowDest{here.data + node.h * l->cols(), l->cols(),
+                            to.map()},
+                    account);
+}
+
+void fill_ut(const dfs::Dfs& fs, const LuNode& node, Matrix* ut, Index at,
+             IoStats* account) {
+  const RowDest here{ut->data().data() + at * ut->cols() + at, ut->cols(), {}};
+  if (node.leaf) {
+    read_lower_packed(fs, node.ut_path, node.n, here, account);
+    return;
+  }
+  MRI_CHECK(node.first && node.second);
+  fill_ut(fs, *node.first, ut, at, account);
+  fill_ut(fs, *node.second, ut, at + node.h, account);
+  const RowDest u2t = here.at(node.h, 0);
+  if (node.u2_transposed) {
+    node.u2.read_into(fs, 0, node.n - node.h, 0, node.h, u2t, account);
+  } else {
+    // Stored as U2 (h x (n-h)): its columns are the rows of the block.
+    const Matrix u2 = node.u2.read_all(fs, account);
+    for (Index i = 0; i < u2.rows(); ++i) {
+      for (Index j = 0; j < u2.cols(); ++j) u2t.row(j)[i] = u2(i, j);
+    }
+  }
+}
+
+}  // namespace
+
+Matrix assemble_l(const dfs::Dfs& fs, const LuNode& node, IoStats* account) {
   Matrix l(node.n, node.n);
-  l.set_block(0, 0, assemble_l(fs, *node.first, account));
-  l.set_block(node.h, node.h, assemble_l(fs, *node.second, account));
-  // L2 = P2 · L2', constructed as it is read (§5.3).
-  const Matrix l2_raw = node.l2.read_all(fs, account);
-  l.set_block(node.h, 0, node.second->perm.apply_to_rows(l2_raw));
+  fill_l(fs, node, &l, 0, account);
   return l;
 }
 
 Matrix assemble_ut(const dfs::Dfs& fs, const LuNode& node, IoStats* account) {
-  if (node.leaf) {
-    return read_lower_packed(fs, node.ut_path, account);
-  }
-  MRI_CHECK(node.first && node.second);
   Matrix ut(node.n, node.n);
-  ut.set_block(0, 0, assemble_ut(fs, *node.first, account));
-  ut.set_block(node.h, node.h, assemble_ut(fs, *node.second, account));
-  if (node.u2_transposed) {
-    ut.set_block(node.h, 0, node.u2.read_all(fs, account));
-  } else {
-    ut.set_block(node.h, 0, transpose(node.u2.read_all(fs, account)));
-  }
+  fill_ut(fs, node, &ut, 0, account);
   return ut;
 }
 

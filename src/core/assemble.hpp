@@ -3,8 +3,10 @@
 //
 // This is what the final inversion job's mappers do before inverting: they
 // read the whole factor — the paper's mappers likewise read all of L (or U)
-// from the N(d) separate intermediate files (§6.1). L2 = P2·L2' is applied
-// in memory during assembly, never rewritten in the DFS (§5.3).
+// from the N(d) separate intermediate files (§6.1). The factor is built in
+// one n×n matrix: every file is read straight to its offset in it, and
+// L2 = P2·L2' is applied row by row as L2' is copied, never rewritten in the
+// DFS (§5.3).
 #pragma once
 
 #include <cmath>
@@ -20,8 +22,8 @@ Matrix assemble_l(const dfs::Dfs& fs, const LuNode& node,
                   IoStats* account = nullptr);
 
 /// Uᵀ of `node` — lower triangular (the §6.3 working layout). When stripes
-/// were stored untransposed (transposed_u off), they are transposed in
-/// memory here; the §6.3 access penalty is charged by the kernels that
+/// were stored untransposed (transposed_u off), they are transposed into
+/// place here; the §6.3 access penalty is charged by the kernels that
 /// consumed the untransposed layout, not by assembly.
 Matrix assemble_ut(const dfs::Dfs& fs, const LuNode& node,
                    IoStats* account = nullptr);

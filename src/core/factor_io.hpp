@@ -11,6 +11,7 @@
 #include <string>
 
 #include "dfs/dfs.hpp"
+#include "matrix/dfs_io.hpp"
 #include "matrix/matrix.hpp"
 #include "matrix/permutation.hpp"
 #include "sim/io_stats.hpp"
@@ -30,6 +31,12 @@ void write_lower_packed(dfs::Dfs& fs, const std::string& path, const Matrix& m,
 /// diagonal restored when the file was written with one).
 Matrix read_lower_packed(const dfs::Dfs& fs, const std::string& path,
                          IoStats* account = nullptr);
+
+/// The same reads into `dst`, which must hold the file's order `n`: the
+/// lower triangle (and the unit diagonal) land in place; the entries above
+/// the diagonal are not touched.
+void read_lower_packed(const dfs::Dfs& fs, const std::string& path, Index n,
+                       const RowDest& dst, IoStats* account = nullptr);
 
 /// Permutation files: n entries of the paper's array S.
 void write_permutation(dfs::Dfs& fs, const std::string& path,

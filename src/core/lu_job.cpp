@@ -51,14 +51,18 @@ class LuMapper : public mr::Mapper {
     if (cols.count() == 0) return;
     // U2 columns solve  L1·U2 = P1·A2  column-independently (Eq. 6).
     const Matrix l1 = assemble_l(task.fs(), *c.first, &task.io());
-    const Matrix a2s =
-        c.a2.read_block(task.fs(), 0, c.h, cols.begin, cols.end, &task.io());
-    const Matrix u2s = solve_lower(l1, c.first->perm.apply_to_rows(a2s));
+    // P1·A2 as it is read: row j of A2 lands in row S1⁻¹[j].
+    const Permutation to = c.first->perm.inverse();
+    Matrix pa2(c.h, cols.count());
+    c.a2.read_into(task.fs(), 0, c.h, cols.begin, cols.end,
+                   RowDest{pa2.data().data(), pa2.cols(), to.map()},
+                   &task.io());
+    const Matrix u2s = solve_lower(l1, std::move(pa2));
     task.add_flops(triangular_solve_cost(c.h, cols.count()));
     const std::string path = dfs::join(c.dir, "U2/U." + std::to_string(s));
     if (c.opts.transposed_u) {
-      write_matrix(task.fs(), path, transpose(u2s), &task.io(),
-                   c.opts.intermediate_tier());
+      write_matrix_transposed(task.fs(), path, u2s, &task.io(),
+                              c.opts.intermediate_tier());
     } else {
       write_matrix(task.fs(), path, u2s, &task.io(),
                    c.opts.intermediate_tier());

@@ -36,7 +36,7 @@ class WrapStrategy : public MultiplyStrategy {
       t.r1 = r.end;
       t.c0 = 0;
       t.c1 = a.cols();
-      write_matrix(*fs, t.path, a.block(r.begin, r.end, 0, a.cols()));
+      write_matrix(*fs, t.path, a, t.r0, t.r1, t.c0, t.c1);
       a_tiles.push_back(std::move(t));
     }
     std::vector<Tile> b_tiles;
@@ -49,7 +49,7 @@ class WrapStrategy : public MultiplyStrategy {
       t.r1 = b.rows();
       t.c0 = c.begin;
       t.c1 = c.end;
-      write_matrix(*fs, t.path, b.block(0, b.rows(), c.begin, c.end));
+      write_matrix(*fs, t.path, b, t.r0, t.r1, t.c0, t.c1);
       b_tiles.push_back(std::move(t));
     }
     ctx->a = TileSet(a.rows(), a.cols(), std::move(a_tiles));
@@ -113,7 +113,7 @@ class MultiRoundStrategy : public MultiplyStrategy {
         t.r1 = r.end;
         t.c0 = k.begin;
         t.c1 = k.end;
-        write_matrix(*fs, t.path, a.block(r.begin, r.end, k.begin, k.end));
+        write_matrix(*fs, t.path, a, t.r0, t.r1, t.c0, t.c1);
         a_tiles.push_back(std::move(t));
       }
     }
@@ -131,7 +131,7 @@ class MultiRoundStrategy : public MultiplyStrategy {
         t.r1 = k.end;
         t.c0 = c.begin;
         t.c1 = c.end;
-        write_matrix(*fs, t.path, b.block(k.begin, k.end, c.begin, c.end));
+        write_matrix(*fs, t.path, b, t.r0, t.r1, t.c0, t.c1);
         b_tiles.push_back(std::move(t));
       }
     }

@@ -30,10 +30,9 @@ class PartitionMapper : public mr::Mapper {
         const Index gr1 = piece.r1 + frame.row_off;
         const Index gc0 = piece.c0 + frame.col_off;
         const Index gc1 = piece.c1 + frame.col_off;
-        write_matrix(ctx.fs(), piece.path,
-                     band_rows.block(gr0 - rows.begin, gr1 - rows.begin, gc0,
-                                     gc1),
-                     &ctx.io(), geom_.intermediate_tier);
+        write_matrix(ctx.fs(), piece.path, band_rows, gr0 - rows.begin,
+                     gr1 - rows.begin, gc0, gc1, &ctx.io(),
+                     geom_.intermediate_tier);
       }
     };
 

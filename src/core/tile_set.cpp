@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "matrix/dfs_io.hpp"
-
 namespace mri::core {
 
 TileSet::TileSet(Index rows, Index cols, std::vector<Tile> tiles)
@@ -22,20 +20,27 @@ Matrix TileSet::read_block(const dfs::Dfs& fs, Index r0, Index r1, Index c0,
                   c1 <= cols_,
               "read_block rectangle out of bounds");
   Matrix out(r1 - r0, c1 - c0);
+  read_into(fs, r0, r1, c0, c1, RowDest{out.data().data(), out.cols(), {}},
+            account);
+  return out;
+}
+
+void TileSet::read_into(const dfs::Dfs& fs, Index r0, Index r1, Index c0,
+                        Index c1, const RowDest& dst, IoStats* account) const {
+  MRI_REQUIRE(0 <= r0 && r0 <= r1 && r1 <= rows_ && 0 <= c0 && c0 <= c1 &&
+                  c1 <= cols_,
+              "read_block rectangle out of bounds");
   std::uint64_t covered = 0;
   for (const auto& t : tiles_) {
     const Index ir0 = std::max(r0, t.r0), ir1 = std::min(r1, t.r1);
     const Index ic0 = std::max(c0, t.c0), ic1 = std::min(c1, t.c1);
     if (ir0 >= ir1 || ic0 >= ic1) continue;
-    // Read the needed row range of the tile file (sequential after a seek),
-    // then place the needed columns.
+    // Read the needed row range of the tile file (sequential after a seek);
+    // its needed columns land in place.
     const Index fr0 = ir0 - t.r0 + t.file_r0;
-    const Index fr1 = ir1 - t.r0 + t.file_r0;
     const Index fc0 = ic0 - t.c0 + t.file_c0;
-    const Index fc1 = ic1 - t.c0 + t.file_c0;
-    const Matrix rows_read = read_matrix_rows(fs, t.path, fr0, fr1, account);
-    out.set_block(ir0 - r0, ic0 - c0,
-                  rows_read.block(0, fr1 - fr0, fc0, fc1));
+    read_matrix_rows(fs, t.path, fr0, fr0 + (ir1 - ir0), fc0,
+                     fc0 + (ic1 - ic0), dst.at(ir0 - r0, ic0 - c0), account);
     covered += static_cast<std::uint64_t>(ir1 - ir0) *
                static_cast<std::uint64_t>(ic1 - ic0);
   }
@@ -46,7 +51,6 @@ Matrix TileSet::read_block(const dfs::Dfs& fs, Index r0, Index r1, Index c0,
                    std::to_string(covered) + " of " + std::to_string(wanted) +
                    " elements)");
   }
-  return out;
 }
 
 TileSet TileSet::window(Index r0, Index r1, Index c0, Index c1) const {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "dfs/dfs.hpp"
+#include "matrix/dfs_io.hpp"
 #include "matrix/matrix.hpp"
 #include "sim/io_stats.hpp"
 
@@ -45,6 +46,12 @@ class TileSet {
   /// part of the rectangle is not covered by a tile.
   Matrix read_block(const dfs::Dfs& fs, Index r0, Index r1, Index c0, Index c1,
                     IoStats* account = nullptr) const;
+
+  /// read_block() into `dst` instead of a new matrix: row i of the
+  /// rectangle lands in dst.row(i). Same reads in the same order, each tile
+  /// file's columns copied straight to their destination.
+  void read_into(const dfs::Dfs& fs, Index r0, Index r1, Index c0, Index c1,
+                 const RowDest& dst, IoStats* account = nullptr) const;
 
   /// Whole logical matrix.
   Matrix read_all(const dfs::Dfs& fs, IoStats* account = nullptr) const {

@@ -227,18 +227,28 @@ void Dfs::commit(const std::string& path, std::vector<std::byte> buffer,
   std::uint64_t checksummed_bytes = 0;
   std::int64_t checksummed_cells = 0;
 
+  // A one-block file that is not erasure coded adopts the writer's buffer as
+  // its payload; larger files copy each block out of it, EC files each cell.
+  const BlockData adopted =
+      !ec_file && total > 0 && total <= config_.block_size
+          ? std::make_shared<const std::vector<std::byte>>(std::move(buffer))
+          : nullptr;
+  const std::span<const std::byte> committed =
+      adopted != nullptr ? std::span<const std::byte>(*adopted)
+                         : std::span<const std::byte>(buffer);
+
   std::vector<BlockLocation> locations;
   std::size_t offset = 0;
   // Split into blocks; zero-length files get zero blocks.
-  while (offset < buffer.size()) {
-    const std::size_t len = std::min(config_.block_size, buffer.size() - offset);
-    // The whole-block copy: a replicated block's one payload, or the bytes
+  while (offset < total) {
+    const std::size_t len = std::min(config_.block_size, total - offset);
+    // The whole-block payload: a replicated block's one copy, or the bytes
     // the hot cache keeps for a candidate. An EC block stores cells only.
-    BlockData payload;
-    if (!ec_file || hot_candidate) {
-      payload = std::make_shared<std::vector<std::byte>>(
-          buffer.begin() + static_cast<std::ptrdiff_t>(offset),
-          buffer.begin() + static_cast<std::ptrdiff_t>(offset + len));
+    BlockData payload = adopted;
+    if (payload == nullptr && (!ec_file || hot_candidate)) {
+      const auto block = committed.subspan(offset, len);
+      payload = std::make_shared<const std::vector<std::byte>>(block.begin(),
+                                                               block.end());
     }
     BlockLocation loc;
     loc.id = next_block_id_.fetch_add(1);
@@ -263,7 +273,7 @@ void Dfs::commit(const std::string& path, std::vector<std::byte> buffer,
             std::make_shared<std::vector<std::byte>>(cell_len, std::byte{0});
         const std::size_t begin = static_cast<std::size_t>(i) * cell_len;
         if (begin < len) {
-          std::memcpy(cell->data(), buffer.data() + offset + begin,
+          std::memcpy(cell->data(), committed.data() + offset + begin,
                       std::min(cell_len, len - begin));
         }
         data_ptrs.push_back(
@@ -445,10 +455,7 @@ void Dfs::commit(const std::string& path, std::vector<std::byte> buffer,
     // Fired outside every DFS lock; `account` already includes this write,
     // so the listener's production-IoStats snapshot is the full task cost.
     if (TierListener* listener = tier_listener_.load(std::memory_order_acquire)) {
-      listener->on_commit(path, tier, total, home,
-                          std::span<const std::byte>(buffer.data(),
-                                                     buffer.size()),
-                          account);
+      listener->on_commit(path, tier, total, home, committed, account);
     }
   }
 }

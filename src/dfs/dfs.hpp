@@ -20,6 +20,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -202,6 +203,10 @@ class Dfs {
     Writer& operator=(Writer&&) = delete;
     Writer(const Writer&) = delete;
 
+    /// Sizes the buffer for `bytes` in all, so a file written in pieces is
+    /// built in one allocation with no slack: a one-block file's committed
+    /// payload is this buffer.
+    void reserve(std::size_t bytes) { buffer_.reserve(bytes); }
     void write(std::span<const std::byte> data);
     void write_doubles(std::span<const double> values);
     void write_u64(std::uint64_t value);
@@ -235,6 +240,12 @@ class Dfs {
     /// Reads up to dst.size() bytes; returns the number read (0 at EOF).
     std::size_t read(std::span<std::byte> dst);
     void read_exact(std::span<std::byte> dst);
+    /// Reads exactly `bytes` bytes without copying them: `sink` sees each
+    /// stored span they occupy, in file order, so the caller copies them
+    /// straight to where they belong. Charged and logged exactly as
+    /// read_exact() of `bytes` bytes.
+    void read_spans(std::size_t bytes,
+                    const std::function<void(std::span<const std::byte>)>& sink);
     double read_double();
     std::uint64_t read_u64();
     void read_doubles(std::span<double> dst);
@@ -250,6 +261,10 @@ class Dfs {
            std::vector<int> sources, std::vector<bool> mem_local,
            std::uint64_t size, IoStats* account);
     void account(std::uint64_t bytes, std::uint64_t memory_bytes);
+    /// Hands up to `want` bytes from the position on to `sink`, one span
+    /// per block touched, and charges them; returns the count (0 at EOF).
+    template <typename Sink>
+    std::size_t pull(std::size_t want, Sink&& sink);
 
     std::vector<BlockData> blocks_;
     /// Datanode each block was read from (parallel to blocks_); feeds the

@@ -53,43 +53,65 @@ void Dfs::Reader::account(std::uint64_t bytes, std::uint64_t memory_bytes) {
   unposted_ += io;
 }
 
-std::size_t Dfs::Reader::read(std::span<std::byte> dst) {
+template <typename Sink>
+std::size_t Dfs::Reader::pull(std::size_t want, Sink&& sink) {
   TransferLog* log = record_transfers_ ? current_transfer_log() : nullptr;
-  std::size_t copied = 0;
+  std::size_t pulled = 0;
   std::uint64_t memory_bytes = 0;
-  while (copied < dst.size() && position_ < size_) {
+  while (pulled < want && position_ < size_) {
     const auto& block = *blocks_[block_index_];
     const std::size_t in_block = block.size() - block_offset_;
-    const std::size_t want = std::min(dst.size() - copied, in_block);
-    std::memcpy(dst.data() + copied, block.data() + block_offset_, want);
-    if (!mem_local_.empty() && mem_local_[block_index_]) memory_bytes += want;
-    if (log != nullptr && want > 0 && sources_[block_index_] >= 0) {
+    const std::size_t take = std::min(want - pulled, in_block);
+    sink(std::span<const std::byte>(block.data() + block_offset_, take));
+    if (!mem_local_.empty() && mem_local_[block_index_]) memory_bytes += take;
+    if (log != nullptr && take > 0 && sources_[block_index_] >= 0) {
       // One transfer per (block, read) chunk: bytes flow from the replica
       // this block was opened from to the reading task's node. The flow
       // scheduler coalesces per endpoint pair; node-local chunks stay in
       // the log too (they are disk traffic, charged at disk bandwidth).
       log->transfers.push_back(net::Transfer{sources_[block_index_],
-                                             log->node, want,
+                                             log->node, take,
                                              net::TransferKind::kRead});
     }
-    copied += want;
-    block_offset_ += want;
-    position_ += want;
+    pulled += take;
+    block_offset_ += take;
+    position_ += take;
     if (block_offset_ == block.size()) {
       ++block_index_;
       block_offset_ = 0;
     }
   }
-  if (copied > 0) account(copied - memory_bytes, memory_bytes);
-  return copied;
+  if (pulled > 0) account(pulled - memory_bytes, memory_bytes);
+  return pulled;
 }
 
-void Dfs::Reader::read_exact(std::span<std::byte> dst) {
-  const std::size_t got = read(dst);
-  if (got != dst.size()) {
-    throw DfsError("short read: wanted " + std::to_string(dst.size()) +
+std::size_t Dfs::Reader::read(std::span<std::byte> dst) {
+  std::byte* out = dst.data();
+  return pull(dst.size(), [&out](std::span<const std::byte> chunk) {
+    std::memcpy(out, chunk.data(), chunk.size());
+    out += chunk.size();
+  });
+}
+
+namespace {
+
+void require_whole_read(std::size_t wanted, std::size_t got) {
+  if (got != wanted) {
+    throw DfsError("short read: wanted " + std::to_string(wanted) +
                    " bytes, got " + std::to_string(got));
   }
+}
+
+}  // namespace
+
+void Dfs::Reader::read_exact(std::span<std::byte> dst) {
+  require_whole_read(dst.size(), read(dst));
+}
+
+void Dfs::Reader::read_spans(
+    std::size_t bytes,
+    const std::function<void(std::span<const std::byte>)>& sink) {
+  require_whole_read(bytes, pull(bytes, sink));
 }
 
 double Dfs::Reader::read_double() {

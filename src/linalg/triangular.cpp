@@ -49,17 +49,16 @@ Matrix invert_lower_columns(const Matrix& l, const std::vector<Index>& columns) 
   return out;
 }
 
-Matrix solve_lower(const Matrix& l, const Matrix& b) {
+Matrix solve_lower(const Matrix& l, Matrix b) {
   check_lower(l);
   MRI_REQUIRE(l.rows() == b.rows(), "solve_lower shape mismatch: "
                                         << l.rows() << " vs " << b.rows());
   // Forward substitution as a blocked TRSM through the kernel engine: the
   // bulk of the work becomes GEMM trailing updates on the selected backend.
-  Matrix x = b;
   kernels::KernelContext ctx;
   ctx.trsm_lower_left(/*unit_diag=*/false, l.rows(), b.cols(),
-                      l.data().data(), l.cols(), x.data().data(), x.cols());
-  return x;
+                      l.data().data(), l.cols(), b.data().data(), b.cols());
+  return b;
 }
 
 Matrix solve_upper_right_from_transpose(const Matrix& ut, const Matrix& b) {

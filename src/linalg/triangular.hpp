@@ -30,8 +30,9 @@ Matrix invert_upper_via_transpose(const Matrix& u);
 Matrix invert_lower_columns(const Matrix& l, const std::vector<Index>& columns);
 
 /// Solves L·X = B for X (forward substitution; columns of X independent).
-/// L must be lower-triangular with nonzero diagonal.
-Matrix solve_lower(const Matrix& l, const Matrix& b);
+/// L must be lower-triangular with nonzero diagonal. X is computed in B's
+/// storage: pass a B that is not needed afterwards by std::move.
+Matrix solve_lower(const Matrix& l, Matrix b);
 
 /// Solves X·U = B for X given Uᵀ (lower triangular) — the L2' computation
 /// of Eq. 6 in the §6.3 layout. Runs as the left solve Uᵀ·Xᵀ = Bᵀ between

@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
+#include <vector>
 
+#include "common/error.hpp"
+#include "dfs/dfs.hpp"
 #include "matrix/generate.hpp"
 #include "matrix/ops.hpp"
 
@@ -128,6 +132,124 @@ TEST(TriangularProduct, RejectsUnsortedOrMismatchedIds) {
   InverseSlice short_ids = rows_of(u_inv, {1, 4});
   short_ids.ids.pop_back();
   EXPECT_THROW(triangular_product(6, {short_ids}, l), InvalidArgument);
+}
+
+// ---- assembling A⁻¹ from the reducers' indexed blocks -----------------------
+
+class AssembleInverseTest : public ::testing::Test {
+ protected:
+  /// A context whose reducer grid has `m0` workers over an order-n inverse
+  /// (only the plan matters: assembly reads no factors).
+  InverseJobContext context(Index n, int m0, bool block_wrap) const {
+    InverseJobContext ctx;
+    ctx.root = &root_;
+    ctx.n = n;
+    ctx.m0 = m0;
+    ctx.dir = "/inv";
+    ctx.opts.block_wrap = block_wrap;
+    plan_inverse_job(&ctx);
+    return ctx;
+  }
+
+  /// Writes cell t the way the reducer does: K1, K2, the ids, the values.
+  void write_cell(int t, const std::vector<std::uint64_t>& rows,
+                  const std::vector<std::uint64_t>& cols, const Matrix& x,
+                  std::uint64_t extra_bytes = 0) {
+    auto w = fs.create("/inv/AINV/A." + std::to_string(t));
+    w.write_u64(rows.size());
+    w.write_u64(cols.size());
+    for (std::uint64_t r : rows) w.write_u64(r);
+    for (std::uint64_t c : cols) w.write_u64(c);
+    for (std::uint64_t r : rows) {
+      for (std::uint64_t c : cols) {
+        const bool inside = r < static_cast<std::uint64_t>(x.rows()) &&
+                            c < static_cast<std::uint64_t>(x.cols());
+        w.write_doubles(std::vector<double>{
+            inside ? x(static_cast<Index>(r), static_cast<Index>(c)) : 0.0});
+      }
+    }
+    for (std::uint64_t i = 0; i < extra_bytes; ++i) w.write_u64(0);
+    w.close();
+  }
+
+  /// Cell t of the 2x2 block-wrap grid over order 6 (m0 = 4): rows of U
+  /// file t / 2 and columns of L file t % 2 (interleaved by parity).
+  void write_grid_cell(int t, const Matrix& x) {
+    const auto parity = [](int p) {
+      std::vector<std::uint64_t> ids;
+      for (std::uint64_t k = static_cast<std::uint64_t>(p); k < 6; k += 2) {
+        ids.push_back(k);
+      }
+      return ids;
+    };
+    write_cell(t, parity(t / 2), parity(t % 2), x);
+  }
+
+  static std::string error_of(const dfs::Dfs& fs, const InverseJobContext& c) {
+    try {
+      assemble_inverse(fs, c);
+    } catch (const DfsError& e) {
+      return e.what();
+    }
+    return "";
+  }
+
+  dfs::DfsConfig small_blocks() const {
+    dfs::DfsConfig cfg;
+    cfg.block_size = 20;  // doubles straddle block boundaries
+    return cfg;
+  }
+
+  const LuNode root_;
+  dfs::Dfs fs{3, small_blocks()};
+};
+
+TEST_F(AssembleInverseTest, PlacesEveryCell) {
+  const InverseJobContext ctx = context(6, 4, /*block_wrap=*/true);
+  ASSERT_EQ(ctx.u_groups * ctx.l_groups, 4);
+  const Matrix x = random_matrix(6, 6, /*seed=*/3, -1, 1);
+  for (int t = 0; t < 4; ++t) write_grid_cell(t, x);
+  EXPECT_EQ(assemble_inverse(fs, ctx), x);
+}
+
+TEST_F(AssembleInverseTest, MissingCellThrowsNamingItsPath) {
+  const InverseJobContext ctx = context(6, 4, /*block_wrap=*/true);
+  const Matrix x = random_matrix(6, 6, /*seed=*/4, -1, 1);
+  for (int t = 0; t < 4; ++t) write_grid_cell(t, x);
+  fs.remove("/inv/AINV/A.2");  // a lost reducer output
+  EXPECT_NE(error_of(fs, ctx).find("/inv/AINV/A.2"), std::string::npos);
+}
+
+TEST_F(AssembleInverseTest, CellsThePlanLeavesEmptyMayBeAbsent) {
+  // Row bands over order 2 on 4 reducers: U file 0 holds row 0 alone, so
+  // of its two slices only reducer 0's is non-empty (reducer 2 writes
+  // nothing), and likewise reducer 1 of file 1 (reducer 3 writes nothing).
+  const InverseJobContext ctx = context(2, 4, /*block_wrap=*/false);
+  const Matrix x = random_matrix(2, 2, /*seed=*/5, -1, 1);
+  write_cell(0, {0}, {0, 1}, x);
+  write_cell(1, {1}, {0, 1}, x);
+  EXPECT_EQ(assemble_inverse(fs, ctx), x);
+  fs.remove("/inv/AINV/A.1");
+  EXPECT_NE(error_of(fs, ctx).find("/inv/AINV/A.1"), std::string::npos);
+}
+
+TEST_F(AssembleInverseTest, DamagedHeadersAreRefused) {
+  const InverseJobContext ctx = context(6, 4, /*block_wrap=*/true);
+  const Matrix x = random_matrix(6, 6, /*seed=*/6, -1, 1);
+  for (int t = 1; t < 4; ++t) write_grid_cell(t, x);
+  const auto refused = [&](const std::vector<std::uint64_t>& rows,
+                           const std::vector<std::uint64_t>& cols,
+                           std::uint64_t extra = 0) {
+    write_cell(0, rows, cols, x, extra);
+    const std::string error = error_of(fs, ctx);
+    fs.remove("/inv/AINV/A.0");
+    return error.find("/inv/AINV/A.0") != std::string::npos;
+  };
+  EXPECT_TRUE(refused({0, 2, 6}, {0, 2, 4}));  // a row id >= n
+  EXPECT_TRUE(refused({0, 2, 4}, {0, 9, 4}));  // a column id >= n
+  EXPECT_TRUE(refused({0, 1, 2, 3, 4, 5, 0}, {0}));  // K1 > n
+  EXPECT_TRUE(refused({0, 2, 4}, {0, 2, 4}, /*extra=*/1));  // size mismatch
+  EXPECT_FALSE(refused({0, 2, 4}, {0, 2, 4}));
 }
 
 }  // namespace

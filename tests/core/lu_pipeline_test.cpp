@@ -3,7 +3,11 @@
 // shape of the jobs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "core/assemble.hpp"
+#include "core/factor_io.hpp"
 #include "core/lu_pipeline.hpp"
 #include "core/partition.hpp"
 #include "matrix/dfs_io.hpp"
@@ -48,8 +52,54 @@ struct LuFixture {
   mr::JobGraph pipeline;
 };
 
+/// Assembly as it was before the factors were built in one buffer: one
+/// matrix per tree level, each child placed with set_block(), L2 = P2·L2'
+/// through apply_to_rows() and an untransposed U2 through transpose().
+Matrix per_level_l(const dfs::Dfs& fs, const LuNode& node, IoStats* io) {
+  if (node.leaf) return read_lower_packed(fs, node.l_path, io);
+  Matrix l(node.n, node.n);
+  l.set_block(0, 0, per_level_l(fs, *node.first, io));
+  l.set_block(node.h, node.h, per_level_l(fs, *node.second, io));
+  l.set_block(node.h, 0,
+              node.second->perm.apply_to_rows(node.l2.read_all(fs, io)));
+  return l;
+}
+
+Matrix per_level_ut(const dfs::Dfs& fs, const LuNode& node, IoStats* io) {
+  if (node.leaf) return read_lower_packed(fs, node.ut_path, io);
+  Matrix ut(node.n, node.n);
+  ut.set_block(0, 0, per_level_ut(fs, *node.first, io));
+  ut.set_block(node.h, node.h, per_level_ut(fs, *node.second, io));
+  const Matrix u2 = node.u2.read_all(fs, io);
+  ut.set_block(node.h, 0, node.u2_transposed ? u2 : transpose(u2));
+  return ut;
+}
+
+bool same_bytes(const Matrix& a, const Matrix& b) {
+  return a.same_shape(b) &&
+         (a.empty() || std::memcmp(a.data().data(), b.data().data(),
+                                   a.data().size_bytes()) == 0);
+}
+
+int tree_depth(const LuNode& node) {
+  return node.leaf ? 0 : 1 + std::max(tree_depth(*node.first),
+                                      tree_depth(*node.second));
+}
+
+/// Both factors built in one buffer are bytewise what per-level assembly
+/// gives, for the same reads.
+void expect_one_buffer_assembly(const dfs::Dfs& fs, const LuNode& node) {
+  IoStats io, oracle_io;
+  EXPECT_TRUE(same_bytes(assemble_l(fs, node, &io),
+                         per_level_l(fs, node, &oracle_io)));
+  EXPECT_TRUE(same_bytes(assemble_ut(fs, node, &io),
+                         per_level_ut(fs, node, &oracle_io)));
+  EXPECT_EQ(io, oracle_io);
+}
+
 void expect_factors(const dfs::Dfs& fs, const LuNode& node, const Matrix& a,
                     double tol) {
+  expect_one_buffer_assembly(fs, node);
   const Matrix l = assemble_l(fs, node);
   const Matrix ut = assemble_ut(fs, node);
   const Matrix pa = node.perm.apply_to_rows(a);
@@ -93,6 +143,31 @@ TEST(LuPipeline, OddSizesAndUntransposed) {
   opts.transposed_u = false;
   const LuNodePtr root = fx.factor(a, opts);
   expect_factors(fx.fs, *root, a, 1e-9);
+}
+
+TEST(LuPipeline, OneBufferAssemblyOnOddTreesOfDepthOneToThree) {
+  // Odd orders make every split uneven (h = ceil(n/2)); both U2 layouts.
+  struct Case {
+    Index n, nb;
+    int depth;
+  };
+  for (const Case c : {Case{15, 8, 1}, Case{29, 8, 2}, Case{37, 5, 3}}) {
+    for (const bool transposed : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "n " << c.n << ", nb " << c.nb
+                                      << ", transposed U2 " << transposed);
+      LuFixture fx(3);
+      InversionOptions opts;
+      opts.nb = c.nb;
+      opts.transposed_u = transposed;
+      const Matrix a = random_matrix(c.n, /*seed=*/static_cast<std::uint64_t>(
+                                         c.n + (transposed ? 1 : 0)));
+      const LuNodePtr root = fx.factor(a, opts);
+      EXPECT_EQ(tree_depth(*root), c.depth);
+      expect_factors(fx.fs, *root, a, 1e-9);
+      // A subtree (the factors of B) assembles on its own the same way.
+      expect_one_buffer_assembly(fx.fs, *root->second);
+    }
+  }
 }
 
 TEST(LuPipeline, JobCountAndMasterWork) {

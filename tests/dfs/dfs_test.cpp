@@ -7,6 +7,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -286,6 +287,114 @@ TEST(Dfs, MemoryTierSkipsDiskAndReplication) {
   IoStats read_io;
   EXPECT_EQ(fs.read_text("/hot", &read_io).size(), 900u);
   EXPECT_EQ(read_io.bytes_read, 900u);
+}
+
+// A one-block replicated file's payload is its writer's buffer, adopted at
+// commit; a memory-tier listener must still be handed exactly the written
+// bytes, and physical bytes must count as they did when commit copied.
+class RecordingListener : public TierListener {
+ public:
+  void on_commit(const std::string& path, StorageTier /*tier*/,
+                 std::uint64_t size, int /*node*/,
+                 std::span<const std::byte> payload,
+                 const IoStats* /*task_io*/) override {
+    paths.push_back(path);
+    sizes.push_back(size);
+    payloads.emplace_back(payload.begin(), payload.end());
+  }
+  void on_open(const std::string&, StorageTier, std::uint64_t) override {}
+  void on_remove(const std::string&) override {}
+
+  std::vector<std::string> paths;
+  std::vector<std::uint64_t> sizes;
+  std::vector<std::vector<std::byte>> payloads;
+};
+
+TEST(Dfs, CommitAdoptsTheWritersBufferAndTheListenerSeesIt) {
+  DfsConfig cfg;
+  cfg.block_size = 64;
+  Dfs fs(4, cfg);
+  RecordingListener listener;
+  fs.set_tier_listener(&listener);
+  const auto pattern = [](std::size_t n, char seed) {
+    std::string s(n, '\0');
+    for (std::size_t i = 0; i < n; ++i) s[i] = static_cast<char>(seed + i % 61);
+    return s;
+  };
+  const std::string one = pattern(64, 'a');     // exactly one block
+  const std::string many = pattern(150, 'A');   // blocks of 64, 64, 22
+  const std::string disk = pattern(50, '0');    // replicated, one block
+  for (const auto& [path, text, tier] :
+       {std::tuple{"/m/one", &one, StorageTier::kMemory},
+        std::tuple{"/m/many", &many, StorageTier::kMemory},
+        std::tuple{"/d/one", &disk, StorageTier::kDisk}}) {
+    auto w = fs.create(path, nullptr, tier);
+    w.reserve(text->size());
+    w.write_text(text->substr(0, 10));
+    w.write_text(text->substr(10));
+    w.close();
+  }
+  fs.set_tier_listener(nullptr);
+
+  ASSERT_EQ(listener.paths.size(), 2u);  // memory-tier commits only
+  EXPECT_EQ(listener.paths[0], "/m/one");
+  EXPECT_EQ(listener.paths[1], "/m/many");
+  EXPECT_EQ(listener.sizes[0], one.size());
+  EXPECT_EQ(listener.sizes[1], many.size());
+  const auto bytes_of = [](const std::string& s) {
+    const auto b = std::as_bytes(std::span(s));
+    return std::vector<std::byte>(b.begin(), b.end());
+  };
+  EXPECT_EQ(listener.payloads[0], bytes_of(one));
+  EXPECT_EQ(listener.payloads[1], bytes_of(many));
+  // One copy per memory-tier block, three per replicated one.
+  EXPECT_EQ(fs.physical_bytes_stored(), one.size() + many.size() +
+                                            3 * disk.size());
+  EXPECT_EQ(fs.file_blocks("/m/one").size(), 1u);
+  EXPECT_EQ(fs.file_blocks("/m/many").size(), 3u);
+  EXPECT_EQ(fs.read_text("/m/one"), one);
+  EXPECT_EQ(fs.read_text("/m/many"), many);
+  EXPECT_EQ(fs.read_text("/d/one"), disk);
+}
+
+TEST(Dfs, ReadSpansHandsOutStoredBytesChargedLikeARead) {
+  DfsConfig cfg;
+  cfg.block_size = 16;
+  MetricsRegistry metrics;
+  Dfs fs(3, cfg, &metrics);
+  std::string text;
+  for (int i = 0; i < 10; ++i) text += "0123456789";
+  fs.write_text("/f", text);
+
+  IoStats spans_io;
+  std::vector<std::size_t> chunks;
+  std::string seen;
+  {
+    auto r = fs.open("/f", &spans_io);
+    r.seek(5);
+    r.read_spans(40, [&](std::span<const std::byte> chunk) {
+      chunks.push_back(chunk.size());
+      seen.append(reinterpret_cast<const char*>(chunk.data()), chunk.size());
+    });
+    EXPECT_EQ(r.remaining(), 55u);
+    EXPECT_THROW(r.read_spans(56, [](std::span<const std::byte>) {}),
+                 DfsError);
+  }
+  // One span per stored block the bytes occupy: 11 + 16 + 13.
+  EXPECT_EQ(chunks, (std::vector<std::size_t>{11, 16, 13}));
+  EXPECT_EQ(seen, text.substr(5, 40));
+
+  IoStats read_io;
+  {
+    auto r = fs.open("/f", &read_io);
+    r.seek(5);
+    std::string copy(40, '\0');
+    r.read_exact(std::as_writable_bytes(std::span(copy)));
+    EXPECT_EQ(copy, seen);
+    std::string rest(55, '\0');
+    r.read_exact(std::as_writable_bytes(std::span(rest)));
+  }
+  EXPECT_EQ(spans_io, read_io);  // the failed span read charged the tail too
 }
 
 // ---- rack-aware placement and transfer recording ----------------------------
