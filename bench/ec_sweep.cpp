@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
   const MrRun hot =
       run_mapreduce(setup, nodes, {}, seed, nullptr, true,
                     policy_world(rs63.spec, {}, /*hot_cache_bytes=*/64ull << 20));
-  const std::uint64_t hot_hits = hot.run_report.storage.hot_cache_hits;
+  const std::uint64_t hot_hits = hot.run_report.storage.hot_cache.hits;
   const bool hot_ok = hot.completed && hot_hits > 0;
   std::printf("hot cache      : %llu hit(s) on cached factors%s\n",
               static_cast<unsigned long long>(hot_hits),

@@ -43,7 +43,7 @@ MrRun run_engine(const ScaledSetup& s, int nodes, std::uint64_t seed,
   return run_mapreduce(s, nodes, opts, seed, nullptr, true, world);
 }
 
-const engine::CacheStats& cache_of(const MrRun& r) {
+const CacheStats& cache_of(const MrRun& r) {
   return r.result.engine_stats.cache;
 }
 

@@ -7,6 +7,8 @@
 //    parallel part shrinks — i.e. with the node count);
 //  * block wrap: the benefit grows with the number of nodes (naive multiply
 //    reads (m0+1)n², wrapped (f1+f2)n²).
+//
+// Exits 1 when one of the two claims printed at the end does not hold.
 #include "harness.hpp"
 
 using namespace mri;
@@ -64,5 +66,5 @@ int main(int argc, char** argv) {
               sep_grows ? "yes (as in the paper)" : "NO (unexpected)");
   std::printf("block-wrap benefit grows with nodes:     %s\n",
               wrap_grows ? "yes (as in the paper)" : "NO (unexpected)");
-  return 0;
+  return sep_grows && wrap_grows ? 0 : 1;
 }

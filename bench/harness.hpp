@@ -186,12 +186,8 @@ inline double pick_kill_time(const MrRun& clean, double fraction) {
   double best_distance = 0.0;
   for (const mr::JobResult& job : clean.result.jobs) {
     if (job.reduce_phase_seconds <= 0.0) continue;
-    const double launch = job.sim_seconds - job.map_phase_seconds -
-                          job.reduce_phase_seconds - job.recovery_seconds -
-                          job.lineage_stall_seconds;
-    const double reduce_start =
-        job.start_seconds + launch + job.map_phase_seconds;
-    const double at = reduce_start + 0.25 * job.reduce_phase_seconds;
+    const double at =
+        job.reduce_phase_start() + 0.25 * job.reduce_phase_seconds;
     const double distance = std::abs(at - target);
     if (best < 0.0 || distance < best_distance) {
       best = at;

@@ -217,7 +217,7 @@ int main(int argc, char** argv) {
                           ci.corruptions_detected == 0 &&
                           repaired_total(ci) == 0 &&
                           ci.cells_quarantined == 0 && ci.scrub_passes == 0 &&
-                          ci.repairs.empty() && ci.scrub_spans.empty() &&
+                          ci.repairs.empty() && ci.scrubs.empty() &&
                           clean.residual < residual_bound;
 
   // clean determinism: a second identical run must be bit-identical.

@@ -768,7 +768,7 @@ int run(int argc, char** argv) {
                   format_bytes(rec.lineage_recomputed_bytes).c_str(),
                   rec.lineage_waves, rec.lineage_recompute_seconds);
     }
-    const dfs::IntegrityStats integrity = fs.integrity_stats();
+    const IntegrityStats integrity = fs.integrity_stats();
     if (integrity.corruptions_injected > 0 || integrity.scrub_passes > 0) {
       std::printf("integrity                : %lld corruption(s) injected, "
                   "%lld detected, %lld repaired (%lld copy / %lld ec / %lld "

@@ -147,7 +147,10 @@ void Dfs::Writer::write_text(std::string_view text) {
 void Dfs::Writer::close() {
   if (closed_) return;
   closed_ = true;
-  fs_->commit(path_, std::move(buffer_), account_, tier_);
+  fs_->commit(path_,
+              {std::make_shared<const std::vector<std::byte>>(
+                  std::move(buffer_))},
+              account_, tier_);
 }
 
 Dfs::Writer Dfs::create(const std::string& path, IoStats* account,
@@ -155,10 +158,11 @@ Dfs::Writer Dfs::create(const std::string& path, IoStats* account,
   return Writer(this, normalize(path), account, tier);
 }
 
-void Dfs::commit(const std::string& path, std::vector<std::byte> buffer,
+void Dfs::commit(const std::string& path, std::vector<BlockData> pieces,
                  IoStats* account, StorageTier tier, bool charged,
                  bool notify) {
-  const std::uint64_t total = buffer.size();
+  std::uint64_t total = 0;
+  for (const BlockData& piece : pieces) total += piece->size();
   // Replicas go to live nodes only; with no dead nodes this degenerates to
   // round-robin over all datanodes, bit-identical to the chaos-free layout.
   std::vector<int> live;
@@ -226,27 +230,25 @@ void Dfs::commit(const std::string& path, std::vector<std::byte> buffer,
   std::vector<BlockId> full_block_ids;
   std::uint64_t checksummed_bytes = 0;
   std::int64_t checksummed_cells = 0;
-
-  // A one-block file that is not erasure coded adopts the writer's buffer as
-  // its payload; larger files copy each block out of it, EC files each cell.
-  const BlockData adopted =
-      !ec_file && total > 0 && total <= config_.block_size
-          ? std::make_shared<const std::vector<std::byte>>(std::move(buffer))
-          : nullptr;
-  const std::span<const std::byte> committed =
-      adopted != nullptr ? std::span<const std::byte>(*adopted)
-                         : std::span<const std::byte>(buffer);
+  std::vector<BlockData> memory_blocks;  // handed to the tier listener
 
   std::vector<BlockLocation> locations;
   std::size_t offset = 0;
+  std::size_t piece = 0;
+  std::size_t piece_start = 0;  // file offset of pieces[piece]
   // Split into blocks; zero-length files get zero blocks.
   while (offset < total) {
     const std::size_t len = std::min(config_.block_size, total - offset);
+    while (offset >= piece_start + pieces[piece]->size()) {
+      piece_start += pieces[piece++]->size();
+    }
+    MRI_CHECK(offset - piece_start + len <= pieces[piece]->size());
+    const auto block = std::span<const std::byte>(*pieces[piece])
+                           .subspan(offset - piece_start, len);
     // The whole-block payload: a replicated block's one copy, or the bytes
     // the hot cache keeps for a candidate. An EC block stores cells only.
-    BlockData payload = adopted;
+    BlockData payload = len == pieces[piece]->size() ? pieces[piece] : nullptr;
     if (payload == nullptr && (!ec_file || hot_candidate)) {
-      const auto block = committed.subspan(offset, len);
       payload = std::make_shared<const std::vector<std::byte>>(block.begin(),
                                                                block.end());
     }
@@ -273,7 +275,7 @@ void Dfs::commit(const std::string& path, std::vector<std::byte> buffer,
             std::make_shared<std::vector<std::byte>>(cell_len, std::byte{0});
         const std::size_t begin = static_cast<std::size_t>(i) * cell_len;
         if (begin < len) {
-          std::memcpy(cell->data(), committed.data() + offset + begin,
+          std::memcpy(cell->data(), block.data() + begin,
                       std::min(cell_len, len - begin));
         }
         data_ptrs.push_back(
@@ -393,6 +395,7 @@ void Dfs::commit(const std::string& path, std::vector<std::byte> buffer,
         }
       }
       loc.data = payload;
+      if (tier == StorageTier::kMemory) memory_blocks.push_back(payload);
     }
     if (config_.verify_checksums) {
       // Write-path checksumming (HDFS computes block checksums client-side
@@ -455,7 +458,7 @@ void Dfs::commit(const std::string& path, std::vector<std::byte> buffer,
     // Fired outside every DFS lock; `account` already includes this write,
     // so the listener's production-IoStats snapshot is the full task cost.
     if (TierListener* listener = tier_listener_.load(std::memory_order_acquire)) {
-      listener->on_commit(path, tier, total, home, committed, account);
+      listener->on_commit(path, tier, total, home, memory_blocks, account);
     }
   }
 }
@@ -474,8 +477,8 @@ void Dfs::spill_to_disk(const std::string& path, IoStats* account) {
   }
 }
 
-void Dfs::restore_file(const std::string& path,
-                       std::span<const std::byte> payload, StorageTier tier) {
+void Dfs::restore_file(const std::string& path, std::vector<BlockData> blocks,
+                       StorageTier tier) {
   const std::string norm = normalize(path);
   if (namenode_.exists(norm)) {
     // Drop the empty-replica skeleton (and any surviving replicas of a
@@ -483,8 +486,7 @@ void Dfs::restore_file(const std::string& path,
     // restore and keeps its lineage record alive.
     checksums_.forget(namenode_.remove(norm, false, nullptr));
   }
-  std::vector<std::byte> buffer(payload.begin(), payload.end());
-  commit(norm, std::move(buffer), /*account=*/nullptr, tier,
+  commit(norm, std::move(blocks), /*account=*/nullptr, tier,
          /*charged=*/false, /*notify=*/false);
 }
 

@@ -108,29 +108,20 @@ struct DfsConfig {
   double scrub_interval_seconds = 0.0;
 };
 
-/// One erasure-coded reconstruction burst: a node death that rebuilt lost
-/// stripe cells from k survivors (feeds the run report's storage lane).
-struct StorageReconstructionEvent {
-  double at = 0.0;  // simulated time of the node kill
-  int node = -1;    // the node that died
-  int cells = 0;    // stripe cells rebuilt
-  std::uint64_t bytes = 0;   // bytes of rebuilt cell payload
-  double seconds = 0.0;      // simulated duration of the whole repair
-};
-
 /// Observer of memory-tier lifecycle events, implemented by the engine layer
 /// (BlockCache + LineageGraph) so the DFS stays ignorant of caching policy.
 /// on_commit fires after a kMemory file commits (never for kDisk), outside
-/// any DFS lock; `payload` views the committed bytes and is only valid for
-/// the duration of the call; `task_io` is the writing task's accounting
-/// (already including this write) or null. on_open fires for every open
-/// while a listener is installed; on_remove per removed file path.
+/// any DFS lock; `blocks` are the committed block payloads in file order —
+/// immutable and shared with the namenode, so a listener may keep them
+/// without copying; `task_io` is the writing task's accounting (already
+/// including this write) or null. on_open fires for every open while a
+/// listener is installed; on_remove per removed file path.
 class TierListener {
  public:
   virtual ~TierListener() = default;
   virtual void on_commit(const std::string& path, StorageTier tier,
                          std::uint64_t size, int node,
-                         std::span<const std::byte> payload,
+                         const std::vector<BlockData>& blocks,
                          const IoStats* task_io) = 0;
   virtual void on_open(const std::string& path, StorageTier tier,
                        std::uint64_t size) = 0;
@@ -302,9 +293,12 @@ class Dfs {
   /// Recommits a file the engine recomputed from lineage after a node loss:
   /// replaces whatever (possibly empty-replica) block skeleton remains,
   /// without charging write IoStats and without notifying the TierListener
-  /// (the engine drives this and does its own accounting). Placement uses
+  /// (the engine drives this and does its own accounting). `blocks` are the
+  /// payloads on_commit handed out, re-adopted without a copy: a lost
+  /// replica only drops the namenode's reference, and corruption is served
+  /// as an overlay, so they still hold the committed bytes. Placement uses
   /// the normal deterministic policy over live nodes.
-  void restore_file(const std::string& path, std::span<const std::byte> payload,
+  void restore_file(const std::string& path, std::vector<BlockData> blocks,
                     StorageTier tier);
 
   /// Installs (or clears, with null) the engine-layer observer of memory-
@@ -407,7 +401,12 @@ class Dfs {
                   const CostModel* cost_model = nullptr);
 
  private:
-  void commit(const std::string& path, std::vector<std::byte> buffer,
+  /// Commits a file whose bytes are `pieces` concatenated: a writer's
+  /// buffer as one piece, or a restored file's former blocks. A piece that
+  /// is exactly one block becomes that block's payload; other blocks, and
+  /// every EC cell, are copied out of the piece that holds them (a block
+  /// never spans two pieces).
+  void commit(const std::string& path, std::vector<BlockData> pieces,
               IoStats* account, StorageTier tier, bool charged = true,
               bool notify = true);
 

@@ -14,18 +14,10 @@
 #include <vector>
 
 #include "dfs/block.hpp"
+#include "sim/layer_stats.hpp"
 #include "sim/metrics.hpp"
 
 namespace mri::dfs {
-
-/// Hot-block cache occupancy and hit totals.
-struct HotCacheStats {
-  std::uint64_t capacity_bytes = 0;
-  std::uint64_t resident_bytes = 0;
-  int resident_files = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t hit_bytes = 0;
-};
 
 class HotCache {
  public:

@@ -56,18 +56,6 @@ void BlockCache::erase(const std::string& path) {
   entries_.erase(it);
 }
 
-void BlockCache::pin(const std::string& path) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(path);
-  if (it != entries_.end()) it->second.pinned = true;
-}
-
-void BlockCache::unpin(const std::string& path) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(path);
-  if (it != entries_.end()) it->second.pinned = false;
-}
-
 bool BlockCache::resident(const std::string& path) const {
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.count(path) != 0;
@@ -90,7 +78,7 @@ std::vector<BlockCache::Eviction> BlockCache::collect_evictions() {
     // deterministic tie-break (entries_ already iterates in path order).
     std::vector<std::pair<std::uint64_t, std::string>> candidates;
     for (const auto& [path, e] : entries_) {
-      if (e.node == node && !e.pinned) candidates.emplace_back(e.epoch, path);
+      if (e.node == node) candidates.emplace_back(e.epoch, path);
     }
     std::sort(candidates.begin(), candidates.end());
     for (const auto& [epoch, path] : candidates) {

@@ -2,9 +2,9 @@
 //
 // The SPIN-style engine keeps job outputs resident in the memory of the node
 // that produced them. Each node has a fixed capacity; when a node is over
-// budget at a job boundary the least-recently-used unpinned entries are
-// evicted (spilled to that node's local disk by the engine, which owns the
-// DFS call). Eviction decisions are taken ONLY at job boundaries — the
+// budget at a job boundary the least-recently-used entries are evicted
+// (spilled to that node's local disk by the engine, which owns the DFS
+// call). Eviction decisions are taken ONLY at job boundaries — the
 // engine's begin_job runs on the thread that places the graph's jobs, one
 // job at a time — so the victim set is a deterministic function of the job
 // sequence, never of task interleaving. Recency is an epoch (the job
@@ -18,21 +18,9 @@
 #include <string>
 #include <vector>
 
-namespace mri::engine {
+#include "sim/layer_stats.hpp"
 
-struct CacheStats {
-  std::uint64_t insertions = 0;
-  std::uint64_t evictions = 0;
-  /// Touches of resident entries (the consumer-side cache hits that make
-  /// pipeline fusion between jobs possible).
-  std::uint64_t hits = 0;
-  std::uint64_t resident_bytes = 0;
-  /// High-water mark of total resident bytes across all nodes. Mid-job
-  /// overshoot is allowed (eviction only runs at job boundaries), so the
-  /// peak can exceed nodes x capacity transiently.
-  std::uint64_t peak_resident_bytes = 0;
-  std::uint64_t spilled_bytes = 0;
-};
+namespace mri::engine {
 
 class BlockCache {
  public:
@@ -49,10 +37,6 @@ class BlockCache {
   /// someone else). No-op when absent.
   void erase(const std::string& path);
 
-  /// Pinned entries are never chosen for eviction.
-  void pin(const std::string& path);
-  void unpin(const std::string& path);
-
   bool resident(const std::string& path) const;
   std::uint64_t resident_bytes(int node) const;
 
@@ -62,10 +46,10 @@ class BlockCache {
     std::uint64_t size = 0;
   };
 
-  /// LRU eviction pass: for every node over capacity, selects unpinned
-  /// entries in ascending (epoch, path) order until the node fits, removes
-  /// them from the cache and returns them (sorted by path) for the caller
-  /// to spill. Deterministic; call only from the job-boundary hook.
+  /// LRU eviction pass: for every node over capacity, selects entries in
+  /// ascending (epoch, path) order until the node fits, removes them from
+  /// the cache and returns them (sorted by path) for the caller to spill.
+  /// Deterministic; call only from the job-boundary hook.
   std::vector<Eviction> collect_evictions();
 
   CacheStats stats() const;
@@ -75,7 +59,6 @@ class BlockCache {
     int node = -1;
     std::uint64_t size = 0;
     std::uint64_t epoch = 0;
-    bool pinned = false;
   };
 
   mutable std::mutex mu_;

@@ -6,18 +6,20 @@
 // lineage-tracked partitions), not re-replicated. The graph records, per
 // memory-tier file, the producing job, the producer task's read-set, its
 // production cost (the task's full IoStats, so the simulated re-run costs
-// what the original run cost), and the payload bytes themselves — the
+// what the original run cost), and the committed block payloads — the
 // simulator runs real computation eagerly, so "recompute" restores the
-// retained payload while charging the simulated re-execution time.
+// retained payload while charging the simulated re-execution time. The
+// payloads are the DFS's own immutable blocks, shared rather than copied,
+// so a tracked partition is held once.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "dfs/block.hpp"
 #include "sim/io_stats.hpp"
 
 namespace mri::engine {
@@ -37,8 +39,8 @@ struct LineageRecord {
   /// The producing task's accounting, including this write — the simulated
   /// cost of one re-execution.
   IoStats production_io;
-  /// Retained payload (see file header); shared so restore is copy-free.
-  std::shared_ptr<const std::vector<std::byte>> payload;
+  /// The committed block payloads, shared with the DFS (see file header).
+  std::vector<dfs::BlockData> blocks;
   /// Tier to restore onto: kMemory normally, kDisk once the file spilled.
   bool on_memory_tier = true;
 };

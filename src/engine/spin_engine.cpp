@@ -71,14 +71,13 @@ EngineStats SpinEngine::stats() const {
 
 void SpinEngine::on_commit(const std::string& path, dfs::StorageTier tier,
                            std::uint64_t size, int node,
-                           std::span<const std::byte> payload,
+                           const std::vector<dfs::BlockData>& blocks,
                            const IoStats* task_io) {
   if (tier != dfs::StorageTier::kMemory) return;
   LineageRecord rec;
   rec.size = size;
   if (task_io != nullptr) rec.production_io = *task_io;
-  rec.payload = std::make_shared<const std::vector<std::byte>>(
-      payload.begin(), payload.end());
+  rec.blocks = blocks;
   rec.on_memory_tier = true;
   // The committing thread IS the producing task: its transfer log's
   // read_paths are exactly the partition's lineage inputs.
@@ -169,11 +168,9 @@ NodeKillOutcome SpinEngine::on_kill(int node, double at) {
         std::lock_guard<std::mutex> lock(mu_);
         rec = lineage_.get(path);
       }
-      fs_->restore_file(
-          path,
-          std::span<const std::byte>(rec.payload->data(), rec.payload->size()),
-          rec.on_memory_tier ? dfs::StorageTier::kMemory
-                             : dfs::StorageTier::kDisk);
+      fs_->restore_file(path, rec.blocks,
+                        rec.on_memory_tier ? dfs::StorageTier::kMemory
+                                           : dfs::StorageTier::kDisk);
       if (rec.on_memory_tier) {
         const auto blocks = fs_->file_blocks(path);
         const int home =

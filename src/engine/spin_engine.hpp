@@ -42,24 +42,10 @@ struct SpillEvent {
   std::uint64_t bytes = 0;
 };
 
-/// One partition rebuilt from lineage, on the absolute simulated timeline.
-struct RecomputeEvent {
-  double at = 0.0;       // when this partition's wave starts
-  double duration = 0.0; // the producing task's simulated re-run time
-  int wave = 0;
-  std::string path;
-  std::uint64_t bytes = 0;
-};
-
-struct EngineStats {
-  CacheStats cache;
-  std::uint64_t tracked_partitions = 0;
-  int partitions_recomputed = 0;
-  int lineage_waves = 0;
-  double recompute_seconds = 0.0;
-  std::uint64_t recomputed_bytes = 0;
+/// The engine's totals (sim/layer_stats.hpp, which the run report embeds)
+/// plus what only the engine's own clock knows: spills by job ordinal.
+struct EngineStats : EngineTotals {
   std::vector<SpillEvent> spills;
-  std::vector<RecomputeEvent> recomputes;
   /// Name of each job seen by begin_job, in ordinal order.
   std::vector<std::string> job_names;
 };
@@ -91,7 +77,7 @@ class SpinEngine final : public dfs::TierListener {
   // -- dfs::TierListener ----------------------------------------------------
   void on_commit(const std::string& path, dfs::StorageTier tier,
                  std::uint64_t size, int node,
-                 std::span<const std::byte> payload,
+                 const std::vector<dfs::BlockData>& blocks,
                  const IoStats* task_io) override;
   void on_open(const std::string& path, dfs::StorageTier tier,
                std::uint64_t size) override;

@@ -8,6 +8,7 @@
 //  * tasks read and write their real payload directly in the DFS.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -17,6 +18,7 @@
 #include "mapreduce/context.hpp"
 #include "net/flow_sim.hpp"
 #include "sim/io_stats.hpp"
+#include "sim/layer_stats.hpp"
 #include "sim/trace.hpp"
 
 namespace mri::mr {
@@ -93,16 +95,27 @@ struct JobResult {
   /// indexed by Topology link id; recovery waves fold into the map phase.
   std::vector<net::LinkLoad> map_link_loads;
   std::vector<net::LinkLoad> reduce_link_loads;
-  /// Recorded DFS/shuffle bytes split by how far they travelled.
-  std::uint64_t net_node_local_bytes = 0;
-  std::uint64_t net_rack_local_bytes = 0;
-  std::uint64_t net_cross_rack_bytes = 0;
-  /// Attempts dispatched inside (or outside) their task's home rack.
-  int rack_local_attempts = 0;
-  int cross_rack_attempts = 0;
+  /// Recorded DFS/shuffle bytes by how far they travelled, and attempts by
+  /// rack locality, summed over both phases.
+  NetworkTotals net;
   /// Run-relative start of this job on its JobGraph's timeline (stamped by
   /// JobGraph::wait; 0 for a job run outside a graph).
   double start_seconds = 0.0;
+
+  /// Run-relative start of the map phase. sim_seconds = launch + lineage
+  /// stall + map + recovery stall + reduce, so the launch overhead (with
+  /// any lineage stall) is the remainder. The one formula the trace, the
+  /// spill lane and kill-time pickers share.
+  double map_phase_start() const {
+    return start_seconds +
+           std::max(0.0, sim_seconds - map_phase_seconds - recovery_seconds -
+                             reduce_phase_seconds);
+  }
+  /// Run-relative start of the reduce phase: after the map phase and the
+  /// recovery waves it waited for.
+  double reduce_phase_start() const {
+    return map_phase_start() + map_phase_seconds + recovery_seconds;
+  }
 };
 
 }  // namespace mri::mr

@@ -292,12 +292,7 @@ JobResult JobRunner::finish(ExecutedJob executed, SlotPool* pool,
     result.io += s.chaos_io;
     result.recovery_io += s.chaos_io;
     result.chaos_attempts_killed += s.chaos_attempts_killed;
-    // Flow-level network accounting (all zero on flat runs).
-    result.net_node_local_bytes += s.net_node_local_bytes;
-    result.net_rack_local_bytes += s.net_rack_local_bytes;
-    result.net_cross_rack_bytes += s.net_cross_rack_bytes;
-    result.rack_local_attempts += s.rack_local_attempts;
-    result.cross_rack_attempts += s.cross_rack_attempts;
+    result.net += s.net;  // flow-level network totals (zero on flat runs)
   };
 
   // The map phase starts once the job is launched; the reduce phase once the
@@ -323,118 +318,109 @@ JobResult JobRunner::finish(ExecutedJob executed, SlotPool* pool,
   if (!executed.reduce_attempts.empty()) {
     double reduce_start = map_start + result.map_phase_seconds;
 
+    // Hadoop node-loss semantics: a completed map task's output lives on
+    // its tasktracker's local disk, so a node death before the reduce
+    // phase has consumed it forces the map task to re-execute. Model:
+    // every kill inside the job's map..reduce window whose node hosted
+    // completed map attempts triggers a recovery wave (the lost tasks
+    // re-scheduled on survivors once the failure is detected); the reduce
+    // phase starts only after the last wave. Waves can cascade — a later
+    // kill can take out a wave's own outputs — so iterate to a fixpoint
+    // (each kill is processed at most once; the loop terminates). Without
+    // a kill the loop schedules the reduce phase once.
+    std::vector<ChaosEvent> kills;
     if (has_chaos) {
-      // Hadoop node-loss semantics: a completed map task's output lives on
-      // its tasktracker's local disk, so a node death before the reduce
-      // phase has consumed it forces the map task to re-execute. Model:
-      // every kill inside the job's map..reduce window whose node hosted
-      // completed map attempts triggers a recovery wave (the lost tasks
-      // re-scheduled on survivors once the failure is detected); the reduce
-      // phase starts only after the last wave. Waves can cascade — a later
-      // kill can take out a wave's own outputs — so iterate to a fixpoint
-      // (each kill is processed at most once; the loop terminates).
-      std::vector<ChaosEvent> kills;
       for (const ChaosEvent& e : chaos_->events()) {
         if (e.kind == ChaosEventKind::kKillNode && e.node < cluster_->size()) {
           kills.push_back(e);
         }
       }
-      struct OutputCopy {
-        int task;
-        int node;
-      };
-      std::vector<OutputCopy> outputs;
-      std::vector<int> next_attempt(
-          static_cast<std::size_t>(result.map_tasks), 0);
-      for (const TaskTraceEvent& ev : result.map_trace) {
-        if (!ev.failed) outputs.push_back(OutputCopy{ev.task, ev.node});
-        auto& next = next_attempt[static_cast<std::size_t>(ev.task)];
-        next = std::max(next, ev.attempt + 1);
-      }
-
-      std::vector<bool> kill_done(kills.size(), false);
-      PhaseSchedule reduce_phase;
-      while (true) {
-        reduce_phase = schedule(executed.reduce_attempts, reduce_start, false);
-        const double reduce_end = reduce_start + reduce_phase.duration;
-        bool rescheduled = false;
-        for (std::size_t k = 0; k < kills.size(); ++k) {
-          if (kill_done[k] || kills[k].at >= reduce_end) continue;
-          kill_done[k] = true;
-          // Map tasks with a completed attempt on the dead node lose that
-          // output (every copy on the node finished before the kill — the
-          // scheduler truncates in-flight attempts at the outage).
-          std::vector<int> lost;
-          for (const OutputCopy& c : outputs) {
-            if (c.node == kills[k].node) lost.push_back(c.task);
-          }
-          std::sort(lost.begin(), lost.end());
-          lost.erase(std::unique(lost.begin(), lost.end()), lost.end());
-          if (lost.empty()) continue;
-
-          std::vector<std::vector<Attempt>> wave;
-          wave.reserve(lost.size());
-          for (const int t : lost) {
-            // The re-execution re-does the whole attempt, transfers
-            // included (endpoints stay as originally recorded — a fair
-            // approximation of re-reading the same replicas).
-            wave.push_back(
-                {executed.map_attempts[static_cast<std::size_t>(t)].back()});
-          }
-          const double wave_start =
-              kills[k].at + model.failure_detection_seconds;
-          PhaseSchedule wave_phase = schedule(wave, wave_start, true);
-          charge_phase(wave_phase);
-          merge_link_loads(&result.map_link_loads, wave_phase.link_loads);
-          std::vector<int> wave_attempts(lost.size(), 0);
-          for (const TaskTraceEvent& ev : wave_phase.trace) {
-            const int task = lost[static_cast<std::size_t>(ev.task)];
-            TaskTraceEvent rec = ev;
-            rec.task = task;
-            rec.attempt =
-                next_attempt[static_cast<std::size_t>(task)] + ev.attempt;
-            rec.recovery = true;
-            rec.start += wave_start - map_start;
-            rec.end += wave_start - map_start;
-            result.map_trace.push_back(rec);
-            if (!ev.failed) outputs.push_back(OutputCopy{task, ev.node});
-            auto& used = wave_attempts[static_cast<std::size_t>(ev.task)];
-            used = std::max(used, ev.attempt + 1);
-          }
-          for (std::size_t i = 0; i < lost.size(); ++i) {
-            next_attempt[static_cast<std::size_t>(lost[i])] +=
-                wave_attempts[i];
-          }
-          for (const int t : lost) {
-            // The re-executed attempt re-does its full footprint.
-            const IoStats& redo =
-                executed.map_attempts[static_cast<std::size_t>(t)].back().io;
-            result.io += redo;
-            result.recovery_io += redo;
-          }
-          result.tasks_recomputed += static_cast<int>(lost.size());
-          reduce_start =
-              std::max(reduce_start, wave_start + wave_phase.duration);
-          rescheduled = true;
-          break;
-        }
-        if (!rescheduled) break;
-      }
-      if (pool != nullptr) pool->commit(reduce_phase.trace, reduce_start);
-      result.recovery_seconds =
-          reduce_start - (map_start + result.map_phase_seconds);
-      result.reduce_phase_seconds = reduce_phase.duration;
-      charge_phase(reduce_phase);
-      merge_link_loads(&result.reduce_link_loads, reduce_phase.link_loads);
-      result.reduce_trace = std::move(reduce_phase.trace);
-    } else {
-      PhaseSchedule reduce_phase =
-          schedule(executed.reduce_attempts, reduce_start, true);
-      result.reduce_phase_seconds = reduce_phase.duration;
-      charge_phase(reduce_phase);
-      merge_link_loads(&result.reduce_link_loads, reduce_phase.link_loads);
-      result.reduce_trace = std::move(reduce_phase.trace);
     }
+    struct OutputCopy {
+      int task;
+      int node;
+    };
+    std::vector<OutputCopy> outputs;
+    std::vector<int> next_attempt(static_cast<std::size_t>(result.map_tasks),
+                                  0);
+    for (const TaskTraceEvent& ev : result.map_trace) {
+      if (!ev.failed) outputs.push_back(OutputCopy{ev.task, ev.node});
+      auto& next = next_attempt[static_cast<std::size_t>(ev.task)];
+      next = std::max(next, ev.attempt + 1);
+    }
+
+    std::vector<bool> kill_done(kills.size(), false);
+    PhaseSchedule reduce_phase;
+    while (true) {
+      reduce_phase = schedule(executed.reduce_attempts, reduce_start, false);
+      const double reduce_end = reduce_start + reduce_phase.duration;
+      bool rescheduled = false;
+      for (std::size_t k = 0; k < kills.size(); ++k) {
+        if (kill_done[k] || kills[k].at >= reduce_end) continue;
+        kill_done[k] = true;
+        // Map tasks with a completed attempt on the dead node lose that
+        // output (every copy on the node finished before the kill — the
+        // scheduler truncates in-flight attempts at the outage).
+        std::vector<int> lost;
+        for (const OutputCopy& c : outputs) {
+          if (c.node == kills[k].node) lost.push_back(c.task);
+        }
+        std::sort(lost.begin(), lost.end());
+        lost.erase(std::unique(lost.begin(), lost.end()), lost.end());
+        if (lost.empty()) continue;
+
+        std::vector<std::vector<Attempt>> wave;
+        wave.reserve(lost.size());
+        for (const int t : lost) {
+          // The re-execution re-does the whole attempt, transfers included
+          // (endpoints stay as originally recorded — a fair approximation
+          // of re-reading the same replicas).
+          wave.push_back(
+              {executed.map_attempts[static_cast<std::size_t>(t)].back()});
+        }
+        const double wave_start = kills[k].at + model.failure_detection_seconds;
+        PhaseSchedule wave_phase = schedule(wave, wave_start, true);
+        charge_phase(wave_phase);
+        merge_link_loads(&result.map_link_loads, wave_phase.link_loads);
+        std::vector<int> wave_attempts(lost.size(), 0);
+        for (const TaskTraceEvent& ev : wave_phase.trace) {
+          const int task = lost[static_cast<std::size_t>(ev.task)];
+          TaskTraceEvent rec = ev;
+          rec.task = task;
+          rec.attempt =
+              next_attempt[static_cast<std::size_t>(task)] + ev.attempt;
+          rec.recovery = true;
+          rec.start += wave_start - map_start;
+          rec.end += wave_start - map_start;
+          result.map_trace.push_back(rec);
+          if (!ev.failed) outputs.push_back(OutputCopy{task, ev.node});
+          auto& used = wave_attempts[static_cast<std::size_t>(ev.task)];
+          used = std::max(used, ev.attempt + 1);
+        }
+        for (std::size_t i = 0; i < lost.size(); ++i) {
+          next_attempt[static_cast<std::size_t>(lost[i])] += wave_attempts[i];
+        }
+        for (const int t : lost) {
+          // The re-executed attempt re-does its full footprint.
+          const IoStats& redo =
+              executed.map_attempts[static_cast<std::size_t>(t)].back().io;
+          result.io += redo;
+          result.recovery_io += redo;
+        }
+        result.tasks_recomputed += static_cast<int>(lost.size());
+        reduce_start = std::max(reduce_start, wave_start + wave_phase.duration);
+        rescheduled = true;
+        break;
+      }
+      if (!rescheduled) break;
+    }
+    if (pool != nullptr) pool->commit(reduce_phase.trace, reduce_start);
+    result.recovery_seconds =
+        reduce_start - (map_start + result.map_phase_seconds);
+    result.reduce_phase_seconds = reduce_phase.duration;
+    charge_phase(reduce_phase);
+    merge_link_loads(&result.reduce_link_loads, reduce_phase.link_loads);
+    result.reduce_trace = std::move(reduce_phase.trace);
   }
 
   result.sim_seconds = launch + result.lineage_stall_seconds +

@@ -413,9 +413,9 @@ PhaseSchedule schedule_phase(
             Placement{p.task, p.data_index, slot.node, start});
         const int home = p.task % cluster.size();
         if (topo->rack_of(slot.node) == topo->rack_of(home)) {
-          ++o.rack_local_attempts;
+          ++o.net.rack_local_attempts;
         } else {
-          ++o.cross_rack_attempts;
+          ++o.net.cross_rack_attempts;
         }
       }
 
@@ -523,11 +523,11 @@ PhaseSchedule schedule_phase(
       for (const net::Transfer& tr : transfers) {
         if (tr.src < 0 || tr.dst < 0) continue;
         if (tr.src == tr.dst) {
-          out.net_node_local_bytes += tr.bytes;
+          out.net.node_local_bytes += tr.bytes;
         } else if (topo->rack_of(tr.src) == topo->rack_of(tr.dst)) {
-          out.net_rack_local_bytes += tr.bytes;
+          out.net.rack_local_bytes += tr.bytes;
         } else {
-          out.net_cross_rack_bytes += tr.bytes;
+          out.net.cross_rack_bytes += tr.bytes;
         }
       }
     }

@@ -20,6 +20,7 @@
 #include "net/flow_sim.hpp"
 #include "sim/cluster.hpp"
 #include "sim/io_stats.hpp"
+#include "sim/layer_stats.hpp"
 #include "sim/trace.hpp"
 
 namespace mri::mr {
@@ -87,14 +88,9 @@ struct PhaseSchedule {
   /// one global flow simulation of every recorded transfer at its attempt's
   /// start time.
   std::vector<net::LinkLoad> link_loads;
-  /// Recorded transfer bytes split by distance travelled.
-  std::uint64_t net_node_local_bytes = 0;
-  std::uint64_t net_rack_local_bytes = 0;
-  std::uint64_t net_cross_rack_bytes = 0;
-  /// Attempts dispatched inside (vs outside) the rack of their task's home
-  /// node (task % cluster size).
-  int rack_local_attempts = 0;
-  int cross_rack_attempts = 0;
+  /// Transfer bytes by distance and attempts by rack locality (a task's
+  /// home node is task % cluster size).
+  NetworkTotals net;
 };
 
 /// Schedules `attempts_per_task[t]` = the ordered attempts of task t (zero or

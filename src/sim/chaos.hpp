@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "sim/io_stats.hpp"
+#include "sim/layer_stats.hpp"
 
 namespace mri {
 
@@ -108,37 +109,6 @@ struct NodeKillOutcome {
   /// Erasure-coded reconstruction totals for this kill: lost stripe cells
   /// rebuilt from k survivors (EC files repair by decode fan-in instead of
   /// replica copy; both are folded into re_replication_seconds).
-  int ec_cells_reconstructed = 0;
-  std::uint64_t ec_reconstructed_bytes = 0;
-};
-
-/// Recovery totals the engine itself observed while applying events, plus
-/// service-level retry accounting fed in via note_*(). Task-level recompute
-/// totals live in JobResult (the runtime owns that side).
-struct RecoveryStats {
-  int nodes_killed = 0;
-  int nodes_degraded = 0;
-  int read_errors_injected = 0;
-  /// kCorruptBlock events applied (injected silent corruptions; whether
-  /// they were *detected* is the integrity layer's story, not chaos's).
-  int blocks_corrupted = 0;
-  std::uint64_t re_replicated_bytes = 0;
-  int re_replicated_blocks = 0;
-  int blocks_lost = 0;
-  /// Simulated seconds of background repair, summed over the kill
-  /// outcomes; informational, the pipeline does not block on it, matching
-  /// HDFS background re-replication.
-  double re_replication_seconds = 0.0;
-  int request_retries = 0;
-  int requests_unrecoverable = 0;
-  /// Lineage-recovery aggregates across all kills (SPIN engine only; all
-  /// zero under the replication-based recovery path).
-  int partitions_recomputed = 0;
-  int lineage_waves = 0;
-  double lineage_recompute_seconds = 0.0;
-  std::uint64_t lineage_recomputed_bytes = 0;
-  /// Erasure-coded cell reconstructions across all kills (zero on pure
-  /// replication runs).
   int ec_cells_reconstructed = 0;
   std::uint64_t ec_reconstructed_bytes = 0;
 };

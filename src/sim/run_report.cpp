@@ -304,12 +304,12 @@ std::string run_report_json(const RunReport& report) {
   w.begin_object("engine")
       .field("enabled", eng.enabled)
       .begin_object("cache")
-      .field("insertions", eng.cache_insertions)
-      .field("evictions", eng.cache_evictions)
-      .field("hits", eng.cache_hits)
-      .field("resident_bytes", eng.cache_resident_bytes)
-      .field("peak_resident_bytes", eng.cache_peak_resident_bytes)
-      .field("spilled_bytes", eng.spilled_bytes)
+      .field("insertions", eng.cache.insertions)
+      .field("evictions", eng.cache.evictions)
+      .field("hits", eng.cache.hits)
+      .field("resident_bytes", eng.cache.resident_bytes)
+      .field("peak_resident_bytes", eng.cache.peak_resident_bytes)
+      .field("spilled_bytes", eng.cache.spilled_bytes)
       .end_object()
       .field("tracked_partitions", eng.tracked_partitions)
       .field("partitions_recomputed", eng.partitions_recomputed)
@@ -326,7 +326,7 @@ std::string run_report_json(const RunReport& report) {
         .end_object();
   }
   w.end_array().begin_array("recomputes");
-  for (const EngineRecomputeSpan& r : eng.recomputes) {
+  for (const RecomputeEvent& r : eng.recomputes) {
     w.begin_object()
         .field("at", r.at)
         .field("duration", r.duration)
@@ -351,14 +351,14 @@ std::string run_report_json(const RunReport& report) {
       .field("degraded_reads", sto.degraded_reads)
       .field("cells_reconstructed", sto.cells_reconstructed)
       .begin_object("hot_cache")
-      .field("capacity_bytes", sto.hot_cache_capacity_bytes)
-      .field("resident_bytes", sto.hot_cache_resident_bytes)
-      .field("resident_files", sto.hot_cache_resident_files)
-      .field("hits", sto.hot_cache_hits)
-      .field("hit_bytes", sto.hot_cache_hit_bytes)
+      .field("capacity_bytes", sto.hot_cache.capacity_bytes)
+      .field("resident_bytes", sto.hot_cache.resident_bytes)
+      .field("resident_files", sto.hot_cache.resident_files)
+      .field("hits", sto.hot_cache.hits)
+      .field("hit_bytes", sto.hot_cache.hit_bytes)
       .end_object()
       .begin_array("reconstructions");
-  for (const StorageReconstruction& r : sto.reconstructions) {
+  for (const StorageReconstructionEvent& r : sto.reconstructions) {
     w.begin_object()
         .field("at", r.at)
         .field("node", r.node)
@@ -387,7 +387,7 @@ std::string run_report_json(const RunReport& report) {
       .field("scrub_bytes_scanned", integ.scrub_bytes_scanned)
       .field("scrub_seconds", integ.scrub_seconds)
       .begin_array("repairs");
-  for (const IntegrityRepairSpan& r : integ.repairs) {
+  for (const IntegrityRepairEvent& r : integ.repairs) {
     w.begin_object()
         .field("at", r.at)
         .field("node", r.node)
@@ -399,7 +399,7 @@ std::string run_report_json(const RunReport& report) {
         .end_object();
   }
   w.end_array().begin_array("scrubs");
-  for (const ScrubPassSpan& s : integ.scrub_spans) {
+  for (const ScrubPassEvent& s : integ.scrubs) {
     w.begin_object()
         .field("at", s.at)
         .field("seconds", s.seconds)
@@ -732,7 +732,7 @@ std::string chrome_trace_json(const RunReport& report) {
           .field("bytes", s.bytes);
       end_event(w);
     }
-    for (const EngineRecomputeSpan& r : report.engine.recomputes) {
+    for (const RecomputeEvent& r : report.engine.recomputes) {
       name = "recompute ";
       name += r.path;
       begin_event(w, name, "engine", kEnginePid, 1 + r.wave,
@@ -748,7 +748,8 @@ std::string chrome_trace_json(const RunReport& report) {
   if (!report.storage.reconstructions.empty()) {
     process_name(w, kStoragePid, "storage");
     int lane = 0;
-    for (const StorageReconstruction& r : report.storage.reconstructions) {
+    for (const StorageReconstructionEvent& r :
+         report.storage.reconstructions) {
       name = "reconstruct node ";
       name += std::to_string(r.node);
       begin_event(w, name, "storage", kStoragePid, lane++,
@@ -762,10 +763,9 @@ std::string chrome_trace_json(const RunReport& report) {
   // Integrity lane: scrubber passes as spans (tid 0) and individual repairs
   // as instant markers (tid 1), so detection-and-repair reads next to the
   // faults lane that injected the corruption.
-  if (!report.integrity.repairs.empty() ||
-      !report.integrity.scrub_spans.empty()) {
+  if (!report.integrity.repairs.empty() || !report.integrity.scrubs.empty()) {
     process_name(w, kIntegrityPid, "integrity");
-    for (const ScrubPassSpan& s : report.integrity.scrub_spans) {
+    for (const ScrubPassEvent& s : report.integrity.scrubs) {
       begin_event(w, "scrub pass", "integrity", kIntegrityPid, 0,
                   span_us(s.at, s.seconds))
           .field("bytes_scanned", s.bytes_scanned)
@@ -773,7 +773,7 @@ std::string chrome_trace_json(const RunReport& report) {
           .field("cells_repaired", s.cells_repaired);
       end_event(w);
     }
-    for (const IntegrityRepairSpan& r : report.integrity.repairs) {
+    for (const IntegrityRepairEvent& r : report.integrity.repairs) {
       name = "repair ";
       name += r.kind;
       name += ' ';

@@ -8,6 +8,14 @@
 //   * run_report_json()  — machine-readable summary (schema in README.md);
 //   * chrome_trace_json() — Chrome trace_event format; load the file in
 //     chrome://tracing (or ui.perfetto.dev) to see the per-slot timeline.
+//
+// The layers' counters and events are not declared again here. Each record
+// lives once in sim/layer_stats.hpp; the layer that counts it (DFS, SPIN
+// engine, scheduler, chaos engine) fills it, and the sections below embed
+// it, adding only what the layer cannot know (configuration, job-side
+// totals, times mapped onto the run timeline, link names). The DFS keeps
+// one using-declaration of IntegrityStats because perfbench/ names the
+// record dfs::IntegrityStats.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +25,7 @@
 
 #include "sim/chaos.hpp"
 #include "sim/io_stats.hpp"
+#include "sim/layer_stats.hpp"
 #include "sim/trace.hpp"
 
 namespace mri {
@@ -32,22 +41,15 @@ struct LinkReport {
   double peak_utilization = 0.0;  // fraction of link capacity, in [0, 1]
 };
 
-/// Flow-level network accounting for the run. `enabled` is false (and
-/// everything zero/empty) unless a racked topology was attached to the
-/// cluster.
-struct NetworkReport {
+/// Flow-level network accounting for the run: the jobs' network totals plus
+/// the topology they ran on. `enabled` is false (and everything zero/empty)
+/// unless a racked topology was attached to the cluster.
+struct NetworkReport : NetworkTotals {
   bool enabled = false;
   std::string topology = "flat";
   int racks = 0;
   double oversubscription = 1.0;
   bool rack_aware_placement = false;
-  /// Recorded DFS/shuffle transfer bytes split by distance travelled.
-  std::uint64_t node_local_bytes = 0;
-  std::uint64_t rack_local_bytes = 0;
-  std::uint64_t cross_rack_bytes = 0;
-  /// Task attempts dispatched inside (vs outside) their home rack.
-  int rack_local_attempts = 0;
-  int cross_rack_attempts = 0;
   /// Per-link totals, indexed by topology link id.
   std::vector<LinkReport> links;
 };
@@ -157,90 +159,27 @@ struct TenantReport {
   int unrecoverable = 0;
 };
 
-/// Fault-recovery accounting for one run: what the chaos engine broke and
-/// what every layer paid to absorb it. Job-side fields (tasks_recomputed,
-/// attempts_killed, recovery_io, recovery_seconds) are summed from
-/// JobResults; DFS/service-side fields come from the engine's RecoveryStats.
-/// All zero for a chaos-free run.
-struct RecoveryReport {
-  int nodes_killed = 0;
-  int nodes_degraded = 0;
-  int read_errors_injected = 0;
+/// Fault-recovery accounting for one run: what the chaos engine broke (its
+/// RecoveryStats) and what every layer paid to absorb it. The job-side
+/// fields below are summed from JobResults. All zero for a chaos-free run.
+struct RecoveryReport : RecoveryStats {
   int tasks_recomputed = 0;      // completed maps re-executed (outputs died)
   int attempts_killed = 0;       // in-flight attempts lost to node outages
-  std::uint64_t re_replicated_bytes = 0;
-  std::uint64_t re_replicated_blocks = 0;
-  std::uint64_t blocks_lost = 0;  // blocks with every replica gone
-  double re_replication_seconds = 0.0;
   /// Reduce-phase stall waiting for map recomputation waves (summed).
   double recovery_seconds = 0.0;
   IoStats recovery_io;  // wasted + re-done task footprint (included in io)
-  int request_retries = 0;
-  int requests_unrecoverable = 0;
-  /// SPIN-engine lineage recovery (zero unless the in-memory engine handled
-  /// a node kill): memory-tier partitions rebuilt by recomputation, the
-  /// ascending-depth waves that rebuilt them, and the simulated re-execution
-  /// cost — the in-memory counterpart of re_replicated_bytes/seconds.
-  int partitions_recomputed = 0;
-  int lineage_waves = 0;
-  double lineage_recompute_seconds = 0.0;
-  std::uint64_t lineage_recomputed_bytes = 0;
-  /// Erasure-coded stripe repair after node kills (zero on replicated runs):
-  /// cells rebuilt by decoding k survivors, and the bytes they restored —
-  /// the EC counterpart of re_replicated_blocks/bytes.
-  int ec_cells_reconstructed = 0;
-  std::uint64_t ec_reconstructed_bytes = 0;
   /// Injected read errors that a replica/cell failover absorbed (the
   /// "dfs_read_errors_survived" counter).
   std::uint64_t read_errors_survived = 0;
 };
 
-/// One integrity repair on the run timeline: a corrupt copy re-materialized
-/// from a healthy replica ("copy"), decoded from k clean survivors ("ec"),
-/// or recomputed from lineage ("lineage") — triggered by a verifying read
-/// or by the background scrubber.
-struct IntegrityRepairSpan {
-  double at = 0.0;
-  int node = 0;
-  std::string path;
-  int cell = 0;
-  std::uint64_t bytes = 0;
-  std::string kind = "copy";
-  bool by_scrubber = false;
-};
-
-/// One background scrubber pass over the namespace.
-struct ScrubPassSpan {
-  double at = 0.0;
-  double seconds = 0.0;
-  std::uint64_t bytes_scanned = 0;
-  std::int64_t cells_verified = 0;
-  std::int64_t cells_repaired = 0;
-};
-
-/// End-to-end data-integrity accounting: write-path checksumming,
-/// verify-on-read, silent-corruption injection, read-repair and the
-/// background scrubber. Always present in the report (stable schema); on a
-/// run with verification off and no corruption every field is zero, which
-/// keeps pre-integrity reports bit-identical. Kept free of src/dfs types so
-/// report consumers need no DFS dependency.
-struct IntegrityReport {
+/// End-to-end data-integrity accounting: the DFS's IntegrityStats plus the
+/// verification configuration. Always present in the report (stable
+/// schema); on a run with verification off and no corruption every field is
+/// zero, which keeps pre-integrity reports bit-identical.
+struct IntegrityReport : IntegrityStats {
   bool verify_checksums = false;
   double scrub_interval_seconds = 0.0;
-  std::int64_t cells_checksummed = 0;  // cells CRC'd on the write path
-  std::int64_t cells_verified = 0;     // cells CRC-checked on read/scrub
-  std::uint64_t bytes_verified = 0;
-  std::int64_t corruptions_injected = 0;
-  std::int64_t corruptions_detected = 0;
-  std::int64_t cells_repaired_copy = 0;
-  std::int64_t cells_repaired_ec = 0;
-  std::int64_t cells_repaired_lineage = 0;
-  std::int64_t cells_quarantined = 0;
-  std::int64_t scrub_passes = 0;
-  std::uint64_t scrub_bytes_scanned = 0;
-  double scrub_seconds = 0.0;
-  std::vector<IntegrityRepairSpan> repairs;
-  std::vector<ScrubPassSpan> scrub_spans;
 };
 
 /// One cache eviction spilled to local disk, on the run timeline (`at` is
@@ -251,56 +190,20 @@ struct EngineSpillSpan {
   std::uint64_t bytes = 0;
 };
 
-/// One memory-tier partition rebuilt from lineage after a node kill.
-struct EngineRecomputeSpan {
-  double at = 0.0;        // when the partition's recovery wave starts
-  double duration = 0.0;  // the producing task's simulated re-run time
-  int wave = 0;           // 0-based ascending-depth wave index
-  std::string path;
-  std::uint64_t bytes = 0;
-};
-
-/// SPIN-style in-memory engine accounting: block-cache behaviour, lineage
-/// tracking and recovery totals. `enabled` is false (everything zero/empty)
-/// on Hadoop-style disk-tier runs. Kept free of src/engine types so report
-/// consumers need no engine dependency.
-struct EngineReport {
+/// SPIN-style in-memory engine accounting: the engine's cache and lineage
+/// totals plus its spills on the run timeline. `enabled` is false
+/// (everything zero/empty) on Hadoop-style disk-tier runs.
+struct EngineReport : EngineTotals {
   bool enabled = false;
-  std::uint64_t cache_insertions = 0;
-  std::uint64_t cache_evictions = 0;
-  /// Consumer-side touches of resident entries — the reads that stream at
-  /// memory bandwidth (pipeline fusion between producer and consumer jobs).
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_resident_bytes = 0;  // at end of run
-  std::uint64_t cache_peak_resident_bytes = 0;
-  std::uint64_t spilled_bytes = 0;
-  std::uint64_t tracked_partitions = 0;  // lineage records live at end of run
-  int partitions_recomputed = 0;
-  int lineage_waves = 0;
-  double recompute_seconds = 0.0;
-  std::uint64_t recomputed_bytes = 0;
   /// Job map-phase stalls waiting for lineage recovery (summed over jobs).
   double lineage_stall_seconds = 0.0;
   std::vector<EngineSpillSpan> spills;
-  std::vector<EngineRecomputeSpan> recomputes;
-};
-
-/// One erasure-coded stripe repair after a node kill, on the run timeline:
-/// `cells` cells decoded back from k survivors and re-placed, costing
-/// `seconds` (k-survivor fan-in through the network model + decode CPU).
-struct StorageReconstruction {
-  double at = 0.0;
-  int node = 0;  // the killed node whose cells were rebuilt
-  int cells = 0;
-  std::uint64_t bytes = 0;
-  double seconds = 0.0;
 };
 
 /// DFS storage-policy accounting: logical vs physical footprint, parity and
 /// reconstruction traffic, and the namenode hot-block cache. Always present
 /// in the report (stable schema); on replicated runs `policy` is "replicate",
-/// ec_k/ec_m are zero and every EC counter stays zero. Kept free of src/dfs
-/// types so report consumers need no DFS dependency.
+/// ec_k/ec_m are zero and every EC counter stays zero.
 struct StorageReport {
   std::string policy = "replicate";
   int ec_k = 0;
@@ -315,14 +218,9 @@ struct StorageReport {
   std::uint64_t reconstructed_bytes = 0;
   std::uint64_t degraded_reads = 0;
   std::uint64_t cells_reconstructed = 0;
-  /// Namenode hot-block cache (zero when disabled).
-  std::uint64_t hot_cache_capacity_bytes = 0;
-  std::uint64_t hot_cache_resident_bytes = 0;
-  std::uint64_t hot_cache_resident_files = 0;
-  std::uint64_t hot_cache_hits = 0;
-  std::uint64_t hot_cache_hit_bytes = 0;
+  HotCacheStats hot_cache;
   /// Stripe repairs after node kills, in kill order.
-  std::vector<StorageReconstruction> reconstructions;
+  std::vector<StorageReconstructionEvent> reconstructions;
 };
 
 /// Compute-kernel engine accounting: which GEMM/TRSM backend and multiply

@@ -79,10 +79,8 @@ double pick_kill_time(const E2eRun& clean) {
   double best = -1.0, best_distance = 0.0;
   for (const mr::JobResult& job : clean.jobs) {
     if (job.reduce_phase_seconds <= 0.0) continue;
-    const double launch = job.sim_seconds - job.map_phase_seconds -
-                          job.reduce_phase_seconds - job.recovery_seconds;
-    const double at = job.start_seconds + launch + job.map_phase_seconds +
-                      0.25 * job.reduce_phase_seconds;
+    const double at =
+        job.reduce_phase_start() + 0.25 * job.reduce_phase_seconds;
     const double distance = std::abs(at - target);
     if (best < 0.0 || distance < best_distance) {
       best = at;

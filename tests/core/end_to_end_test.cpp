@@ -22,7 +22,8 @@ namespace {
 class OpenThreadCounter : public dfs::TierListener {
  public:
   void on_commit(const std::string&, dfs::StorageTier, std::uint64_t, int,
-                 std::span<const std::byte>, const IoStats*) override {}
+                 const std::vector<dfs::BlockData>&,
+                 const IoStats*) override {}
   void on_open(const std::string&, dfs::StorageTier, std::uint64_t) override {
     (std::this_thread::get_id() == caller_ ? on_caller : off_caller)
         .fetch_add(1);

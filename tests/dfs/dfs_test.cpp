@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <memory>
 #include <span>
 #include <string>
 #include <thread>
@@ -130,7 +131,10 @@ TEST(Dfs, PhysicalBytesFollowEveryReplicatedBlockMutation) {
   EXPECT_EQ(fs.physical_bytes_stored(), 300u);
 
   const std::string spilled(50, 'm');
-  fs.restore_file("/m/p", std::as_bytes(std::span(spilled)),
+  const auto bytes = std::as_bytes(std::span(spilled));
+  fs.restore_file("/m/p",
+                  {std::make_shared<const std::vector<std::byte>>(
+                      bytes.begin(), bytes.end())},
                   StorageTier::kMemory);
   EXPECT_EQ(fs.physical_bytes_stored(), 350u);
 
@@ -290,23 +294,29 @@ TEST(Dfs, MemoryTierSkipsDiskAndReplication) {
 }
 
 // A one-block replicated file's payload is its writer's buffer, adopted at
-// commit; a memory-tier listener must still be handed exactly the written
-// bytes, and physical bytes must count as they did when commit copied.
+// commit; a memory-tier listener must be handed the committed blocks
+// themselves, holding exactly the written bytes, and physical bytes must
+// count as they did when commit copied.
 class RecordingListener : public TierListener {
  public:
   void on_commit(const std::string& path, StorageTier /*tier*/,
                  std::uint64_t size, int /*node*/,
-                 std::span<const std::byte> payload,
+                 const std::vector<BlockData>& blocks,
                  const IoStats* /*task_io*/) override {
     paths.push_back(path);
     sizes.push_back(size);
-    payloads.emplace_back(payload.begin(), payload.end());
+    this->blocks.push_back(blocks);
+    std::vector<std::byte>& bytes = payloads.emplace_back();
+    for (const BlockData& b : blocks) {
+      bytes.insert(bytes.end(), b->begin(), b->end());
+    }
   }
   void on_open(const std::string&, StorageTier, std::uint64_t) override {}
   void on_remove(const std::string&) override {}
 
   std::vector<std::string> paths;
   std::vector<std::uint64_t> sizes;
+  std::vector<std::vector<BlockData>> blocks;
   std::vector<std::vector<std::byte>> payloads;
 };
 
@@ -347,6 +357,14 @@ TEST(Dfs, CommitAdoptsTheWritersBufferAndTheListenerSeesIt) {
   };
   EXPECT_EQ(listener.payloads[0], bytes_of(one));
   EXPECT_EQ(listener.payloads[1], bytes_of(many));
+  // The listener holds the namenode's own payload objects, not copies.
+  for (std::size_t f = 0; f < 2; ++f) {
+    const auto stored = fs.file_blocks(listener.paths[f]);
+    ASSERT_EQ(listener.blocks[f].size(), stored.size());
+    for (std::size_t b = 0; b < stored.size(); ++b) {
+      EXPECT_EQ(listener.blocks[f][b], stored[b].data) << "block " << b;
+    }
+  }
   // One copy per memory-tier block, three per replicated one.
   EXPECT_EQ(fs.physical_bytes_stored(), one.size() + many.size() +
                                             3 * disk.size());

@@ -321,7 +321,7 @@ TEST(Integrity, MemoryTierCorruptionRoutesThroughLineage) {
   struct Recorder final : TierListener {
     std::vector<std::string> corrupted;
     void on_commit(const std::string&, StorageTier, std::uint64_t, int,
-                   std::span<const std::byte>, const IoStats*) override {}
+                   const std::vector<BlockData>&, const IoStats*) override {}
     void on_open(const std::string&, StorageTier, std::uint64_t) override {}
     void on_remove(const std::string&) override {}
     double on_corrupt(const std::string& path, double) override {

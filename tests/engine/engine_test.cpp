@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -69,23 +70,6 @@ TEST(BlockCache, TouchRefreshesRecency) {
   ASSERT_EQ(evicted.size(), 1u);
   EXPECT_EQ(evicted[0].path, "/new");
   EXPECT_TRUE(cache.resident("/old"));
-}
-
-TEST(BlockCache, PinnedEntriesAreNeverEvicted) {
-  BlockCache cache(1, 100);
-  cache.insert("/pinned", 0, 60, 1);
-  cache.insert("/plain", 0, 60, 2);
-  cache.pin("/pinned");
-  const auto evicted = cache.collect_evictions();
-  ASSERT_EQ(evicted.size(), 1u);
-  EXPECT_EQ(evicted[0].path, "/plain");
-  EXPECT_TRUE(cache.resident("/pinned"));
-  // Unpinning makes it eligible again.
-  cache.unpin("/pinned");
-  cache.insert("/more", 0, 60, 3);
-  const auto second = cache.collect_evictions();
-  ASSERT_EQ(second.size(), 1u);
-  EXPECT_EQ(second[0].path, "/pinned");
 }
 
 TEST(BlockCache, EraseDropsEntryWithoutCountingEviction) {
@@ -357,6 +341,53 @@ TEST(SpinEngine, NodeKillRebuildsLostPartitionsFromLineage) {
   EXPECT_EQ(stats.recomputes[0].path, "/mem/lost");
   EXPECT_GE(stats.recomputes[0].at, 100.0);
   EXPECT_GT(eng.recovery_available_at(), 100.0);
+}
+
+// Lineage keeps the DFS's own block payloads: a live memory-tier partition
+// is held once, and its rebuild after a node kill re-adopts the same bytes
+// rather than copying them back in.
+TEST(SpinEngine, HoldsOneCopyOfEachMemoryTierPayload) {
+  dfs::DfsConfig cfg;
+  cfg.block_size = 64;
+  dfs::Dfs fs(4, cfg);
+  CostModel model;
+  ChaosEngine chaos;
+  fs.bind_chaos(&chaos, model.network_bandwidth);
+  SpinEngine eng(&fs, &chaos, &model, nullptr, 0);
+
+  // One exact block (adopted writer buffer) and one two-block partition.
+  const std::map<std::string, std::size_t> doubles = {{"/mem/one", 8},
+                                                       {"/mem/two", 12}};
+  eng.begin_job("produce");
+  for (const auto& [path, count] : doubles) {
+    dfs::ScopedTransferLog task(2);
+    auto w = fs.create(path, nullptr, dfs::StorageTier::kMemory);
+    w.write_doubles(std::vector<double>(count, 1.5));
+    w.close();
+  }
+  std::map<std::string, std::vector<const void*>> committed;
+  for (const auto& [path, count] : doubles) {
+    const auto blocks = fs.file_blocks(path);
+    ASSERT_EQ(blocks.size(), count == 8 ? 1u : 2u);
+    for (const auto& block : blocks) {
+      // The namenode, the lineage record and `blocks`: no second copy.
+      EXPECT_EQ(block.data.use_count(), 3) << path;
+      committed[path].push_back(block.data.get());
+    }
+  }
+
+  chaos.add_event({ChaosEventKind::kKillNode, 100.0, 2, 1.0});
+  chaos.advance_to(200.0);
+  ASSERT_EQ(chaos.stats().partitions_recomputed, 2);
+  for (const auto& [path, count] : doubles) {
+    const auto blocks = fs.file_blocks(path);
+    ASSERT_EQ(blocks.size(), committed[path].size());
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      EXPECT_EQ(blocks[b].data.get(), committed[path][b]) << path;
+      EXPECT_EQ(blocks[b].data.use_count(), 3) << path;
+    }
+    EXPECT_EQ(fs.read_doubles(path), std::vector<double>(count, 1.5));
+  }
 }
 
 // ---- satellite 1: one memory-tier conversion point -------------------------

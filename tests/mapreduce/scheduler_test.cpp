@@ -298,7 +298,7 @@ TEST(SchedulerRacked, FlatTopologyIsIdenticalToNoTopology) {
     EXPECT_EQ(a.trace[i].slot, b.trace[i].slot);
   }
   EXPECT_TRUE(b.link_loads.empty());
-  EXPECT_EQ(b.rack_local_attempts, 0);
+  EXPECT_EQ(b.net.rack_local_attempts, 0);
 }
 
 TEST(SchedulerRacked, TransferlessAttemptsMatchScalarDurations) {
@@ -346,8 +346,8 @@ TEST(SchedulerRacked, OversubscriptionStretchesCrossRackTransfers) {
   const PhaseSchedule racked = schedule_phase(contended, tasks);
 
   EXPECT_GT(racked.duration, 1.3 * flat.duration);
-  EXPECT_EQ(racked.cross_rack_attempts + racked.rack_local_attempts, n);
-  EXPECT_EQ(racked.net_cross_rack_bytes, 4u * 90'000'000u);
+  EXPECT_EQ(racked.net.cross_rack_attempts + racked.net.rack_local_attempts, n);
+  EXPECT_EQ(racked.net.cross_rack_bytes, 4u * 90'000'000u);
   ASSERT_FALSE(racked.link_loads.empty());
   // Rack uplinks (ids 2H..2H+R) saw the traffic and hit saturation.
   const net::LinkLoad& up = racked.link_loads[2 * n];
@@ -373,8 +373,8 @@ TEST(SchedulerRacked, RackAwareDispatchPrefersHomeRack) {
   cluster.set_topology(
       make_topology(4, 2, 4.0, m.network_bandwidth, /*rack_aware=*/true));
   const PhaseSchedule s = schedule_phase(cluster, tasks);
-  EXPECT_EQ(s.rack_local_attempts, 4);
-  EXPECT_EQ(s.cross_rack_attempts, 0);
+  EXPECT_EQ(s.net.rack_local_attempts, 4);
+  EXPECT_EQ(s.net.cross_rack_attempts, 0);
   expect_no_slot_overlap(s);
 }
 
@@ -390,9 +390,9 @@ TEST(SchedulerRacked, ByteDistanceSplitFollowsPlacement) {
   Cluster cluster(4, m, /*seed=*/7);
   cluster.set_topology(make_topology(4, 2, 1.0, m.network_bandwidth));
   const PhaseSchedule s = schedule_phase(cluster, {{a}});
-  EXPECT_EQ(s.net_node_local_bytes, 20'000'000u);
-  EXPECT_EQ(s.net_rack_local_bytes, 10'000'000u);
-  EXPECT_EQ(s.net_cross_rack_bytes, 0u);
+  EXPECT_EQ(s.net.node_local_bytes, 20'000'000u);
+  EXPECT_EQ(s.net.rack_local_bytes, 10'000'000u);
+  EXPECT_EQ(s.net.cross_rack_bytes, 0u);
 }
 
 TEST(SchedulerRacked, AttemptsWithTransfersPayChecksumCpu) {

@@ -203,8 +203,8 @@ TEST(RunReport, IntegritySectionAlwaysPresentWithRecoveryCounter) {
   r.integrity.corruptions_detected = 2;
   r.integrity.cells_repaired_ec = 2;
   r.integrity.repairs.push_back(
-      IntegrityRepairSpan{12.5, 1, "/work/ut_0.bin", 7, 4096, "ec", true});
-  r.integrity.scrub_spans.push_back(ScrubPassSpan{30.0, 0.25, 1 << 20, 16, 2});
+      IntegrityRepairEvent{12.5, 1, "/work/ut_0.bin", 7, 4096, "ec", true});
+  r.integrity.scrubs.push_back(ScrubPassEvent{30.0, 0.25, 1 << 20, 16, 2});
   const std::string populated = run_report_json(r);
   for (const char* key :
        {"\"read_errors_survived\":3", "\"verify_checksums\":true",
@@ -223,8 +223,8 @@ TEST(RunReport, ChromeTraceIntegrityLaneOnlyWhenActive) {
       << "no scrubs or repairs: no integrity lane";
 
   r.integrity.repairs.push_back(
-      IntegrityRepairSpan{16.0, 1, "/work/ut_0.bin", 0, 4096, "copy", false});
-  r.integrity.scrub_spans.push_back(ScrubPassSpan{15.5, 0.25, 1 << 20, 16, 1});
+      IntegrityRepairEvent{16.0, 1, "/work/ut_0.bin", 0, 4096, "copy", false});
+  r.integrity.scrubs.push_back(ScrubPassEvent{15.5, 0.25, 1 << 20, 16, 1});
   const std::string trace = chrome_trace_json(r);
   EXPECT_NE(trace.find("\"name\":\"integrity\""), std::string::npos);
   EXPECT_NE(trace.find("\"name\":\"scrub pass\""), std::string::npos);
