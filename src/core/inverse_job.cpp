@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/assemble.hpp"
+#include "core/plan.hpp"
 #include "dfs/path.hpp"
 #include "linalg/kernels/kernel.hpp"
 #include "linalg/triangular.hpp"
@@ -202,7 +203,8 @@ class InverseMapper : public mr::Mapper {
 
   void map(std::int64_t key, const std::string& value,
            mr::TaskContext& task) override {
-    const int i = std::stoi(value);
+    const int i =
+        control_worker_id(value, static_cast<int>(key), task.input_path());
     if (ctx_->m0 == 1) {
       invert_l_slice(*ctx_, 0, task);
       invert_u_slice(*ctx_, 0, task);
@@ -223,9 +225,12 @@ class InverseLMapper : public mr::Mapper {
  public:
   explicit InverseLMapper(InverseJobContextPtr ctx) : ctx_(std::move(ctx)) {}
 
-  void map(std::int64_t /*key*/, const std::string& value,
+  void map(std::int64_t key, const std::string& value,
            mr::TaskContext& task) override {
-    invert_l_slice(*ctx_, std::stoi(value), task);
+    invert_l_slice(*ctx_,
+                   control_worker_id(value, static_cast<int>(key),
+                                     task.input_path()),
+                   task);
   }
 
  private:
@@ -238,10 +243,14 @@ class InverseUMapper : public mr::Mapper {
  public:
   explicit InverseUMapper(InverseJobContextPtr ctx) : ctx_(std::move(ctx)) {}
 
-  void map(std::int64_t /*key*/, const std::string& value,
+  void map(std::int64_t key, const std::string& value,
            mr::TaskContext& task) override {
-    const int slice = ctx_->m0 == 1 ? 0 : std::stoi(value) - ctx_->l_workers;
-    invert_u_slice(*ctx_, slice, task);
+    // Task s of this job reads control file l_workers + s (file 0 alone
+    // with a single node).
+    const int base = ctx_->m0 == 1 ? 0 : ctx_->l_workers;
+    const int id = control_worker_id(value, base + static_cast<int>(key),
+                                     task.input_path());
+    invert_u_slice(*ctx_, id - base, task);
   }
 
  private:

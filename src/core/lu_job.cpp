@@ -1,6 +1,7 @@
 #include "core/lu_job.hpp"
 
 #include "core/assemble.hpp"
+#include "core/plan.hpp"
 #include "dfs/path.hpp"
 #include "linalg/triangular.hpp"
 #include "matrix/dfs_io.hpp"
@@ -16,7 +17,9 @@ class LuMapper : public mr::Mapper {
 
   void map(std::int64_t key, const std::string& value,
            mr::TaskContext& task) override {
-    const int j = std::stoi(value);  // worker id from the control file (§5.1)
+    // Worker id from the control file (§5.1).
+    const int j =
+        control_worker_id(value, static_cast<int>(key), task.input_path());
     if (ctx_->m0 == 1) {
       compute_l2_stripe(0, task);
       compute_u2_stripe(0, task);
@@ -33,16 +36,19 @@ class LuMapper : public mr::Mapper {
     const LuJobContext& c = *ctx_;
     const RowRange rows = stripe(c.n - c.h, c.l2_workers, s);
     if (rows.count() == 0) return;
-    // L2' rows solve  L2'·U1 = A3  row-independently (Eq. 6).
+    // L2' rows solve  L2'·U1 = A3  row-independently (Eq. 6), as the left
+    // solve  U1ᵀ·L2'ᵀ = A3ᵀ  against the stored U1ᵀ; L2'ᵀ is written
+    // transposed, so the file holds L2' with no transpose back.
     const Matrix u1t = assemble_ut(task.fs(), *c.first, &task.io());
     const Matrix a3s =
         c.a3.read_block(task.fs(), rows.begin, rows.end, 0, c.h, &task.io());
-    const Matrix l2s = solve_upper_right_from_transpose(u1t, a3s);
+    const Matrix l2st = solve_lower(u1t, transpose(a3s));
     IoStats flops = triangular_solve_cost(c.h, rows.count());
     if (!c.opts.transposed_u) flops = penalized(flops, c.layout_penalty);
     task.add_flops(flops);
-    write_matrix(task.fs(), dfs::join(c.dir, "L2/L." + std::to_string(s)), l2s,
-                 &task.io(), c.opts.intermediate_tier());
+    write_matrix_transposed(task.fs(),
+                            dfs::join(c.dir, "L2/L." + std::to_string(s)), l2st,
+                            &task.io(), c.opts.intermediate_tier());
   }
 
   void compute_u2_stripe(int s, mr::TaskContext& task) {

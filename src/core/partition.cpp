@@ -1,5 +1,6 @@
 #include "core/partition.hpp"
 
+#include "core/plan.hpp"
 #include "matrix/dfs_io.hpp"
 
 namespace mri::core {
@@ -11,10 +12,11 @@ class PartitionMapper : public mr::Mapper {
   PartitionMapper(PartitionGeometry geom, std::string input_path)
       : geom_(std::move(geom)), input_path_(std::move(input_path)) {}
 
-  void map(std::int64_t /*key*/, const std::string& value,
+  void map(std::int64_t key, const std::string& value,
            mr::TaskContext& ctx) override {
     // The control file holds this worker's band index (§5.1).
-    const int band = std::stoi(value);
+    const int band =
+        control_worker_id(value, static_cast<int>(key), ctx.input_path());
     const RowRange rows = stripe(geom_.n, geom_.m0, band);
     if (rows.count() == 0) return;
 

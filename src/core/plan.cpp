@@ -1,8 +1,32 @@
 #include "core/plan.hpp"
 
+#include <charconv>
+#include <cstdio>
+
 #include "common/error.hpp"
 
 namespace mri::core {
+
+int control_worker_id(const std::string& text, int expected,
+                      const std::string& path) {
+  int id = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, id);
+  if (ec == std::errc() && ptr == end && id == expected) return id;
+  std::string shown;  // the bytes, non-printable ones as \xNN
+  for (const char c : text) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (byte >= 0x20 && byte < 0x7f) {
+      shown += c;
+    } else {
+      char hex[5];
+      std::snprintf(hex, sizeof hex, "\\x%02x", static_cast<unsigned>(byte));
+      shown += hex;
+    }
+  }
+  throw DfsError("control file " + path + " holds \"" + shown +
+                 "\" but its mapper is worker " + std::to_string(expected));
+}
 
 InversionPlan InversionPlan::make(Index n, Index nb, int m0) {
   MRI_REQUIRE(n >= 1 && nb >= 1 && m0 >= 1, "bad plan parameters");

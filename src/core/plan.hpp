@@ -3,6 +3,8 @@
 // geometry. Table 3's "Number of Jobs" column is total_jobs here.
 #pragma once
 
+#include <string>
+
 #include "matrix/layout.hpp"
 #include "matrix/matrix.hpp"
 
@@ -24,5 +26,14 @@ struct InversionPlan {
 
   static InversionPlan make(Index n, Index nb, int m0);
 };
+
+/// The worker id in a MapInput control file (§5.1), which the master writes
+/// as the decimal text of its index: `text`, the file's bytes, parsed whole,
+/// and required to equal `expected`, the id the reading mapper's task
+/// stands for. Anything else (a byte that bit-rot turned into a non-digit,
+/// or into another digit, which would run another worker's share) throws
+/// DfsError naming `path` and the bytes it held.
+int control_worker_id(const std::string& text, int expected,
+                      const std::string& path);
 
 }  // namespace mri::core

@@ -2,7 +2,6 @@
 #include "dfs/dfs.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 #include <optional>
 
@@ -271,22 +270,26 @@ void Dfs::commit(const std::string& path, std::vector<BlockData> pieces,
       loc.cells.reserve(static_cast<std::size_t>(cells));
       std::vector<const std::uint8_t*> data_ptrs;
       for (int i = 0; i < loc.ec_k; ++i) {
-        auto cell =
-            std::make_shared<std::vector<std::byte>>(cell_len, std::byte{0});
-        const std::size_t begin = static_cast<std::size_t>(i) * cell_len;
-        if (begin < len) {
-          std::memcpy(cell->data(), block.data() + begin,
-                      std::min(cell_len, len - begin));
-        }
+        // The cell's share of the block, copied once into a buffer of
+        // exactly cell_len bytes; only the stripe padding is zero-filled.
+        auto cell = std::make_shared<std::vector<std::byte>>();
+        cell->reserve(cell_len);
+        const std::size_t begin =
+            std::min(static_cast<std::size_t>(i) * cell_len, len);
+        const auto share = block.subspan(begin, std::min(cell_len, len - begin));
+        cell->assign(share.begin(), share.end());
+        cell->resize(cell_len);
         data_ptrs.push_back(
             reinterpret_cast<const std::uint8_t*>(cell->data()));
         loc.cells.push_back(std::move(cell));
       }
-      for (const auto& p : codec->encode(data_ptrs, cell_len)) {
+      std::vector<std::uint8_t*> parity_ptrs;
+      for (int j = 0; j < loc.ec_m; ++j) {
         auto cell = std::make_shared<std::vector<std::byte>>(cell_len);
-        std::memcpy(cell->data(), p.data(), cell_len);
+        parity_ptrs.push_back(reinterpret_cast<std::uint8_t*>(cell->data()));
         loc.cells.push_back(std::move(cell));
       }
+      codec->encode_into(data_ptrs, cell_len, parity_ptrs);
       // Placement: every cell on a distinct node. Rack-aware: first cell
       // writer-local (reads of healthy stripes start with a local cell),
       // the rest round-robin across the other racks so any single rack

@@ -248,27 +248,35 @@ class Dfs {
 
    private:
     friend class Dfs;
-    Reader(const Dfs* fs, std::vector<BlockData> blocks,
-           std::vector<int> sources, std::vector<bool> mem_local,
-           std::uint64_t size, IoStats* account);
+    /// One stored span of the file, in file order: a replicated block's
+    /// payload, or one data cell of an erasure-coded stripe without the
+    /// stripe's zero padding (a decoded cell, or a bit-flipped view when
+    /// verification is off, the same way). Never empty.
+    struct Piece {
+      BlockData payload;                // keeps `bytes` alive
+      std::span<const std::byte> bytes;
+      /// Datanode the piece is read from, for the per-thread TransferLog
+      /// under a racked topology; -1 when nothing is recorded per read
+      /// (stripe cells are recorded at open time, hot-cache hits never).
+      int source = -1;
+      /// Memory-tier and resident on the reading task's own node: streams
+      /// at memory bandwidth (bytes_read_memory), not the remote-read path.
+      bool memory_local = false;
+    };
+
+    Reader(const Dfs* fs, std::vector<Piece> pieces, std::uint64_t size,
+           IoStats* account);
     void account(std::uint64_t bytes, std::uint64_t memory_bytes);
     /// Hands up to `want` bytes from the position on to `sink`, one span
-    /// per block touched, and charges them; returns the count (0 at EOF).
+    /// per piece touched, and charges them; returns the count (0 at EOF).
     template <typename Sink>
     std::size_t pull(std::size_t want, Sink&& sink);
 
-    std::vector<BlockData> blocks_;
-    /// Datanode each block was read from (parallel to blocks_); feeds the
-    /// per-thread TransferLog when the topology is racked.
-    std::vector<int> sources_;
-    /// Per-block: true when the block is memory-tier AND resident on the
-    /// reading task's own node — those chunks stream at memory bandwidth
-    /// (bytes_read_memory) instead of the remote-read path.
-    std::vector<bool> mem_local_;
+    std::vector<Piece> pieces_;
     std::uint64_t size_;
     std::uint64_t position_ = 0;
-    std::size_t block_index_ = 0;
-    std::uint64_t block_offset_ = 0;
+    std::size_t piece_index_ = 0;
+    std::size_t piece_offset_ = 0;
     IoStats* account_;
     IoStats unposted_;  // read so far, not yet charged to the registry
     const Dfs* fs_;
@@ -434,29 +442,30 @@ class Dfs {
                          int* source) const;
 
   /// Reads erasure-coded block `index` of `file`: fetches the first k
-  /// available cells (data cells first — a fully healthy stripe is a plain
-  /// concatenation), decodes any missing data cells from the survivors (a
-  /// degraded read, charged as bytes_reconstructed + degraded_reads), and
-  /// returns the reassembled block payload. An armed read error on a cell's
-  /// node marks that cell unavailable for this read (failover, like the
-  /// replicated path). Throws UnrecoverableBlock when fewer than k cells
-  /// survive. Errors name the path and `index`, as read_replica's do.
-  BlockData read_stripe(const NameNode::FileInfo& file, std::size_t index,
-                        IoStats* account) const;
+  /// available cells (data cells first — a fully healthy stripe is its data
+  /// cells as they are stored), decodes any missing data cells from the
+  /// survivors (a degraded read, charged as bytes_reconstructed +
+  /// degraded_reads), and appends the block's data cells to `pieces` in
+  /// order, each cut to the bytes of the block it holds. An armed read
+  /// error on a cell's node marks that cell unavailable for this read
+  /// (failover, like the replicated path). Throws UnrecoverableBlock when
+  /// fewer than k cells survive. Errors name the path and `index`, as
+  /// read_replica's do.
+  void read_stripe(const NameNode::FileInfo& file, std::size_t index,
+                   IoStats* account, std::vector<Reader::Piece>* pieces) const;
 
   /// Cells of one erasure-coded stripe, as decode_cells() gathers them.
   struct StripeCells {
-    std::vector<const std::uint8_t*> cells;  // per slot; null = not at hand
-    std::vector<int> fetched;                // slots read, in slot order
-    std::vector<BlockData> pins;             // keeps fetched payloads alive
-    std::vector<std::vector<std::uint8_t>> rebuilt;  // decoded cells
+    std::vector<BlockData> cells;  // per slot; null = not at hand
+    std::vector<int> fetched;      // slots read, in slot order
+    int rebuilt = 0;               // slots decoded
   };
 
   /// Fetches the first k cells of `loc` in slot order from the slots
-  /// `usable` admits and decodes every slot of `wanted` not among them,
-  /// pointing `cells` at the rebuilt payload. With `serve_marks` a marked
-  /// copy is fetched as its bit-flipped view, as a reader would see it.
-  /// Fewer than k usable cells: returns what was fetched, decodes nothing.
+  /// `usable` admits and decodes every slot of `wanted` not among them into
+  /// a payload of its own. With `serve_marks` a marked copy is fetched as
+  /// its bit-flipped view, as a reader would see it. Fewer than k usable
+  /// cells: returns what was fetched, decodes nothing.
   StripeCells decode_cells(const BlockLocation& loc,
                            const std::vector<char>& usable,
                            const std::vector<int>& wanted,
@@ -475,10 +484,12 @@ class Dfs {
                              bool by_scrubber,
                              std::vector<net::Transfer>* flows) const;
 
-  /// CRC32C-verifies the bytes a read of (loc, node) would serve against
-  /// the block's write-path checksum, charging the checksum CPU. Returns
-  /// true when the copy is corrupt. `slot` is the EC cell index (-1 =
-  /// whole replicated block).
+  /// Verifies the bytes a read of (loc, node) would serve against the
+  /// block's stored checksum, charging the checksum CPU for the whole copy.
+  /// Returns true when the copy is corrupt. An unmarked copy serves its
+  /// stored payload, whose CRC was computed from it when it was stored, so
+  /// it verifies without hashing; a marked copy's bit-flipped view is
+  /// hashed. `slot` is the EC cell index (-1 = whole replicated block).
   bool verify_copy(const BlockLocation& loc, int node, int slot) const;
 
   /// One scrubber pass at simulated time `at` (see scrub_to).

@@ -27,24 +27,56 @@ RsCodec::RsCodec(int k, int m) : k_(k), m_(m) {
 
 std::vector<std::vector<std::uint8_t>> RsCodec::encode(
     const std::vector<const std::uint8_t*>& data, std::size_t cell_len) const {
+  std::vector<std::vector<std::uint8_t>> parity;
+  std::vector<std::uint8_t*> out;
+  parity.reserve(static_cast<std::size_t>(m_));
+  for (int j = 0; j < m_; ++j) {
+    out.push_back(parity.emplace_back(cell_len).data());
+  }
+  encode_into(data, cell_len, out);
+  return parity;
+}
+
+void RsCodec::encode_into(const std::vector<const std::uint8_t*>& data,
+                          std::size_t cell_len,
+                          const std::vector<std::uint8_t*>& parity) const {
   MRI_REQUIRE(static_cast<int>(data.size()) == k_,
               "RS encode: expected " + std::to_string(k_) + " data cells, got " +
                   std::to_string(data.size()));
-  std::vector<std::vector<std::uint8_t>> parity(
-      static_cast<std::size_t>(m_), std::vector<std::uint8_t>(cell_len, 0));
+  MRI_REQUIRE(static_cast<int>(parity.size()) == m_,
+              "RS encode: expected " + std::to_string(m_) +
+                  " parity cells, got " + std::to_string(parity.size()));
   for (int j = 0; j < m_; ++j) {
     const auto& row = rows_[static_cast<std::size_t>(k_ + j)];
+    std::uint8_t* out = parity[static_cast<std::size_t>(j)];
     for (int i = 0; i < k_; ++i) {
-      gf_mul_add(row[static_cast<std::size_t>(i)], data[static_cast<std::size_t>(i)],
-                 parity[static_cast<std::size_t>(j)].data(), cell_len);
+      gf_mul_add(row[static_cast<std::size_t>(i)],
+                 data[static_cast<std::size_t>(i)], out, cell_len);
     }
   }
-  return parity;
 }
 
 std::vector<std::vector<std::uint8_t>> RsCodec::reconstruct(
     const std::vector<const std::uint8_t*>& cells, std::size_t cell_len,
     const std::vector<int>& wanted) const {
+  std::vector<std::vector<std::uint8_t>> rebuilt;
+  std::vector<std::uint8_t*> out;
+  rebuilt.reserve(wanted.size());
+  for (std::size_t i = 0; i < wanted.size(); ++i) {
+    out.push_back(rebuilt.emplace_back(cell_len).data());
+  }
+  reconstruct_into(cells, cell_len, wanted, out);
+  return rebuilt;
+}
+
+void RsCodec::reconstruct_into(const std::vector<const std::uint8_t*>& cells,
+                               std::size_t cell_len,
+                               const std::vector<int>& wanted,
+                               const std::vector<std::uint8_t*>& out) const {
+  MRI_REQUIRE(out.size() == wanted.size(),
+              "RS reconstruct: " + std::to_string(wanted.size()) +
+                  " wanted cells but " + std::to_string(out.size()) +
+                  " outputs");
   MRI_REQUIRE(static_cast<int>(cells.size()) == k_ + m_,
               "RS reconstruct: expected " + std::to_string(k_ + m_) +
                   " cell slots, got " + std::to_string(cells.size()));
@@ -98,15 +130,13 @@ std::vector<std::vector<std::uint8_t>> RsCodec::reconstruct(
     }
   }
 
-  std::vector<std::vector<std::uint8_t>> out;
-  out.reserve(wanted.size());
-  for (int w : wanted) {
+  for (std::size_t o = 0; o < wanted.size(); ++o) {
+    const int w = wanted[o];
     MRI_REQUIRE(w >= 0 && w < k_ + m_,
                 "RS reconstruct: wanted cell index out of range: " + std::to_string(w));
-    std::vector<std::uint8_t> cell(cell_len, 0);
+    std::uint8_t* cell = out[o];
     if (cells[static_cast<std::size_t>(w)] != nullptr) {
-      std::memcpy(cell.data(), cells[static_cast<std::size_t>(w)], cell_len);
-      out.push_back(std::move(cell));
+      std::memcpy(cell, cells[static_cast<std::size_t>(w)], cell_len);
       continue;
     }
     // Coefficients of stored cell w over the data cells, re-expressed over
@@ -120,12 +150,10 @@ std::vector<std::vector<std::uint8_t>> RsCodec::reconstruct(
                            aug[static_cast<std::size_t>(i)]
                               [static_cast<std::size_t>(k + s)]));
       }
-      gf_mul_add(coeff, cells[static_cast<std::size_t>(survivors[s])], cell.data(),
+      gf_mul_add(coeff, cells[static_cast<std::size_t>(survivors[s])], cell,
                  cell_len);
     }
-    out.push_back(std::move(cell));
   }
-  return out;
 }
 
 }  // namespace mri::dfs::ec

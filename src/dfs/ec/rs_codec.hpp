@@ -30,12 +30,26 @@ class RsCodec {
   std::vector<std::vector<std::uint8_t>> encode(
       const std::vector<const std::uint8_t*>& data, std::size_t cell_len) const;
 
+  /// encode() into caller-owned cells: parity[j] (m pointers, cell_len
+  /// bytes each, not overlapping the data) must hold zeros, as a freshly
+  /// sized buffer does, and receives parity cell j.
+  void encode_into(const std::vector<const std::uint8_t*>& data,
+                   std::size_t cell_len,
+                   const std::vector<std::uint8_t*>& parity) const;
+
   /// Rebuild the cells listed in `wanted` (indices in [0, k+m)) from any k
   /// survivors. `cells` has k+m entries; nullptr marks a lost cell. Throws
   /// if fewer than k survivors are present.
   std::vector<std::vector<std::uint8_t>> reconstruct(
       const std::vector<const std::uint8_t*>& cells, std::size_t cell_len,
       const std::vector<int>& wanted) const;
+
+  /// reconstruct() into caller-owned cells: out[i] (cell_len bytes,
+  /// parallel to `wanted`) must hold zeros, as a freshly sized buffer does,
+  /// and receives cell wanted[i].
+  void reconstruct_into(const std::vector<const std::uint8_t*>& cells,
+                        std::size_t cell_len, const std::vector<int>& wanted,
+                        const std::vector<std::uint8_t*>& out) const;
 
  private:
   int k_;

@@ -1,7 +1,6 @@
 // Dfs failure path: node kills, injected read errors, silent corruption,
 // checksum verification, repair and the background scrubber.
 #include <algorithm>
-#include <cstring>
 #include <map>
 
 #include "common/error.hpp"
@@ -58,12 +57,21 @@ NodeKillOutcome Dfs::kill_datanode(int node, double at) {
     for (std::size_t slot = 0; slot < loc.replicas.size(); ++slot) {
       surviving[slot] = loc.replicas[slot] >= 0;
     }
-    const StripeCells s =
+    StripeCells s =
         decode_cells(loc, surviving, {cell}, /*serve_marks=*/false);
     if (static_cast<int>(s.fetched.size()) < loc.ec_k) return {};
+    BlockData payload = std::move(s.cells[static_cast<std::size_t>(cell)]);
+    // The rebuilt cell is stored, so its CRC is checked here, once: verify
+    // trusts a stored, unmarked payload to match crcs[cell] from then on.
+    // Decoding from the pristine survivors must give the committed bytes.
+    if (!loc.crcs.empty()) {
+      MRI_CHECK_MSG(crc32c(std::span<const std::byte>(*payload)) ==
+                        loc.crcs[static_cast<std::size_t>(cell)],
+                    "stripe cell " << cell << " rebuilt after the loss of "
+                                   "node " << node << " does not match its "
+                                   "stored CRC32C");
+    }
     const auto cell_len = static_cast<std::size_t>(loc.cell_bytes());
-    auto payload = std::make_shared<std::vector<std::byte>>(cell_len);
-    std::memcpy(payload->data(), s.rebuilt.front().data(), cell_len);
     for (int slot : s.fetched) {
       const int holder = loc.replicas[static_cast<std::size_t>(slot)];
       if (topo != nullptr) {
@@ -282,15 +290,16 @@ void Dfs::corrupt_block(int node, double at, std::uint64_t salt) {
 }
 
 bool Dfs::verify_copy(const BlockLocation& loc, int node, int slot) const {
-  BlockData data =
+  const BlockData& data =
       slot < 0 ? loc.data : loc.cells[static_cast<std::size_t>(slot)];
   charge_verified(1, data->size(), nullptr);
-  // Recompute the CRC over the bytes a read would actually serve: the
-  // pristine payload, or its bit-flipped overlay when the copy is marked.
-  if (auto mark = checksums_.corrupt_mark(loc.id, node)) {
-    data = corrupt_copy(data, mark->salt);
-  }
-  return crc32c(std::span<const std::byte>(*data)) !=
+  // An unmarked copy serves its stored payload, which is immutable and
+  // whose CRC was computed from it when it was stored (commit, or the
+  // checked node-loss rebuild): hashing it again could only agree. A marked
+  // copy serves its bit-flipped view, so that is what is hashed.
+  const auto mark = checksums_.corrupt_mark(loc.id, node);
+  if (!mark) return false;
+  return crc32c(std::span<const std::byte>(*corrupt_copy(data, mark->salt))) !=
          loc.crcs[slot < 0 ? 0 : static_cast<std::size_t>(slot)];
 }
 

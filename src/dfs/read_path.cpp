@@ -10,25 +10,20 @@
 
 namespace mri::dfs {
 
-Dfs::Reader::Reader(const Dfs* fs, std::vector<BlockData> blocks,
-                    std::vector<int> sources, std::vector<bool> mem_local,
+Dfs::Reader::Reader(const Dfs* fs, std::vector<Piece> pieces,
                     std::uint64_t size, IoStats* account)
-    : blocks_(std::move(blocks)),
-      sources_(std::move(sources)),
-      mem_local_(std::move(mem_local)),
+    : pieces_(std::move(pieces)),
       size_(size),
       account_(account),
       fs_(fs),
       record_transfers_(fs->racked_topology()) {}
 
 Dfs::Reader::Reader(Reader&& other) noexcept
-    : blocks_(std::move(other.blocks_)),
-      sources_(std::move(other.sources_)),
-      mem_local_(std::move(other.mem_local_)),
+    : pieces_(std::move(other.pieces_)),
       size_(other.size_),
       position_(other.position_),
-      block_index_(other.block_index_),
-      block_offset_(other.block_offset_),
+      piece_index_(other.piece_index_),
+      piece_offset_(other.piece_offset_),
       account_(other.account_),
       unposted_(std::exchange(other.unposted_, IoStats{})),
       fs_(other.fs_),
@@ -59,26 +54,25 @@ std::size_t Dfs::Reader::pull(std::size_t want, Sink&& sink) {
   std::size_t pulled = 0;
   std::uint64_t memory_bytes = 0;
   while (pulled < want && position_ < size_) {
-    const auto& block = *blocks_[block_index_];
-    const std::size_t in_block = block.size() - block_offset_;
-    const std::size_t take = std::min(want - pulled, in_block);
-    sink(std::span<const std::byte>(block.data() + block_offset_, take));
-    if (!mem_local_.empty() && mem_local_[block_index_]) memory_bytes += take;
-    if (log != nullptr && take > 0 && sources_[block_index_] >= 0) {
+    const Piece& piece = pieces_[piece_index_];
+    const std::size_t take =
+        std::min(want - pulled, piece.bytes.size() - piece_offset_);
+    sink(piece.bytes.subspan(piece_offset_, take));
+    if (piece.memory_local) memory_bytes += take;
+    if (log != nullptr && piece.source >= 0) {
       // One transfer per (block, read) chunk: bytes flow from the replica
       // this block was opened from to the reading task's node. The flow
       // scheduler coalesces per endpoint pair; node-local chunks stay in
       // the log too (they are disk traffic, charged at disk bandwidth).
-      log->transfers.push_back(net::Transfer{sources_[block_index_],
-                                             log->node, take,
+      log->transfers.push_back(net::Transfer{piece.source, log->node, take,
                                              net::TransferKind::kRead});
     }
     pulled += take;
-    block_offset_ += take;
+    piece_offset_ += take;
     position_ += take;
-    if (block_offset_ == block.size()) {
-      ++block_index_;
-      block_offset_ = 0;
+    if (piece_offset_ == piece.bytes.size()) {
+      ++piece_index_;
+      piece_offset_ = 0;
     }
   }
   if (pulled > 0) account(pulled - memory_bytes, memory_bytes);
@@ -148,20 +142,14 @@ std::string Dfs::Reader::read_all_text() {
 
 void Dfs::Reader::seek(std::uint64_t offset) {
   MRI_REQUIRE(offset <= size_, "seek past end of file");
-  position_ = 0;
-  block_index_ = 0;
-  block_offset_ = 0;
+  piece_index_ = 0;
   std::uint64_t left = offset;
-  while (left > 0) {
-    const std::uint64_t block_len = blocks_[block_index_]->size();
-    if (left >= block_len) {
-      left -= block_len;
-      ++block_index_;
-    } else {
-      block_offset_ = left;
-      left = 0;
-    }
+  while (piece_index_ < pieces_.size() &&
+         left >= pieces_[piece_index_].bytes.size()) {
+    left -= pieces_[piece_index_].bytes.size();
+    ++piece_index_;
   }
+  piece_offset_ = static_cast<std::size_t>(left);
   position_ = offset;
 }
 
@@ -244,7 +232,7 @@ Dfs::StripeCells Dfs::decode_cells(const BlockLocation& loc,
                                    bool serve_marks) const {
   const auto cell_len = static_cast<std::size_t>(loc.cell_bytes());
   StripeCells s;
-  s.cells.assign(loc.replicas.size(), nullptr);
+  s.cells.resize(loc.replicas.size());
   for (std::size_t slot = 0; slot < loc.replicas.size() &&
                              static_cast<int>(s.fetched.size()) < loc.ec_k;
        ++slot) {
@@ -257,28 +245,37 @@ Dfs::StripeCells Dfs::decode_cells(const BlockLocation& loc,
         cell = corrupt_copy(cell, mark->salt);
       }
     }
-    s.cells[slot] = reinterpret_cast<const std::uint8_t*>(cell->data());
-    s.pins.push_back(std::move(cell));
+    s.cells[slot] = std::move(cell);
     s.fetched.push_back(static_cast<int>(slot));
   }
   if (static_cast<int>(s.fetched.size()) < loc.ec_k) return s;
   std::vector<int> missing;
+  std::vector<std::uint8_t*> out;
   for (int slot : wanted) {
-    if (s.cells[static_cast<std::size_t>(slot)] == nullptr) {
-      missing.push_back(slot);
-    }
+    BlockData& cell = s.cells[static_cast<std::size_t>(slot)];
+    if (cell != nullptr) continue;
+    auto rebuilt = std::make_shared<std::vector<std::byte>>(cell_len);
+    out.push_back(reinterpret_cast<std::uint8_t*>(rebuilt->data()));
+    missing.push_back(slot);
+    cell = std::move(rebuilt);
   }
   if (missing.empty()) return s;
-  const ec::RsCodec codec(loc.ec_k, loc.ec_m);
-  s.rebuilt = codec.reconstruct(s.cells, cell_len, missing);
-  for (std::size_t i = 0; i < missing.size(); ++i) {
-    s.cells[static_cast<std::size_t>(missing[i])] = s.rebuilt[i].data();
+  // The survivors: the fetched cells alone, not the slots just allocated.
+  std::vector<const std::uint8_t*> survivors(loc.replicas.size(), nullptr);
+  for (int slot : s.fetched) {
+    survivors[static_cast<std::size_t>(slot)] =
+        reinterpret_cast<const std::uint8_t*>(
+            s.cells[static_cast<std::size_t>(slot)]->data());
   }
+  const ec::RsCodec codec(loc.ec_k, loc.ec_m);
+  codec.reconstruct_into(survivors, cell_len, missing, out);
+  s.rebuilt = static_cast<int>(missing.size());
   return s;
 }
 
-BlockData Dfs::read_stripe(const NameNode::FileInfo& file, std::size_t index,
-                           IoStats* account) const {
+void Dfs::read_stripe(const NameNode::FileInfo& file, std::size_t index,
+                      IoStats* account,
+                      std::vector<Reader::Piece>* pieces) const {
   const BlockLocation& loc = file.blocks[index];
   const auto block = [&] {
     return "EC block " + std::to_string(index) + " of " + file.path;
@@ -346,20 +343,21 @@ BlockData Dfs::read_stripe(const NameNode::FileInfo& file, std::size_t index,
                         static_cast<std::uint64_t>(failed_over));
   }
   // The first k available cells in slot order — data cells first, so a
-  // healthy stripe is a plain concatenation with no decode.
+  // healthy stripe is its data cells as stored, with no decode.
   std::vector<int> data_cells(static_cast<std::size_t>(loc.ec_k));
   std::iota(data_cells.begin(), data_cells.end(), 0);
-  const StripeCells s =
+  StripeCells s =
       decode_cells(loc, available, data_cells, /*serve_marks=*/true);
-  // Reassemble the logical block payload from the k data cells.
-  auto out = std::make_shared<std::vector<std::byte>>(
-      static_cast<std::size_t>(loc.length));
-  std::size_t pos = 0;
-  for (int i = 0; i < loc.ec_k && pos < loc.length; ++i) {
-    const std::size_t take =
-        std::min(cell_len, static_cast<std::size_t>(loc.length) - pos);
-    std::memcpy(out->data() + pos, s.cells[static_cast<std::size_t>(i)], take);
-    pos += take;
+  // The block is its k data cells in order; the last holding bytes stops
+  // at the block's end (the rest is stripe padding), and a cell past it
+  // holds none and is skipped.
+  const auto length = static_cast<std::size_t>(loc.length);
+  for (std::size_t i = 0; i < data_cells.size() && i * cell_len < length;
+       ++i) {
+    BlockData& cell = s.cells[i];
+    const auto bytes = std::span<const std::byte>(*cell).first(
+        std::min(cell_len, length - i * cell_len));
+    pieces->push_back(Reader::Piece{std::move(cell), bytes});
   }
   // Under a racked topology the k cell fetches are recorded as read
   // transfers at open time (striped readers fetch whole cells); the Reader
@@ -373,14 +371,13 @@ BlockData Dfs::read_stripe(const NameNode::FileInfo& file, std::size_t index,
                         cell_len, net::TransferKind::kRead});
     }
   }
-  if (!s.rebuilt.empty()) {
+  if (s.rebuilt > 0) {
     // Degraded read: same bytes fetched as a healthy one (k cells either
     // way), but the lost data cells had to be decoded — charge the decode
     // output at ec_decode_bandwidth via bytes_reconstructed.
     IoStats io;
     io.degraded_reads = 1;
-    io.bytes_reconstructed =
-        static_cast<std::uint64_t>(s.rebuilt.size()) * cell_len;
+    io.bytes_reconstructed = static_cast<std::uint64_t>(s.rebuilt) * cell_len;
     charge(io, account);
   }
   if (config_.verify_checksums) {
@@ -397,7 +394,6 @@ BlockData Dfs::read_stripe(const NameNode::FileInfo& file, std::size_t index,
                           mark.at, /*by_scrubber=*/false, nullptr);
     }
   }
-  return out;
 }
 
 Dfs::Reader Dfs::open(const std::string& path, IoStats* account) const {
@@ -421,39 +417,42 @@ Dfs::Reader Dfs::open(const std::string& path, IoStats* account) const {
         charge_verified(static_cast<std::int64_t>(hit->blocks.size()),
                         hit->size, account);
       }
-      std::vector<int> no_sources(hit->blocks.size(), -1);
-      return Reader(this, std::move(hit->blocks), std::move(no_sources), {},
-                    hit->size, account);
+      std::vector<Reader::Piece> pieces;
+      pieces.reserve(hit->blocks.size());
+      for (BlockData& block : hit->blocks) {
+        const std::span<const std::byte> bytes(*block);
+        pieces.push_back(Reader::Piece{std::move(block), bytes});
+      }
+      return Reader(this, std::move(pieces), hit->size, account);
     }
   }
   const int me = task_node();
-  std::vector<BlockData> data;
-  std::vector<int> sources;
-  std::vector<bool> mem_local;
-  data.reserve(file.blocks.size());
-  sources.reserve(file.blocks.size());
+  // A file's blocks share one storage policy: one piece per replicated
+  // block, up to k per stripe.
+  const bool striped = !file.blocks.empty() && file.blocks.front().is_ec();
+  std::vector<Reader::Piece> pieces;
+  pieces.reserve(file.blocks.size() *
+                 (striped ? static_cast<std::size_t>(file.blocks.front().ec_k)
+                          : 1));
   std::uint64_t size = 0;
   for (std::size_t index = 0; index < file.blocks.size(); ++index) {
     size += file.blocks[index].length;
     if (file.blocks[index].is_ec()) {
-      data.push_back(read_stripe(file, index, account));
-      sources.push_back(-1);  // transfers recorded per cell at open time
+      read_stripe(file, index, account, &pieces);
       continue;
     }
     int src = -1;
-    data.push_back(read_replica(file, index, &src));
-    sources.push_back(src);
+    BlockData block = read_replica(file, index, &src);
+    const std::span<const std::byte> bytes(*block);
     // A memory-tier block on the reader's own node streams at memory
     // bandwidth (the cache hit the SPIN engine exists to create); remote
     // memory blocks still pay the network fetch.
-    if (file.tier == StorageTier::kMemory && src >= 0 && src == me) {
-      if (mem_local.empty()) mem_local.assign(file.blocks.size(), false);
-      mem_local[index] = true;
-    }
+    const bool memory_local =
+        file.tier == StorageTier::kMemory && src >= 0 && src == me;
+    pieces.push_back(Reader::Piece{std::move(block), bytes, src, memory_local});
   }
   opened(size);
-  return Reader(this, std::move(data), std::move(sources),
-                std::move(mem_local), size, account);
+  return Reader(this, std::move(pieces), size, account);
 }
 
 }  // namespace mri::dfs

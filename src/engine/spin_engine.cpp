@@ -41,7 +41,6 @@ IoStats SpinEngine::begin_job(const std::string& name) {
     std::lock_guard<std::mutex> lock(mu_);
     ordinal = ++job_ordinal_;
     job_name_ = name;
-    ext_.job_names.push_back(name);
   }
   IoStats spill;
   for (const auto& ev : cache_.collect_evictions()) {

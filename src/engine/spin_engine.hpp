@@ -46,8 +46,6 @@ struct SpillEvent {
 /// plus what only the engine's own clock knows: spills by job ordinal.
 struct EngineStats : EngineTotals {
   std::vector<SpillEvent> spills;
-  /// Name of each job seen by begin_job, in ordinal order.
-  std::vector<std::string> job_names;
 };
 
 class SpinEngine final : public dfs::TierListener {

@@ -61,16 +61,6 @@ Matrix solve_lower(const Matrix& l, Matrix b) {
   return b;
 }
 
-Matrix solve_upper_right_from_transpose(const Matrix& ut, const Matrix& b) {
-  MRI_REQUIRE(ut.rows() == b.cols(),
-              "solve_upper_right_from_transpose shape mismatch: " << ut.rows()
-                                                                  << " vs "
-                                                                  << b.cols());
-  // X·U = B is Uᵀ·Xᵀ = Bᵀ: a left solve against the stored lower factor,
-  // on the same staircase TRSM as every other solve.
-  return transpose(solve_lower(ut, transpose(b)));
-}
-
 IoStats triangular_inverse_cost(Index n) {
   IoStats io;
   const auto cube = static_cast<std::uint64_t>(n) *

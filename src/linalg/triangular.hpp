@@ -34,11 +34,6 @@ Matrix invert_lower_columns(const Matrix& l, const std::vector<Index>& columns);
 /// storage: pass a B that is not needed afterwards by std::move.
 Matrix solve_lower(const Matrix& l, Matrix b);
 
-/// Solves X·U = B for X given Uᵀ (lower triangular) — the L2' computation
-/// of Eq. 6 in the §6.3 layout. Runs as the left solve Uᵀ·Xᵀ = Bᵀ between
-/// two transposes, so rows of B that begin with zeros take the staircase.
-Matrix solve_upper_right_from_transpose(const Matrix& ut, const Matrix& b);
-
 /// Flop cost of inverting an n-order triangular matrix (~n³/6 each op).
 IoStats triangular_inverse_cost(Index n);
 

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dfs/dfs.hpp"
@@ -19,14 +20,17 @@ namespace mri::mr {
 
 class TaskContext {
  public:
+  /// `input_path` is a map task's input file (empty for a reduce task).
   TaskContext(dfs::Dfs* fs, int task_index, int node, int num_map_tasks,
-              int num_reduce_tasks, int cluster_size)
+              int num_reduce_tasks, int cluster_size,
+              std::string input_path = {})
       : fs_(fs),
         task_index_(task_index),
         node_(node),
         num_map_tasks_(num_map_tasks),
         num_reduce_tasks_(num_reduce_tasks),
         cluster_size_(cluster_size),
+        input_path_(std::move(input_path)),
         transfer_log_(node) {}
 
   TaskContext(const TaskContext&) = delete;
@@ -56,6 +60,8 @@ class TaskContext {
   int num_map_tasks() const { return num_map_tasks_; }
   int num_reduce_tasks() const { return num_reduce_tasks_; }
   int cluster_size() const { return cluster_size_; }
+  /// The file whose text map() received as its value (empty when reducing).
+  const std::string& input_path() const { return input_path_; }
 
   const std::vector<KeyValue>& emitted() const { return emitted_; }
   std::vector<KeyValue> take_emitted() { return std::move(emitted_); }
@@ -77,6 +83,7 @@ class TaskContext {
   int num_map_tasks_;
   int num_reduce_tasks_;
   int cluster_size_;
+  std::string input_path_;
   IoStats io_;
   std::vector<KeyValue> emitted_;
   dfs::ScopedTransferLog transfer_log_;

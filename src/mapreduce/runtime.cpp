@@ -124,7 +124,8 @@ ExecutedJob JobRunner::execute(const JobSpec& spec) {
     run_tasks(num_maps, [&](std::size_t t) {
       const int task = static_cast<int>(t);
       TaskContext ctx(fs_, task, task % cluster_->size(), num_maps,
-                      result.reduce_tasks, cluster_->size());
+                      result.reduce_tasks, cluster_->size(),
+                      spec.input_files[t]);
       const std::string input =
           fs_->read_text(spec.input_files[t], &ctx.io());
       auto mapper = spec.mapper_factory();
@@ -253,10 +254,13 @@ JobResult JobRunner::finish(ExecutedJob executed, SlotPool* pool,
   const bool has_chaos = chaos_ != nullptr && chaos_->enabled();
 
   // The chaos engine speaks absolute run seconds; each phase wants its own
-  // clock. Events on nodes outside this cluster are ignored.
+  // clock. Events on nodes outside this cluster are ignored, and only kills
+  // and degrades concern the scheduler.
+  const std::vector<ChaosEvent> node_events =
+      has_chaos ? chaos_->node_events() : std::vector<ChaosEvent>{};
   const auto chaos_view = [&](double phase_start) {
     PhaseChaos view;
-    for (const ChaosEvent& e : chaos_->events()) {
+    for (const ChaosEvent& e : node_events) {
       if (e.node >= cluster_->size()) continue;
       if (e.kind == ChaosEventKind::kKillNode) {
         view.outages.push_back(NodeOutage{e.node, e.at - phase_start, 0.0});
@@ -330,7 +334,7 @@ JobResult JobRunner::finish(ExecutedJob executed, SlotPool* pool,
     // a kill the loop schedules the reduce phase once.
     std::vector<ChaosEvent> kills;
     if (has_chaos) {
-      for (const ChaosEvent& e : chaos_->events()) {
+      for (const ChaosEvent& e : node_events) {
         if (e.kind == ChaosEventKind::kKillNode && e.node < cluster_->size()) {
           kills.push_back(e);
         }

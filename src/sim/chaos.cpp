@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 
 #include "common/error.hpp"
@@ -37,7 +38,48 @@ void ChaosEngine::add_event(ChaosEvent event) {
                 "degrade factor must be in (0, 1], got " << event.factor);
   }
   std::lock_guard<std::mutex> lock(mu_);
-  events_.push_back(Scheduled{event, false});
+  const std::size_t old_size = events_.size();
+  events_.push_back(Scheduled{event, next_seq_++, false});
+  settle(old_size);
+}
+
+void ChaosEngine::settle(std::size_t old_size) {
+  const auto by_time = [](const Scheduled& a, const Scheduled& b) {
+    return a.event.at < b.event.at;
+  };
+  // The events past old_size were appended in insertion order. Cut them
+  // into runs where time falls (a sampling pass appends one time-ordered
+  // run per node) and merge neighbouring runs until one is left, then
+  // merge that behind the events already scheduled. Merging runs costs
+  // O(n log runs) where sorting thousands of bit-rot events would cost
+  // O(n log n); each merge takes from the earlier range on ties, so equal
+  // times keep insertion order.
+  const auto at = [this](std::size_t i) {
+    return events_.begin() + static_cast<std::ptrdiff_t>(i);
+  };
+  std::vector<std::size_t> bounds{old_size};
+  for (std::size_t i = old_size + 1; i < events_.size(); ++i) {
+    if (by_time(events_[i], events_[i - 1])) bounds.push_back(i);
+  }
+  bounds.push_back(events_.size());
+  std::vector<Scheduled> merged;
+  while (bounds.size() > 2) {
+    merged.clear();
+    merged.reserve(events_.size() - old_size);
+    std::vector<std::size_t> next{old_size};
+    for (std::size_t r = 0; r + 1 < bounds.size(); r += 2) {
+      const std::size_t last = std::min(r + 2, bounds.size() - 1);
+      std::merge(at(bounds[r]), at(bounds[r + 1]), at(bounds[r + 1]),
+                 at(bounds[last]), std::back_inserter(merged), by_time);
+      next.push_back(bounds[last]);
+    }
+    std::copy(merged.begin(), merged.end(), at(old_size));
+    bounds = std::move(next);
+  }
+  if (old_size > 0 && old_size < events_.size() &&
+      by_time(*at(old_size), *at(old_size - 1))) {
+    std::inplace_merge(events_.begin(), at(old_size), events_.end(), by_time);
+  }
 }
 
 void ChaosEngine::sample_faults(int num_nodes) {
@@ -47,6 +89,7 @@ void ChaosEngine::sample_faults(int num_nodes) {
               "sample_faults() needs horizon_seconds > 0");
   MRI_REQUIRE(num_nodes >= 1, "sample_faults() needs at least one node");
   std::lock_guard<std::mutex> lock(mu_);
+  const std::size_t old_size = events_.size();
   for (int node = kFirstSampledNode; node < num_nodes; ++node) {
     // One independent stream per node so the schedule does not depend on
     // the number of nodes sampled before this one.
@@ -64,14 +107,15 @@ void ChaosEngine::sample_faults(int num_nodes) {
       if (rng.next_double() < options_.degrade_fraction) {
         ev.kind = ChaosEventKind::kDegradeNode;
         ev.factor = kDegradeFactor;
-        events_.push_back(Scheduled{ev, false});
+        events_.push_back(Scheduled{ev, next_seq_++, false});
       } else {
         ev.kind = ChaosEventKind::kKillNode;
-        events_.push_back(Scheduled{ev, false});
+        events_.push_back(Scheduled{ev, next_seq_++, false});
         break;  // a dead node samples no further faults
       }
     }
   }
+  settle(old_size);
 }
 
 void ChaosEngine::sample_bitrot(int num_nodes) {
@@ -81,6 +125,7 @@ void ChaosEngine::sample_bitrot(int num_nodes) {
               "sample_bitrot() needs horizon_seconds > 0");
   MRI_REQUIRE(num_nodes >= 1, "sample_bitrot() needs at least one node");
   std::lock_guard<std::mutex> lock(mu_);
+  const std::size_t old_size = events_.size();
   const double mean_interval = 1.0 / options_.bitrot_rate;
   for (int node = kFirstSampledNode; node < num_nodes; ++node) {
     // Per-node stream, mixed with a different constant than sample_faults()
@@ -98,9 +143,10 @@ void ChaosEngine::sample_bitrot(int num_nodes) {
       ev.at = t;
       ev.node = node;
       ev.salt = rng.next() | 1ull;  // nonzero: salted victim pick
-      events_.push_back(Scheduled{ev, false});
+      events_.push_back(Scheduled{ev, next_seq_++, false});
     }
   }
+  settle(old_size);
 }
 
 double ChaosEngine::sample_kill_time(int node) const {
@@ -122,10 +168,18 @@ std::vector<ChaosEvent> ChaosEngine::events() const {
   std::vector<ChaosEvent> out;
   out.reserve(events_.size());
   for (const Scheduled& s : events_) out.push_back(s.event);
-  std::stable_sort(out.begin(), out.end(),
-                   [](const ChaosEvent& a, const ChaosEvent& b) {
-                     return a.at < b.at;
-                   });
+  return out;
+}
+
+std::vector<ChaosEvent> ChaosEngine::node_events() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<ChaosEvent> out;
+  for (const Scheduled& s : events_) {
+    if (s.event.kind == ChaosEventKind::kKillNode ||
+        s.event.kind == ChaosEventKind::kDegradeNode) {
+      out.push_back(s.event);
+    }
+  }
   return out;
 }
 
@@ -176,61 +230,49 @@ void ChaosEngine::advance_to(double t) {
   // Collect due events under the lock, apply handlers outside it: the kill
   // handler walks the namenode and must be free to call back into query
   // methods from DFS internals without deadlocking.
-  struct Due {
-    ChaosEvent event;
-    std::size_t index;
-  };
-  std::vector<Due> due;
+  std::vector<ChaosEvent> due;
   KillHandler kill;
   ReadErrorHandler read_error;
   CorruptHandler corrupt;
   ScrubHandler scrub;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t i = 0; i < events_.size(); ++i) {
-      if (!events_[i].applied && events_[i].event.at <= t) {
-        // Kills are idempotent per node: only the earliest takes effect
-        // (kill_time() already reports the minimum); a duplicate must not
-        // re-invoke the handler or double-count nodes_killed.
-        bool duplicate_kill = false;
-        if (events_[i].event.kind == ChaosEventKind::kKillNode) {
-          for (std::size_t j = 0; j < events_.size() && !duplicate_kill; ++j) {
-            duplicate_kill =
-                j != i && events_[j].applied &&
-                events_[j].event.kind == ChaosEventKind::kKillNode &&
-                events_[j].event.node == events_[i].event.node;
-          }
+    // events_ is in (time, insertion) order, so the due events are a
+    // prefix of it, already in the order they apply.
+    std::size_t end = 0;
+    while (end < events_.size() && events_[end].event.at <= t) ++end;
+    for (std::size_t i = 0; i < end; ++i) {
+      const Scheduled& s = events_[i];
+      if (s.applied) continue;
+      // Kills are idempotent per node: a kill of a node killed by an
+      // earlier advance, or by a kill added before it that is also due
+      // now, must not re-invoke the handler or double-count nodes_killed.
+      bool duplicate_kill = false;
+      if (s.event.kind == ChaosEventKind::kKillNode) {
+        for (std::size_t j = 0; j < events_.size() && !duplicate_kill; ++j) {
+          const Scheduled& o = events_[j];
+          duplicate_kill = j != i &&
+                           o.event.kind == ChaosEventKind::kKillNode &&
+                           o.event.node == s.event.node &&
+                           (o.applied || (j < end && o.seq < s.seq));
         }
-        if (!duplicate_kill) due.push_back(Due{events_[i].event, i});
-        events_[i].applied = true;
       }
+      if (!duplicate_kill) due.push_back(s.event);
     }
+    for (std::size_t i = 0; i < end; ++i) events_[i].applied = true;
     kill = kill_handler_;
     read_error = read_error_handler_;
     corrupt = corrupt_handler_;
     scrub = scrub_handler_;
   }
-  std::stable_sort(due.begin(), due.end(), [](const Due& a, const Due& b) {
-    return a.event.at < b.event.at;
-  });
 
-  for (const Due& d : due) {
-    switch (d.event.kind) {
+  for (const ChaosEvent& e : due) {
+    switch (e.kind) {
       case ChaosEventKind::kKillNode: {
         NodeKillOutcome outcome;
-        if (kill) outcome = kill(d.event.node, d.event.at);
+        if (kill) outcome = kill(e.node, e.at);
         std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.nodes_killed;
-        stats_.re_replicated_bytes += outcome.re_replicated_bytes;
-        stats_.re_replicated_blocks += outcome.re_replicated_blocks;
-        stats_.blocks_lost += outcome.blocks_lost;
-        stats_.partitions_recomputed += outcome.partitions_recomputed;
-        stats_.lineage_waves += outcome.lineage_waves;
-        stats_.lineage_recompute_seconds += outcome.recompute_seconds;
-        stats_.lineage_recomputed_bytes += outcome.recomputed_bytes;
-        stats_.ec_cells_reconstructed += outcome.ec_cells_reconstructed;
-        stats_.ec_reconstructed_bytes += outcome.ec_reconstructed_bytes;
-        stats_.re_replication_seconds += outcome.re_replication_seconds;
+        stats_.add_kill(outcome);
         break;
       }
       case ChaosEventKind::kDegradeNode: {
@@ -239,13 +281,13 @@ void ChaosEngine::advance_to(double t) {
         break;
       }
       case ChaosEventKind::kBlockReadError: {
-        if (read_error) read_error(d.event.node);
+        if (read_error) read_error(e.node);
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.read_errors_injected;
         break;
       }
       case ChaosEventKind::kCorruptBlock: {
-        if (corrupt) corrupt(d.event.node, d.event.at, d.event.salt);
+        if (corrupt) corrupt(e.node, e.at, e.salt);
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.blocks_corrupted;
         break;

@@ -84,35 +84,6 @@ struct ChaosOptions {
   double bitrot_rate = 0.0;
 };
 
-/// What one applied node kill cost the DFS: re-replication traffic for the
-/// under-replicated blocks, plus blocks whose last replica died.
-struct NodeKillOutcome {
-  std::uint64_t re_replicated_bytes = 0;
-  int re_replicated_blocks = 0;
-  int blocks_lost = 0;
-  /// Simulated duration of the repair, priced by the DFS: repair traffic
-  /// flow-simulated on a racked topology, else bytes over the network
-  /// bandwidth it was bound with, plus EC decode CPU.
-  double re_replication_seconds = 0.0;
-  /// Files that lost every replica of at least one block with this kill
-  /// (reported by the DFS; the SPIN engine recomputes the lineage-tracked
-  /// ones instead of letting reads hit UnrecoverableBlock).
-  std::vector<std::string> lost_files;
-  /// Lineage-recovery totals, filled by the SPIN engine's kill handler
-  /// (which wraps the DFS handler): partitions it rebuilt by re-running the
-  /// producing tasks, how many dependency waves that took, and the
-  /// simulated cost of those waves.
-  int partitions_recomputed = 0;
-  int lineage_waves = 0;
-  double recompute_seconds = 0.0;
-  std::uint64_t recomputed_bytes = 0;
-  /// Erasure-coded reconstruction totals for this kill: lost stripe cells
-  /// rebuilt from k survivors (EC files repair by decode fan-in instead of
-  /// replica copy; both are folded into re_replication_seconds).
-  int ec_cells_reconstructed = 0;
-  std::uint64_t ec_reconstructed_bytes = 0;
-};
-
 /// A task-level failure rule, retained from the original FailureInjector:
 /// kill attempt `attempt` of task `task_index` of the first job whose name
 /// contains `job_name_substring`. One-shot: each rule fires once.
@@ -156,6 +127,9 @@ class ChaosEngine {
 
   bool enabled() const;
   std::vector<ChaosEvent> events() const;  // sorted by (at, insertion)
+  /// The kill and degrade events alone, in the same order: what the
+  /// scheduler's view of the nodes needs, without the block events.
+  std::vector<ChaosEvent> node_events() const;
 
   /// Absolute time the node dies; +infinity when it never does.
   double kill_time(int node) const;
@@ -215,12 +189,18 @@ class ChaosEngine {
  private:
   struct Scheduled {
     ChaosEvent event;
+    std::uint32_t seq = 0;  // insertion order, for the duplicate-kill rule
     bool applied = false;
   };
 
+  /// Sorts the events appended to events_ past `old_size` into (time,
+  /// insertion) order; call with mu_ held.
+  void settle(std::size_t old_size);
+
   mutable std::mutex mu_;
   ChaosOptions options_;
-  std::vector<Scheduled> events_;  // insertion order; applied in (at, order)
+  std::vector<Scheduled> events_;  // sorted by (at, insertion), as added
+  std::uint32_t next_seq_ = 0;
   KillHandler kill_handler_;
   ReadErrorHandler read_error_handler_;
   CorruptHandler corrupt_handler_;

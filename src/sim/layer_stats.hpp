@@ -2,7 +2,8 @@
 //
 // The DFS counts integrity, hot-cache and stripe-reconstruction records,
 // the SPIN engine its block cache and lineage recomputes, the scheduler the
-// network totals and the chaos engine the recovery totals. Each record is
+// network totals and the chaos engine the recovery totals, summed from each
+// node kill's outcome (filled by the DFS and the SPIN engine). Each record is
 // declared once, here in sim/, which dfs/, engine/, mapreduce/ and the run
 // report all include: the layer that counts a record fills it, RunReport
 // (sim/run_report.hpp) embeds the same record, and mr::build_run_report
@@ -137,6 +138,35 @@ struct NetworkTotals {
   }
 };
 
+/// What one applied node kill cost the DFS: re-replication traffic for the
+/// under-replicated blocks, plus blocks whose last replica died.
+struct NodeKillOutcome {
+  std::uint64_t re_replicated_bytes = 0;
+  int re_replicated_blocks = 0;
+  int blocks_lost = 0;
+  /// Simulated duration of the repair, priced by the DFS: repair traffic
+  /// flow-simulated on a racked topology, else bytes over the network
+  /// bandwidth it was bound with, plus EC decode CPU.
+  double re_replication_seconds = 0.0;
+  /// Files that lost every replica of at least one block with this kill
+  /// (reported by the DFS; the SPIN engine recomputes the lineage-tracked
+  /// ones instead of letting reads hit UnrecoverableBlock).
+  std::vector<std::string> lost_files;
+  /// Lineage-recovery totals, filled by the SPIN engine's kill handler
+  /// (which wraps the DFS handler): partitions it rebuilt by re-running the
+  /// producing tasks, how many dependency waves that took, and the
+  /// simulated cost of those waves.
+  int partitions_recomputed = 0;
+  int lineage_waves = 0;
+  double recompute_seconds = 0.0;
+  std::uint64_t recomputed_bytes = 0;
+  /// Erasure-coded reconstruction totals for this kill: lost stripe cells
+  /// rebuilt from k survivors (EC files repair by decode fan-in instead of
+  /// replica copy; both are folded into re_replication_seconds).
+  int ec_cells_reconstructed = 0;
+  std::uint64_t ec_reconstructed_bytes = 0;
+};
+
 /// Recovery totals the chaos engine itself observed while applying events,
 /// plus service-level retry accounting fed in via note_*(). Task-level
 /// recompute totals live in JobResult (the runtime owns that side).
@@ -166,6 +196,21 @@ struct RecoveryStats {
   /// replication runs).
   int ec_cells_reconstructed = 0;
   std::uint64_t ec_reconstructed_bytes = 0;
+
+  /// Counts one applied node kill and adds its outcome to the totals.
+  void add_kill(const NodeKillOutcome& kill) {
+    ++nodes_killed;
+    re_replicated_bytes += kill.re_replicated_bytes;
+    re_replicated_blocks += kill.re_replicated_blocks;
+    blocks_lost += kill.blocks_lost;
+    re_replication_seconds += kill.re_replication_seconds;
+    partitions_recomputed += kill.partitions_recomputed;
+    lineage_waves += kill.lineage_waves;
+    lineage_recompute_seconds += kill.recompute_seconds;
+    lineage_recomputed_bytes += kill.recomputed_bytes;
+    ec_cells_reconstructed += kill.ec_cells_reconstructed;
+    ec_reconstructed_bytes += kill.ec_reconstructed_bytes;
+  }
 };
 
 }  // namespace mri

@@ -12,7 +12,9 @@
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "core/inverter.hpp"
+#include "core/plan.hpp"
 #include "dfs/dfs.hpp"
+#include "dfs/path.hpp"
 #include "mapreduce/job_graph.hpp"
 #include "mapreduce/runtime.hpp"
 #include "mapreduce/trace_export.hpp"
@@ -147,6 +149,58 @@ TEST(ChaosEndToEnd, LosingEveryReplicaFailsFast) {
       << "unreplicated blocks died with the node; the run cannot succeed";
   EXPECT_NE(lost.error.find("nrecoverable"), std::string::npos)
       << "failure must surface UnrecoverableBlock, got: " << lost.error;
+}
+
+// A control file (§5.1) that rots on an unverified DFS: the one-byte text
+// "3" is served as ";" (0x33 ^ 0x08) and "0" as "8". The mapper that reads
+// it must fail with a DfsError naming the file and its bytes, not escape as
+// std::invalid_argument (';') or silently run band 8 of 4 ('0').
+TEST(ChaosEndToEnd, RottedControlFileFailsItsMapperByName) {
+  for (const auto& [worker, served] :
+       {std::pair<int, const char*>{3, ";"}, std::pair<int, const char*>{0, "8"}}) {
+    Cluster cluster(kNodes, model());
+    dfs::Dfs fs(kNodes);  // verify_checksums off: rot is served silently
+    ThreadPool pool(4);
+    MapReduceInverter inverter(&cluster, &fs, &pool);
+    InversionOptions options;
+    options.nb = kNb;
+    // Written before anything else, so it is its node's only copy and the
+    // corruption lands on it; the inverter keeps an existing control file.
+    const std::string path =
+        dfs::join(options.work_dir, "MapInput/A." + std::to_string(worker));
+    fs.write_text(path, std::to_string(worker));
+    fs.corrupt_block(fs.file_blocks(path).front().replicas.front(), 0.0);
+    ASSERT_EQ(fs.read_text(path), served);
+
+    const Matrix a = random_matrix(kOrder, 11);
+    try {
+      inverter.invert(a, options);
+      ADD_FAILURE() << "the run read a rotted control file and completed";
+    } catch (const JobError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("control file " + path + " holds \"" + served +
+                          "\" but its mapper is worker " +
+                          std::to_string(worker)),
+                std::string::npos)
+          << what;
+    }
+  }
+}
+
+TEST(ControlWorkerId, ParsesTheWholeTextAndMatchesTheTask) {
+  EXPECT_EQ(control_worker_id("12", 12, "/w/A.12"), 12);
+  EXPECT_EQ(control_worker_id("0", 0, "/w/A.0"), 0);
+  for (const char* bad : {"", ";", "8", "12 ", "+1", "1x", "-0"}) {
+    EXPECT_THROW(control_worker_id(bad, 1, "/w/A.1"), DfsError) << bad;
+  }
+  try {
+    control_worker_id(std::string("3\x01", 2), 3, "/w/A.3");
+    ADD_FAILURE() << "a stray byte was accepted";
+  } catch (const DfsError& e) {
+    EXPECT_NE(std::string(e.what()).find("/w/A.3 holds \"3\\x01\""),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ---- pool vs calling thread -------------------------------------------------

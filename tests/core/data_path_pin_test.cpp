@@ -14,7 +14,11 @@
 //  (d) the sample request trace served on 12 flat nodes with RS(6,3)
 //      stripes, a 64 MiB hot-block cache and one node kill: two tenants,
 //      request lanes, an EC reconstruction and hot-cache hits in one report
-//      (the service writes no single inverse, so none is pinned).
+//      (the service writes no single inverse, so none is pinned);
+//  (e) (b)'s cluster and stripes with verification off, one data cell of
+//      the input matrix corrupted before the run and one node kill: the
+//      flipped bytes are served to the partition mappers and reach the
+//      inverse, whose residual is then large.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -29,6 +33,7 @@
 #include "dfs/path.hpp"
 #include "linalg/kernels/kernel.hpp"
 #include "mapreduce/trace_export.hpp"
+#include "matrix/dfs_io.hpp"
 #include "matrix/generate.hpp"
 #include "matrix/ops.hpp"
 #include "net/topology.hpp"
@@ -75,7 +80,7 @@ struct Pinned {
   std::uint64_t hot_cache_hits = 0;
 };
 
-enum class Config { kFlat, kRackedEc, kSpin, kServed };
+enum class Config { kFlat, kRackedEc, kSpin, kServed, kRackedEcUnverified };
 
 /// Fills the report's pinned hashes and the fields every configuration
 /// checks.
@@ -146,16 +151,18 @@ Pinned run_served() {
 
 Pinned run(Config config) {
   if (config == Config::kServed) return run_served();
-  const bool racked = config == Config::kRackedEc;
+  const bool racked =
+      config == Config::kRackedEc || config == Config::kRackedEcUnverified;
   const int nodes = racked ? 12 : 4;
-  const Index order =
-      config == Config::kRackedEc ? 240 : config == Config::kSpin ? 512 : 300;
+  const Index order = racked ? 240 : config == Config::kSpin ? 512 : 300;
   MetricsRegistry metrics;
   Cluster cluster(nodes, CostModel::ec2_medium());
   dfs::DfsConfig dfs_config;
   if (racked) {
     dfs_config.storage_policy = dfs::StoragePolicy::kErasureCoded;
     dfs_config.ec = dfs::EcParams{6, 3};
+  }
+  if (config == Config::kRackedEc) {
     dfs_config.verify_checksums = true;
     dfs_config.scrub_interval_seconds = 20.0;
   }
@@ -179,7 +186,7 @@ Pinned run(Config config) {
   kill.at = 40.0;
   kill.node = racked ? 5 : 2;
   chaos.add_event(kill);
-  if (racked) {
+  if (config == Config::kRackedEc) {
     ChaosEvent corrupt;
     corrupt.kind = ChaosEventKind::kCorruptBlock;
     corrupt.at = 10.0;
@@ -201,7 +208,15 @@ Pinned run(Config config) {
     options.cache_capacity_bytes = 1ull << 20;
   }
   const Matrix a = random_matrix(order, /*seed=*/5);
-  MapReduceInverter::Result r = inverter.invert(a, options);
+  const std::string input = dfs::join(options.work_dir, "a.bin");
+  write_matrix(fs, input, a);
+  if (config == Config::kRackedEcUnverified) {
+    // A data cell past the header's (slot 0) on a node the kill spares.
+    const std::vector<int> holders = fs.file_blocks(input).front().replicas;
+    const int victim = holders[1] != kill.node ? holders[1] : holders[2];
+    fs.corrupt_block(victim, /*at=*/0.0);
+  }
+  MapReduceInverter::Result r = inverter.invert_dfs(input, options);
 
   Pinned p;
   p.inverse_hash =
@@ -242,7 +257,11 @@ void expect_pinned(Config config, const Pinned& want) {
   const Pinned got = run(config);
   kernels::set_default_backend(before);
   SCOPED_TRACE(dump(got));
-  EXPECT_LT(got.residual, 1e-8);
+  if (config == Config::kRackedEcUnverified) {
+    EXPECT_GT(got.residual, 1e-3) << "the flipped bytes must reach A⁻¹";
+  } else {
+    EXPECT_LT(got.residual, 1e-8);
+  }
   EXPECT_EQ(got.nodes_killed, config == Config::kFlat ? 0 : 1);
   if (config == Config::kRackedEc) {
     EXPECT_GT(got.corruptions_detected, 0);
@@ -315,6 +334,19 @@ TEST(DataPathPin, ServedRequestsWithEcKillAndHotCache) {
   want.report_bytes = 10846;
   want.trace_hash = 1751143508667884576ull;
   expect_pinned(Config::kServed, want);
+}
+
+TEST(DataPathPin, RackedErasureCodedUnverifiedWithACorruptInputCell) {
+  Pinned want;
+  want.inverse_hash = 4664157733422032176ull;
+  want.dfs_totals = {2990190, 10551990, 15589442, 3987776, 0, 0, 0,
+                     1495416, 174946,   0,        0,        0, 0};
+  want.run_io = {2529352, 10077534, 13450782, 3373248,  0,        0,       0,
+                 1264968, 0,        0,        0,        13881560, 13906760};
+  want.report_hash = 5754183941698534071ull;
+  want.report_bytes = 11809;
+  want.trace_hash = 12703951693873603616ull;
+  expect_pinned(Config::kRackedEcUnverified, want);
 }
 
 }  // namespace

@@ -8,7 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <map>
+#include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,6 +22,7 @@
 #include "dfs/dfs.hpp"
 #include "dfs/ec/gf256.hpp"
 #include "dfs/ec/rs_codec.hpp"
+#include "dfs/integrity/checksum_store.hpp"
 #include "mapreduce/trace_export.hpp"
 #include "matrix/generate.hpp"
 #include "matrix/ops.hpp"
@@ -184,6 +189,55 @@ TEST(RsCodec, FewerThanKSurvivorsThrows) {
   EXPECT_THROW(codec.reconstruct(cells, cell.size(), {3}), Error);
 }
 
+TEST(RsCodec, EncodeIntoAndReconstructIntoMatchTheAllocatingForms) {
+  const ec::RsCodec codec(6, 3);
+  const std::size_t cell_len = 257;
+  std::vector<std::vector<std::uint8_t>> data;
+  std::vector<const std::uint8_t*> data_ptrs;
+  for (int i = 0; i < 6; ++i) {
+    data.push_back(random_bytes(cell_len, 77 + static_cast<std::uint64_t>(i)));
+    data_ptrs.push_back(data.back().data());
+  }
+  const auto parity = codec.encode(data_ptrs, cell_len);
+  std::vector<std::vector<std::uint8_t>> into(
+      3, std::vector<std::uint8_t>(cell_len, 0));
+  std::vector<std::uint8_t*> into_ptrs;
+  for (auto& cell : into) into_ptrs.push_back(cell.data());
+  codec.encode_into(data_ptrs, cell_len, into_ptrs);
+  EXPECT_EQ(into, parity);
+  // Byte by byte: parity cell j is the Cauchy row inv((k + j) ^ i) applied
+  // to the data cells (rs_codec.hpp).
+  for (std::size_t j = 0; j < 3; ++j) {
+    std::vector<std::uint8_t> oracle(cell_len, 0);
+    for (std::size_t i = 0; i < 6; ++i) {
+      const auto coeff = ec::gf_inv(static_cast<std::uint8_t>((6 + j) ^ i));
+      for (std::size_t b = 0; b < cell_len; ++b) {
+        oracle[b] ^= ec::gf_mul(coeff, data[i][b]);
+      }
+    }
+    EXPECT_EQ(into[j], oracle) << "parity cell " << j;
+  }
+
+  std::vector<const std::uint8_t*> cells = data_ptrs;
+  for (const auto& p : parity) cells.push_back(p.data());
+  cells[1] = nullptr;
+  cells[4] = nullptr;
+  cells[7] = nullptr;
+  const std::vector<int> wanted = {1, 4, 7, 0};  // a present cell is copied
+  const auto rebuilt = codec.reconstruct(cells, cell_len, wanted);
+  std::vector<std::vector<std::uint8_t>> out(
+      wanted.size(), std::vector<std::uint8_t>(cell_len, 0));
+  std::vector<std::uint8_t*> out_ptrs;
+  for (auto& cell : out) out_ptrs.push_back(cell.data());
+  codec.reconstruct_into(cells, cell_len, wanted, out_ptrs);
+  EXPECT_EQ(out, rebuilt);
+  EXPECT_EQ(out[0], data[1]);
+  EXPECT_EQ(out[1], data[4]);
+  EXPECT_EQ(out[2], parity[1]);
+  EXPECT_EQ(out[3], data[0]);
+  EXPECT_THROW(codec.encode_into(data_ptrs, cell_len, {into_ptrs[0]}), Error);
+}
+
 // -- stripe placement -----------------------------------------------------
 
 TEST(DfsEc, StripePlacementSpreadsCellsOverDistinctNodes) {
@@ -252,6 +306,274 @@ TEST(IoStatsEc, SubtractionUnderflowIsRejected) {
   IoStats d;
   EXPECT_NO_THROW(d += c);
   EXPECT_THROW(d -= IoStats{.degraded_reads = 2}, InvalidArgument);
+}
+
+// Commit builds each data cell once, from the block, with exactly cell_len
+// bytes of capacity, and encodes parity straight into the parity cells: the
+// stored cells must equal the zero-fill-then-copy build and encode()'s
+// parity, for full stripes, a short last stripe and blocks shorter than k.
+TEST(DfsEc, CommitBuildsTheCellsOfTheZeroFillAndCopyBuild) {
+  for (const std::size_t bytes : {std::size_t{200}, std::size_t{4},
+                                  std::size_t{1}, std::size_t{64}}) {
+    Dfs fs(9, ec_config(6, 3, /*block_size=*/64));
+    const std::vector<std::uint8_t> data = random_bytes(bytes, bytes);
+    const std::string path = "/ec/commit" + std::to_string(bytes);
+    fs.write_text(path, std::string(data.begin(), data.end()));
+    const ec::RsCodec codec(6, 3);
+    std::size_t offset = 0;
+    for (const BlockLocation& loc : fs.file_blocks(path)) {
+      const auto cell_len = static_cast<std::size_t>(loc.cell_bytes());
+      std::vector<std::vector<std::uint8_t>> want(
+          6, std::vector<std::uint8_t>(cell_len, 0));
+      std::vector<const std::uint8_t*> ptrs;
+      for (std::size_t i = 0; i < 6; ++i) {
+        const std::size_t begin = i * cell_len;
+        if (begin < loc.length) {
+          std::memcpy(want[i].data(), data.data() + offset + begin,
+                      std::min<std::size_t>(cell_len, loc.length - begin));
+        }
+        ptrs.push_back(want[i].data());
+      }
+      for (auto& p : codec.encode(ptrs, cell_len)) want.push_back(std::move(p));
+      ASSERT_EQ(loc.cells.size(), 9u);
+      for (std::size_t c = 0; c < 9; ++c) {
+        const auto* stored =
+            reinterpret_cast<const std::uint8_t*>(loc.cells[c]->data());
+        EXPECT_EQ(std::vector<std::uint8_t>(stored, stored + cell_len),
+                  want[c])
+            << bytes << " bytes, block at " << offset << ", cell " << c;
+        EXPECT_EQ(loc.cells[c]->capacity(), cell_len)
+            << "cell " << c << " keeps slack past its stripe cell";
+      }
+      offset += static_cast<std::size_t>(loc.length);
+    }
+    EXPECT_EQ(offset, bytes);
+  }
+}
+
+// -- in-place stripe reads --------------------------------------------------
+
+// A stripe read serves the block's data cells in place. The reference here
+// is what a read returned when it reassembled every block into a fresh
+// buffer: the first k usable cells in slot order (a marked cell flipped
+// when verification is off, left out when it is on), the lost data cells
+// decoded from them, and the k data cells concatenated and cut to the
+// block's length. Reads through a Reader must give the same bytes, the
+// same IoStats and the same racked transfer records.
+struct Reassembled {
+  std::vector<std::byte> bytes;
+  IoStats io;  // what the open charges, before any byte is read
+  std::vector<net::Transfer> transfers;
+};
+
+Reassembled reassemble(const std::vector<BlockLocation>& blocks,
+                       const std::map<int, std::uint64_t>& flipped,
+                       bool verify, int reader) {
+  Reassembled r;
+  for (const BlockLocation& loc : blocks) {
+    const auto cell_len = static_cast<std::size_t>(loc.cell_bytes());
+    const ec::RsCodec codec(loc.ec_k, loc.ec_m);
+    std::vector<std::vector<std::uint8_t>> held(loc.replicas.size());
+    std::vector<const std::uint8_t*> cells(loc.replicas.size(), nullptr);
+    int fetched = 0;
+    for (std::size_t slot = 0; slot < loc.replicas.size() && fetched < loc.ec_k;
+         ++slot) {
+      const int node = loc.replicas[slot];
+      if (node < 0) continue;  // lost with its node
+      const auto mark = flipped.find(node);
+      if (mark != flipped.end() && verify) continue;
+      BlockData cell = loc.cells[slot];
+      if (mark != flipped.end()) cell = corrupt_copy(cell, mark->second);
+      const auto* bytes = reinterpret_cast<const std::uint8_t*>(cell->data());
+      held[slot].assign(bytes, bytes + cell_len);
+      cells[slot] = held[slot].data();
+      ++fetched;
+      r.transfers.push_back(
+          net::Transfer{node, reader, cell_len, net::TransferKind::kRead});
+    }
+    std::vector<int> missing;
+    for (int i = 0; i < loc.ec_k; ++i) {
+      if (cells[static_cast<std::size_t>(i)] == nullptr) missing.push_back(i);
+    }
+    const auto decoded = codec.reconstruct(cells, cell_len, missing);
+    for (std::size_t i = 0; i < missing.size(); ++i) {
+      cells[static_cast<std::size_t>(missing[i])] = decoded[i].data();
+    }
+    std::vector<std::byte> block(static_cast<std::size_t>(loc.length));
+    std::size_t pos = 0;
+    for (int i = 0; i < loc.ec_k && pos < block.size(); ++i) {
+      const std::size_t take = std::min(cell_len, block.size() - pos);
+      std::memcpy(block.data() + pos, cells[static_cast<std::size_t>(i)],
+                  take);
+      pos += take;
+    }
+    r.bytes.insert(r.bytes.end(), block.begin(), block.end());
+    if (!missing.empty()) {
+      r.io.degraded_reads += 1;
+      r.io.bytes_reconstructed += missing.size() * cell_len;
+    }
+    if (verify) {
+      r.io.bytes_checksummed += static_cast<std::uint64_t>(fetched) * cell_len;
+    }
+  }
+  return r;
+}
+
+void expect_same_transfers(const std::vector<net::Transfer>& got,
+                           const std::vector<net::Transfer>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].src, want[i].src) << "transfer " << i;
+    EXPECT_EQ(got[i].dst, want[i].dst) << "transfer " << i;
+    EXPECT_EQ(got[i].bytes, want[i].bytes) << "transfer " << i;
+    EXPECT_EQ(got[i].kind, want[i].kind) << "transfer " << i;
+  }
+}
+
+constexpr int kReader = 4;  // the reading task's node
+
+/// An RS(6,3) filesystem on 9 nodes in 3 racks, so a dead node's cells
+/// have nowhere to be rebuilt and stay lost.
+std::unique_ptr<Dfs> racked_ec_dfs(bool verify, std::size_t block_size) {
+  DfsConfig cfg = ec_config(6, 3, block_size);
+  cfg.verify_checksums = verify;
+  auto fs = std::make_unique<Dfs>(9, cfg);
+  net::TopologyOptions opts;
+  opts.kind = net::TopologyKind::kRacked;
+  opts.racks = 3;
+  fs->set_topology(std::make_shared<const net::Topology>(9, 1.0e9, opts));
+  return fs;
+}
+
+/// Opens `path` once on the reader's node and reads it in 7-byte steps,
+/// which cross every piece boundary at a different offset, checking bytes,
+/// IoStats and transfer records against the reassembled reference.
+void expect_read_matches_reassembly(const Dfs& fs, const std::string& path,
+                                    const std::map<int, std::uint64_t>& flipped,
+                                    bool verify) {
+  const Reassembled want =
+      reassemble(fs.file_blocks(path), flipped, verify, kReader);
+  ScopedTransferLog log(kReader);
+  IoStats io;
+  Dfs::Reader reader = fs.open(path, &io);
+  EXPECT_EQ(io, want.io) << "charged at open";
+  std::vector<std::byte> got(static_cast<std::size_t>(reader.size()));
+  std::size_t pos = 0;
+  while (std::size_t n = reader.read(std::span<std::byte>(got).subspan(
+             pos, std::min<std::size_t>(7, got.size() - pos)))) {
+    pos += n;
+  }
+  EXPECT_EQ(pos, want.bytes.size());
+  EXPECT_TRUE(got == want.bytes) << path << ": bytes differ";
+  IoStats want_io = want.io;
+  want_io.bytes_read = want.bytes.size();
+  want_io.bytes_transferred = want.bytes.size();
+  EXPECT_EQ(io, want_io);
+  expect_same_transfers(log.log().transfers, want.transfers);
+}
+
+TEST(DfsEcInPlace, HealthyStripeServesTheStoredCellsUncopied) {
+  const auto fs = racked_ec_dfs(/*verify=*/false, /*block_size=*/4096);
+  // 1000 bytes: 167-byte cells, the sixth holding 165 bytes and 2 of padding.
+  fs->write_text("/ip/healthy",
+                 std::string(reinterpret_cast<const char*>(
+                                 random_bytes(1000, 1).data()),
+                             1000));
+  expect_read_matches_reassembly(*fs, "/ip/healthy", {}, false);
+  // The spans a read hands out are the stored cells themselves.
+  const BlockLocation loc = fs->file_blocks("/ip/healthy").front();
+  std::vector<const std::byte*> starts;
+  std::vector<std::size_t> sizes;
+  fs->open("/ip/healthy").read_spans(1000, [&](std::span<const std::byte> s) {
+    starts.push_back(s.data());
+    sizes.push_back(s.size());
+  });
+  ASSERT_EQ(starts.size(), 6u);
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(starts[i], loc.cells[i]->data()) << "cell " << i << " copied";
+    EXPECT_EQ(sizes[i], i < 5 ? 167u : 165u) << "cell " << i;
+  }
+}
+
+TEST(DfsEcInPlace, LostCellsAreDecodedIntoPieces) {
+  for (const std::vector<int>& lost :
+       {std::vector<int>{2}, std::vector<int>{0, 3, 5}}) {
+    const auto fs = racked_ec_dfs(false, 4096);
+    const auto data = random_bytes(1000, 2);
+    fs->write_text("/ip/lost", std::string(data.begin(), data.end()));
+    const BlockLocation loc = fs->file_blocks("/ip/lost").front();
+    for (int slot : lost) {
+      fs->kill_datanode(loc.replicas[static_cast<std::size_t>(slot)]);
+    }
+    expect_read_matches_reassembly(*fs, "/ip/lost", {}, false);
+    IoStats io;
+    EXPECT_EQ(fs->read_text("/ip/lost", &io),
+              std::string(data.begin(), data.end()));
+    EXPECT_EQ(io.degraded_reads, 1u);
+    EXPECT_EQ(io.bytes_reconstructed, lost.size() * 167u);
+  }
+}
+
+TEST(DfsEcInPlace, CorruptCellIsServedFlippedOrDecodedAround) {
+  for (const bool verify : {false, true}) {
+    const auto fs = racked_ec_dfs(verify, 4096);
+    const auto data = random_bytes(1000, 3);
+    fs->write_text("/ip/rot", std::string(data.begin(), data.end()));
+    const int holder = fs->file_blocks("/ip/rot").front().replicas[1];
+    constexpr std::uint64_t kSalt = 0x5eedull;
+    fs->corrupt_block(holder, /*at=*/1.0, kSalt);
+    expect_read_matches_reassembly(*fs, "/ip/rot", {{holder, kSalt}}, verify);
+    const std::string again = fs->read_text("/ip/rot");
+    if (verify) {
+      EXPECT_EQ(again, std::string(data.begin(), data.end()))
+          << "decoded around, then repaired";
+      EXPECT_EQ(fs->integrity_stats().cells_repaired_ec, 1);
+    } else {
+      EXPECT_NE(again, std::string(data.begin(), data.end()))
+          << "the flipped bytes reach the reader";
+    }
+  }
+}
+
+TEST(DfsEcInPlace, BlockShorterThanKCellsSkipsEmptyCells) {
+  const auto fs = racked_ec_dfs(false, 4096);
+  fs->write_text("/ip/short", "abcd");  // 1-byte cells; cells 4 and 5 empty
+  expect_read_matches_reassembly(*fs, "/ip/short", {}, false);
+  std::vector<std::size_t> sizes;
+  fs->open("/ip/short").read_spans(4, [&](std::span<const std::byte> s) {
+    sizes.push_back(s.size());
+  });
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{1, 1, 1, 1}));
+}
+
+TEST(DfsEcInPlace, MultiBlockFileWithALostCell) {
+  const auto fs = racked_ec_dfs(false, /*block_size=*/64);
+  const auto data = random_bytes(200, 4);  // stripes of 64, 64, 64 and 8
+  fs->write_text("/ip/multi", std::string(data.begin(), data.end()));
+  ASSERT_EQ(fs->file_blocks("/ip/multi").size(), 4u);
+  expect_read_matches_reassembly(*fs, "/ip/multi", {}, false);
+  fs->kill_datanode(fs->file_blocks("/ip/multi").front().replicas[0]);
+  expect_read_matches_reassembly(*fs, "/ip/multi", {}, false);
+}
+
+TEST(DfsEcInPlace, SeekAcrossAPaddedLastPiece) {
+  const auto fs = racked_ec_dfs(false, /*block_size=*/1000);
+  // Two stripes: 1000 bytes (167-byte cells, the last holding 165) and 37.
+  const auto data = random_bytes(1037, 5);
+  const std::string text(data.begin(), data.end());
+  fs->write_text("/ip/seek", text);
+  for (const std::uint64_t offset :
+       {0ull, 1ull, 166ull, 167ull, 834ull, 835ull, 999ull, 1000ull, 1001ull,
+        1036ull, 1037ull}) {
+    Dfs::Reader reader = fs->open("/ip/seek");
+    reader.seek(offset);
+    EXPECT_EQ(reader.remaining(), 1037 - offset);
+    std::string rest(static_cast<std::size_t>(reader.remaining()), '\0');
+    reader.read_exact(std::as_writable_bytes(std::span<char>(rest)));
+    EXPECT_EQ(rest, text.substr(static_cast<std::size_t>(offset)))
+        << "seek to " << offset;
+    EXPECT_EQ(reader.read(std::span<std::byte>()), 0u);
+  }
 }
 
 // -- degraded reads -------------------------------------------------------

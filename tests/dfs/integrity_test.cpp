@@ -381,6 +381,61 @@ TEST(Integrity, ScrubberCatchesCorruptionNoReadTouches) {
   EXPECT_EQ(fs.read_text("/cold/a"), data);
 }
 
+// Verification hashes only bytes that can differ from their stored CRC:
+// an unmarked copy is its stored payload and verifies by construction, a
+// marked one is hashed as the flipped view it serves. The scrubber still
+// catches a flipped EC cell no read touches (a parity cell), and every
+// cell it scans is still counted and charged in full.
+TEST(Integrity, ScrubberCatchesAFlippedEcCellAndChargesEveryCell) {
+  DfsConfig cfg = verified(3, 1024);
+  cfg.storage_policy = StoragePolicy::kErasureCoded;
+  cfg.ec.k = 3;
+  cfg.ec.m = 2;
+  cfg.scrub_interval_seconds = 10.0;
+  Dfs fs(6, cfg);
+  const CostModel model = CostModel::ec2_medium();
+  ChaosEngine chaos;
+  fs.bind_chaos(&chaos, model.network_bandwidth, &model);
+  const std::string data = payload(600);  // one stripe of 200-byte cells
+  fs.write_text("/scrub/ec", data);
+  const int parity_holder = fs.file_blocks("/scrub/ec").front().replicas[4];
+  fs.corrupt_block(parity_holder, /*at=*/2.0);
+
+  chaos.advance_to(15.0);  // one pass, at t=10
+  const IntegrityStats stats = fs.integrity_stats();
+  EXPECT_EQ(stats.scrub_passes, 1);
+  EXPECT_EQ(stats.corruptions_detected, 1);
+  EXPECT_EQ(stats.cells_repaired_ec, 1);
+  ASSERT_EQ(stats.repairs.size(), 1u);
+  EXPECT_EQ(stats.repairs.front().cell, 4);
+  EXPECT_TRUE(stats.repairs.front().by_scrubber);
+  EXPECT_EQ(stats.scrub_bytes_scanned, 5u * 200u);
+  EXPECT_EQ(stats.cells_verified, 5);
+  EXPECT_EQ(stats.bytes_verified, 5u * 200u);
+
+  chaos.advance_to(25.0);  // a second pass finds the stripe clean
+  EXPECT_EQ(fs.integrity_stats().corruptions_detected, 1);
+  EXPECT_EQ(fs.integrity_stats().scrubs.back().cells_repaired, 0);
+  EXPECT_EQ(fs.read_text("/scrub/ec"), data);
+}
+
+TEST(Integrity, ReplicatedReadVerificationChargesEveryBlock) {
+  MetricsRegistry metrics;
+  Dfs fs(4, verified(), &metrics);
+  const std::string data = payload(200);  // blocks of 64, 64, 64 and 8
+  fs.write_text("/charge/a", data);
+  const int primary = fs.file_blocks("/charge/a").front().replicas.front();
+  fs.corrupt_block(primary, /*at=*/1.0);
+  const std::uint64_t written = metrics.io_totals().bytes_checksummed;
+  EXPECT_EQ(fs.read_text("/charge/a"), data);
+  EXPECT_EQ(metrics.io_totals().bytes_checksummed - written, 200u)
+      << "every served block is charged, hashed or not";
+  const IntegrityStats stats = fs.integrity_stats();
+  EXPECT_EQ(stats.cells_verified, 4);
+  EXPECT_EQ(stats.bytes_verified, 200u);
+  EXPECT_EQ(stats.corruptions_detected, 1);
+}
+
 TEST(Integrity, SameSequenceIsBitIdenticalAcrossInstances) {
   const auto drive = [](Dfs& fs) {
     fs.write_text("/det/a", payload(300));

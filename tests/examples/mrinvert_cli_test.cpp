@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 namespace {
@@ -33,6 +34,31 @@ TEST(MrinvertCli, SingularInputExitsThree) {
 
 TEST(MrinvertCli, MissingInputExitsTwo) {
   EXPECT_EQ(run_cli("--input /nonexistent/mrinvert_input.txt"), 2);
+}
+
+// With verification off, bit-rot serves control file A.3's "3" as ";". Its
+// mapper fails the LU job with a DfsError naming the file, and the CLI
+// exits 1 with an "error:" line instead of aborting on std::invalid_argument.
+TEST(MrinvertCli, RottedControlFileExitsOneWithAnErrorLine) {
+  const std::filesystem::path log =
+      std::filesystem::path(testing::TempDir()) / "mrinvert_rotted_control.log";
+  const std::string command =
+      std::string(MRI_CLI_PATH) +
+      " --generate 384 --nodes 12 --nb 48 --storage-policy ec --ec 6,3"
+      " --verify-checksums off --chaos-seed 7 --bitrot-rate 0.02"
+      " --kill-node 5@40 --topology racked --racks 3 --oversub 4 > " +
+      log.string() + " 2>&1";
+  const int status = std::system(command.c_str());
+  ASSERT_TRUE(WIFEXITED(status)) << "the CLI died by a signal";
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+  std::ifstream in(log);
+  const std::string output((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  EXPECT_NE(output.find("error: map phase of job 'lu:/Root' failed: control "
+                        "file /Root/MapInput/A.3 holds \";\""),
+            std::string::npos)
+      << output;
+  std::filesystem::remove(log);
 }
 
 }  // namespace

@@ -76,6 +76,12 @@ Matrix solve_upper_right_oracle(const Matrix& u, const Matrix& b) {
   return x;
 }
 
+/// X·U = B given Uᵀ as the L2' mappers solve it: the left solve
+/// Uᵀ·Xᵀ = Bᵀ, whose solution they write transposed (here: transpose).
+Matrix solve_right_via_lower(const Matrix& ut, const Matrix& b) {
+  return transpose(solve_lower(ut, transpose(b)));
+}
+
 /// Lower-triangular factor whose inverse stays O(1) at any order:
 /// off-diagonal entries in ±1/n, diagonal 1 (unit) or ±[1, 2).
 Matrix tame_lower(Index n, bool unit_diag, std::uint64_t seed) {
@@ -138,7 +144,7 @@ TEST_P(TriangularSweep, SolveUpperRight) {
   const Index n = GetParam();
   const Matrix u = random_upper_triangular(n, /*seed=*/n + 4);
   const Matrix b = random_matrix(5, n, /*seed=*/n + 5, -1, 1);
-  const Matrix x = solve_upper_right_from_transpose(transpose(u), b);
+  const Matrix x = solve_right_via_lower(transpose(u), b);
   EXPECT_LT(max_abs_diff(matmul(x, u), b), 1e-8);
   EXPECT_LT(max_abs_diff(x, solve_upper_right_oracle(u, b)), 1e-10);
 }
@@ -197,7 +203,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 63, 64, 65, 130, 300),
                        ::testing::Bool()));
 
-// The right solve runs as Uᵀ·Xᵀ = Bᵀ on the staircase TRSM. Past one 64-row
+// The right solve runs as the lower solve Uᵀ·Xᵀ = Bᵀ on the staircase TRSM
+// (the L2' mappers write Xᵀ transposed). Past one 64-row
 // diagonal block, on every backend, it matches the row-by-row oracle; rows
 // of B that begin with zeros (the staircase, which the TRSM skips) give rows
 // of X that are exactly zero there, an all-zero row included.
@@ -225,11 +232,10 @@ TEST(Triangular, SolveUpperRightBlockedAndStaircase) {
       const std::string what = std::string(kernels::backend_name(backend)) +
                                " " + std::to_string(m) + "x" +
                                std::to_string(n);
-      EXPECT_LT(max_abs_diff(solve_upper_right_from_transpose(ut, dense),
-                             dense_oracle),
+      EXPECT_LT(max_abs_diff(solve_right_via_lower(ut, dense), dense_oracle),
                 tol)
           << what;
-      const Matrix x = solve_upper_right_from_transpose(ut, stair);
+      const Matrix x = solve_right_via_lower(ut, stair);
       EXPECT_LT(max_abs_diff(x, stair_oracle), tol) << what << " staircase";
       Index nonzero = 0;
       for (Index i = 0; i < m; ++i) {
@@ -300,9 +306,7 @@ TEST(Triangular, ColumnSubsetOutOfRangeThrows) {
 TEST(Triangular, SolveShapeMismatchThrows) {
   const Matrix l = random_unit_lower_triangular(4, /*seed=*/12);
   EXPECT_THROW(solve_lower(l, Matrix(5, 2)), InvalidArgument);
-  const Matrix u = random_upper_triangular(4, /*seed=*/13);
-  EXPECT_THROW(solve_upper_right_from_transpose(transpose(u), Matrix(2, 5)),
-               InvalidArgument);
+  EXPECT_THROW(solve_lower(l, Matrix(3, 4)), InvalidArgument);
 }
 
 TEST(Triangular, CostModels) {

@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -196,6 +198,78 @@ TEST(ChaosEngine, SampleBitrotIsDeterministicAndSalted) {
     EXPECT_EQ(events[i].node, other[i].node);
     EXPECT_EQ(events[i].salt, other[i].salt);
   }
+}
+
+// The schedule is kept in (time, insertion) order as events are added:
+// events() is a stable sort of everything added, node_events() its kills
+// and degrades, and advance_to() applies the due ones in that order.
+TEST(ChaosEngine, ScheduleStaysInTimeThenInsertionOrder) {
+  ChaosOptions options;
+  options.seed = 3;
+  options.horizon_seconds = 100.0;
+  options.bitrot_rate = 0.05;
+  ChaosEngine engine(options);
+  std::vector<ChaosEvent> added = {
+      {ChaosEventKind::kDegradeNode, 5.0, 1, 0.5},
+      {ChaosEventKind::kBlockReadError, 1.0, 2, 1.0},
+      {ChaosEventKind::kKillNode, 5.0, 3, 1.0},
+      {ChaosEventKind::kCorruptBlock, 1.0, 4, 1.0, 9}};
+  for (const ChaosEvent& e : added) engine.add_event(e);
+  engine.sample_bitrot(3);
+  ChaosEngine sampled_alone(options);
+  sampled_alone.sample_bitrot(3);
+  for (const ChaosEvent& e : sampled_alone.events()) added.push_back(e);
+  const std::vector<ChaosEvent> late = {
+      {ChaosEventKind::kKillNode, 5.0, 2, 1.0},
+      {ChaosEventKind::kDegradeNode, 0.0, 4, 0.25}};
+  for (const ChaosEvent& e : late) {
+    engine.add_event(e);
+    added.push_back(e);
+  }
+  std::stable_sort(added.begin(), added.end(),
+                   [](const ChaosEvent& a, const ChaosEvent& b) {
+                     return a.at < b.at;
+                   });
+  const auto same = [](const ChaosEvent& a, const ChaosEvent& b) {
+    return a.kind == b.kind && a.at == b.at && a.node == b.node &&
+           a.factor == b.factor && a.salt == b.salt;
+  };
+  const std::vector<ChaosEvent> events = engine.events();
+  ASSERT_EQ(events.size(), added.size());
+  ASSERT_GT(events.size(), 6u) << "bit-rot sampling added nothing";
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_TRUE(same(events[i], added[i])) << "event " << i;
+  }
+  std::vector<ChaosEvent> node_events;
+  for (const ChaosEvent& e : added) {
+    if (e.kind == ChaosEventKind::kKillNode ||
+        e.kind == ChaosEventKind::kDegradeNode) {
+      node_events.push_back(e);
+    }
+  }
+  const std::vector<ChaosEvent> got = engine.node_events();
+  ASSERT_EQ(got.size(), 4u);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(same(got[i], node_events[i])) << "node event " << i;
+  }
+
+  std::vector<std::pair<double, int>> applied;
+  engine.set_kill_handler([&](int node, double at) {
+    applied.emplace_back(at, node);
+    return NodeKillOutcome{};
+  });
+  engine.set_read_error_handler([&](int node) { applied.emplace_back(-1.0, node); });
+  engine.set_corrupt_handler([&](int node, double at, std::uint64_t) {
+    applied.emplace_back(at, node);
+  });
+  engine.advance_to(5.0);
+  std::vector<std::pair<double, int>> want;
+  for (const ChaosEvent& e : added) {
+    if (e.at > 5.0 || e.kind == ChaosEventKind::kDegradeNode) continue;
+    want.emplace_back(e.kind == ChaosEventKind::kBlockReadError ? -1.0 : e.at,
+                      e.node);
+  }
+  EXPECT_EQ(applied, want);
 }
 
 TEST(ChaosEngine, SampleKillTimeIsDeterministicAndInHorizon) {
